@@ -15,7 +15,6 @@
 #include "core/evaluator.hpp"
 #include "core/monitor.hpp"
 #include "core/spectral.hpp"
-#include "fleet/fleet.hpp"
 #include "io/calibration.hpp"
 #include "dsp/fft.hpp"
 #include "em/mutual.hpp"
@@ -24,6 +23,7 @@
 #include "sim/engine.hpp"
 #include "stats/pca.hpp"
 #include "util/alloc_counter.hpp"
+#include "util/latency.hpp"
 #include "util/rng.hpp"
 
 using namespace emts;
@@ -209,41 +209,10 @@ void BM_SpectralAnalyze(benchmark::State& state) {
 BENCHMARK(BM_SpectralAnalyze);
 
 // ---------------------------------------------------------------------------
-// Streaming monitor hot path: the pre-ring per-push loop vs RuntimeMonitor.
+// Streaming monitor hot path: RuntimeMonitor push, per trace and batched.
 // ---------------------------------------------------------------------------
 
 constexpr std::size_t kMonitorWindow = 64;
-
-/// The monitoring loop as it existed before the streaming rework, preserved
-/// verbatim for comparison: every score allocates fresh feature buffers, the
-/// spectral window is an accumulated TraceSet copy, and each windowed pass
-/// rebuilds the FFT window/twiddles from scratch.
-class SeedStyleMonitor {
- public:
-  explicit SeedStyleMonitor(const core::TrustEvaluator& evaluator)
-      : evaluator_{evaluator} {
-    window_.sample_rate = evaluator.sample_rate();
-  }
-
-  void push(const core::Trace& trace) {
-    for (const auto& detector : evaluator_.detectors()) {
-      if (detector->windowed()) continue;
-      benchmark::DoNotOptimize(detector->score(trace));
-    }
-    window_.add(trace);
-    if (window_.size() >= kMonitorWindow) {
-      if (const auto* sd = evaluator_.try_spectral()) {
-        const auto report = sd->analyze(window_);
-        benchmark::DoNotOptimize(&report);
-      }
-      window_.traces.clear();
-    }
-  }
-
- private:
-  const core::TrustEvaluator& evaluator_;
-  core::TraceSet window_;
-};
 
 const core::TrustEvaluator& shared_evaluator() {
   static const core::TrustEvaluator evaluator = core::TrustEvaluator::calibrate(shared_golden());
@@ -261,17 +230,6 @@ core::RuntimeMonitor::Options monitor_options() {
   options.spectral_window = kMonitorWindow;
   return options;
 }
-
-void BM_MonitorSeedStylePush(benchmark::State& state) {
-  const auto& stream = shared_stream();
-  SeedStyleMonitor monitor{shared_evaluator()};
-  for (auto _ : state) {
-    for (const auto& trace : stream.traces) monitor.push(trace);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(stream.size()));
-}
-BENCHMARK(BM_MonitorSeedStylePush)->Unit(benchmark::kMillisecond);
 
 void BM_MonitorStreamPush(benchmark::State& state) {
   const auto& stream = shared_stream();
@@ -300,272 +258,27 @@ void BM_MonitorStreamBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_MonitorStreamBatch)->Unit(benchmark::kMillisecond);
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-// ---------------------------------------------------------------------------
-// Fleet monitor: shard scaling and queue saturation.
-// ---------------------------------------------------------------------------
-
-std::vector<std::string> fleet_device_ids(std::size_t devices) {
-  std::vector<std::string> ids;
-  ids.reserve(devices);
-  for (std::size_t d = 0; d < devices; ++d) ids.push_back("chip-" + std::to_string(d));
-  return ids;
-}
-
-fleet::FleetOptions fleet_options(std::size_t shards, fleet::BackpressurePolicy policy,
-                                  std::size_t queue_capacity) {
-  fleet::FleetOptions options;
-  options.shards = shards;
-  options.queue_capacity = queue_capacity;
-  options.backpressure = policy;
-  options.monitor.spectral_window = kMonitorWindow;
-  return options;
-}
-
-/// One producer feeding a device fleet round-robin, as a shared capture
-/// front-end would. Scoring dominates (a submit is a 32 KiB copy plus a
-/// queue push; a push through the detector stack is ~100x that), so
-/// traces/sec tracks how many shard workers the machine keeps busy.
-double fleet_rate(std::size_t shards, std::size_t devices, std::size_t per_device) {
+/// Streamed-monitor measurement serialized to BENCH_monitor.json: traces/sec
+/// on a 64-trace window, steady-state allocation counts, and the monitor's
+/// own p50/p99 push latency with the tail ratio tracked directly as
+/// push_p99_over_p50 (CI asserts it stays within ~10x).
+void write_monitor_bench_json(const char* path) {
   const auto& stream = shared_stream();
-  fleet::FleetMonitor monitor{
-      fleet_options(shards, fleet::BackpressurePolicy::kBlock, 64)};
-  const std::vector<std::string> ids = fleet_device_ids(devices);
-  for (const std::string& id : ids) {
-    monitor.add_device(id, core::TrustEvaluator{shared_evaluator()});
-  }
-  // Warm-up round: size every session's scratches and plans.
-  for (const std::string& id : ids) {
-    monitor.submit(id, core::Trace{stream.traces[0]});
-  }
-  monitor.flush();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t t = 0; t < per_device; ++t) {
-    const core::Trace& trace = stream.traces[t % stream.size()];
-    for (const std::string& id : ids) monitor.submit(id, core::Trace{trace});
-  }
-  monitor.flush();
-  const double elapsed = seconds_since(t0);
-  return static_cast<double>(devices) * static_cast<double>(per_device) / elapsed;
-}
-
-void BM_FleetSubmit(benchmark::State& state) {
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  const auto devices = static_cast<std::size_t>(state.range(1));
-  const auto& stream = shared_stream();
-  fleet::FleetMonitor monitor{
-      fleet_options(shards, fleet::BackpressurePolicy::kBlock, 64)};
-  const std::vector<std::string> ids = fleet_device_ids(devices);
-  for (const std::string& id : ids) {
-    monitor.add_device(id, core::TrustEvaluator{shared_evaluator()});
-  }
-  constexpr std::size_t kRound = 8;
-  std::size_t t = 0;
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < kRound; ++r) {
-      const core::Trace& trace = stream.traces[t++ % stream.size()];
-      for (const std::string& id : ids) monitor.submit(id, core::Trace{trace});
-    }
-    monitor.flush();
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(kRound * devices));
-}
-BENCHMARK(BM_FleetSubmit)
-    ->ArgNames({"shards", "devices"})
-    ->Args({1, 16})
-    ->Args({2, 16})
-    ->Args({4, 16})
-    ->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-
-struct FleetSaturationResult {
-  std::uint64_t submitted = 0;
-  std::uint64_t processed = 0;
-  std::uint64_t dropped = 0;
-  std::uint64_t rejected = 0;
-  std::size_t queue_high_water = 0;
-  double wall_seconds = 0.0;
-};
-
-/// Slams one shard with a burst far beyond its queue capacity: the producer
-/// outruns the scorer by ~100x, so the queue saturates immediately and the
-/// policy decides what gives — the producer (BLOCK), completeness
-/// (DROP_OLDEST) or admission (REJECT).
-FleetSaturationResult fleet_saturation(fleet::BackpressurePolicy policy, std::size_t burst) {
-  const auto& stream = shared_stream();
-  constexpr std::size_t kQueue = 8;
-  fleet::FleetMonitor monitor{fleet_options(1, policy, kQueue)};
-  monitor.add_device("chip-0", core::TrustEvaluator{shared_evaluator()});
-  monitor.submit("chip-0", core::Trace{stream.traces[0]});  // warm-up
-  monitor.flush();
-
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::size_t t = 0; t < burst; ++t) {
-    monitor.submit("chip-0", core::Trace{stream.traces[t % stream.size()]});
-  }
-  monitor.flush();
-  const double elapsed = seconds_since(t0);
-
-  const fleet::FleetStats stats = monitor.stats();
-  FleetSaturationResult result;
-  result.submitted = stats.shards[0].submitted;
-  result.processed = stats.shards[0].processed;
-  result.dropped = stats.shards[0].dropped_oldest;
-  result.rejected = stats.shards[0].rejected_full;
-  result.queue_high_water = stats.shards[0].queue_high_water;
-  result.wall_seconds = elapsed;
-  return result;
-}
-
-/// Fleet measurements serialized to BENCH_fleet.json: traces/sec against
-/// shard count at 1/4/16/64 devices, the 1->4 shard speedup at 16 devices,
-/// and the per-policy queue-saturation accounting. Shard scaling needs
-/// hardware parallelism — on a single-core host every curve is flat, so the
-/// file records hardware_threads alongside the rates.
-void write_fleet_bench_json(const char* path) {
-  const std::size_t shard_counts[] = {1, 2, 4};
-  const std::size_t device_counts[] = {1, 4, 16, 64};
-
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
-  std::ofstream out{path};
-  // hardware_threads leads (BENCH_daemon.json convention): every rate below
-  // is meaningless without it, and rows flag oversubscription explicitly.
-  out << "{\n"
-      << "  \"hardware_threads\": " << hardware_threads << ",\n"
-      << "  \"trace_samples\": " << shared_stream().trace_length() << ",\n"
-      << "  \"queue_capacity\": 64,\n"
-      << "  \"scaling\": [\n";
-  double rate_1_shard_16_dev = 0.0;
-  double rate_4_shards_16_dev = 0.0;
-  bool first = true;
-  for (const std::size_t devices : device_counts) {
-    // Every device streams exactly one spectral window, so each row carries
-    // the same per-trace work mix and rates compare across device counts.
-    const std::size_t per_device = kMonitorWindow;
-    for (const std::size_t shards : shard_counts) {
-      const double rate = fleet_rate(shards, devices, per_device);
-      const bool oversubscribed = hardware_threads > 0 && shards > hardware_threads;
-      if (oversubscribed) {
-        std::fprintf(stderr,
-                     "warning: %zu shards exceed %u hardware threads — fleet rate is"
-                     " a contention measurement, not a capacity\n",
-                     shards, hardware_threads);
-      }
-      if (devices == 16 && shards == 1) rate_1_shard_16_dev = rate;
-      if (devices == 16 && shards == 4) rate_4_shards_16_dev = rate;
-      if (!first) out << ",\n";
-      first = false;
-      out << "    {\"shards\": " << shards << ", \"devices\": " << devices
-          << ", \"traces_per_sec\": " << rate
-          << ", \"oversubscribed\": " << (oversubscribed ? "true" : "false") << "}";
-    }
-  }
-  const double speedup = rate_4_shards_16_dev / rate_1_shard_16_dev;
-  out << "\n  ],\n"
-      << "  \"speedup_1_to_4_shards_at_16_devices\": " << speedup << ",\n"
-      << "  \"saturation\": [\n";
-
-  const fleet::BackpressurePolicy policies[] = {fleet::BackpressurePolicy::kBlock,
-                                                fleet::BackpressurePolicy::kDropOldest,
-                                                fleet::BackpressurePolicy::kReject};
-  constexpr std::size_t kBurst = 256;
-  for (std::size_t p = 0; p < 3; ++p) {
-    const FleetSaturationResult r = fleet_saturation(policies[p], kBurst);
-    out << "    {\"policy\": \"" << fleet::backpressure_label(policies[p]) << "\""
-        << ", \"burst\": " << kBurst << ", \"queue_capacity\": 8"
-        << ", \"submitted\": " << r.submitted << ", \"processed\": " << r.processed
-        << ", \"dropped_oldest\": " << r.dropped << ", \"rejected\": " << r.rejected
-        << ", \"queue_high_water\": " << r.queue_high_water
-        << ", \"wall_seconds\": " << r.wall_seconds << "}" << (p + 1 < 3 ? ",\n" : "\n");
-  }
-  out << "  ]\n}\n";
-  std::printf("fleet: 1->4 shards at 16 devices %.2fx (%u hardware threads) -> %s\n",
-              speedup, std::thread::hardware_concurrency(), path);
-}
-
-/// One streamed-monitor measurement: rate, steady-state allocations, and the
-/// monitor's own push/spectral latency histograms.
-struct MonitorRunResult {
-  double traces_per_sec = 0.0;
-  std::uint64_t allocations = 0;
-  std::uint64_t allocated_bytes = 0;
-  double push_p50_ns = 0.0;
-  double push_p99_ns = 0.0;
-  std::uint64_t push_max_ns = 0;
-  double spectral_p50_ns = 0.0;
-  double spectral_p99_ns = 0.0;
-};
-
-MonitorRunResult run_streamed_monitor(bool incremental_spectral, int repeats) {
-  const auto& stream = shared_stream();
-  core::RuntimeMonitor::Options options = monitor_options();
-  options.incremental_spectral = incremental_spectral;
-  core::RuntimeMonitor monitor{shared_chip().sample_rate(), shared_evaluator(), options};
+  constexpr int kRepeats = 4;
+  core::RuntimeMonitor monitor{shared_chip().sample_rate(), shared_evaluator(),
+                               monitor_options()};
   for (const auto& trace : stream.traces) monitor.push(trace);  // warm-up
   const auto alloc0 = util::alloc::thread_counts();
   const auto t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < repeats; ++r) monitor.push_batch(stream);
-  const double elapsed = seconds_since(t0);
+  for (int r = 0; r < kRepeats; ++r) monitor.push_batch(stream);
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
   const auto alloc1 = util::alloc::thread_counts();
 
-  MonitorRunResult result;
-  result.traces_per_sec = static_cast<double>(repeats) *
-                          static_cast<double>(stream.size()) / elapsed;
-  result.allocations = alloc1.allocations - alloc0.allocations;
-  result.allocated_bytes = alloc1.bytes - alloc0.bytes;
-  result.push_p50_ns = monitor.stats().push_latency.p50_ns();
-  result.push_p99_ns = monitor.stats().push_latency.p99_ns();
-  result.push_max_ns = monitor.stats().push_latency.max_ns();
-  result.spectral_p50_ns = monitor.stats().spectral_latency.p50_ns();
-  result.spectral_p99_ns = monitor.stats().spectral_latency.p99_ns();
-  return result;
-}
-
-void write_monitor_run_json(std::ofstream& out, const MonitorRunResult& r) {
-  out << "    \"traces_per_sec\": " << r.traces_per_sec << ",\n"
-      << "    \"allocations\": " << r.allocations << ",\n"
-      << "    \"allocated_bytes\": " << r.allocated_bytes << ",\n"
-      << "    \"push_p50_ns\": " << r.push_p50_ns << ",\n"
-      << "    \"push_p99_ns\": " << r.push_p99_ns << ",\n"
-      << "    \"push_max_ns\": " << r.push_max_ns << ",\n"
-      << "    \"push_p99_over_p50\": "
-      << (r.push_p50_ns > 0.0 ? r.push_p99_ns / r.push_p50_ns : 0.0) << ",\n"
-      << "    \"spectral_p50_ns\": " << r.spectral_p50_ns << ",\n"
-      << "    \"spectral_p99_ns\": " << r.spectral_p99_ns << "\n";
-}
-
-/// Direct head-to-head measurement serialized to BENCH_monitor.json: streamed
-/// (incremental spectral, the default) vs batch-recompute vs seed-style
-/// traces/sec on a 64-trace window, steady-state allocation counts, and the
-/// monitor's own p50/p99 push latency with the tail ratio tracked directly
-/// as push_p99_over_p50 (CI asserts it stays within ~10x).
-void write_monitor_bench_json(const char* path) {
-  const auto& stream = shared_stream();
-  const auto& evaluator = shared_evaluator();
-  constexpr int kRepeats = 4;
-
-  SeedStyleMonitor seed{evaluator};
-  for (const auto& trace : stream.traces) seed.push(trace);  // equal-footing warm-up
-  auto seed_alloc0 = util::alloc::thread_counts();
-  const auto seed_t0 = std::chrono::steady_clock::now();
-  for (int r = 0; r < kRepeats; ++r) {
-    for (const auto& trace : stream.traces) seed.push(trace);
-  }
-  const double seed_elapsed = seconds_since(seed_t0);
-  const auto seed_alloc1 = util::alloc::thread_counts();
-
-  const MonitorRunResult incremental =
-      run_streamed_monitor(/*incremental_spectral=*/true, kRepeats);
-  const MonitorRunResult batch =
-      run_streamed_monitor(/*incremental_spectral=*/false, kRepeats);
-
   const double pushes = static_cast<double>(kRepeats) * static_cast<double>(stream.size());
-  const double seed_rate = pushes / seed_elapsed;
+  const util::LatencyHistogram& push = monitor.stats().push_latency;
+  const util::LatencyHistogram& spectral = monitor.stats().spectral_latency;
+  const double tail_ratio = push.p50_ns() > 0.0 ? push.p99_ns() / push.p50_ns() : 0.0;
 
   std::ofstream out{path};
   out << "{\n"
@@ -575,28 +288,20 @@ void write_monitor_bench_json(const char* path) {
       << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
       << "  \"alloc_counting_active\": "
       << (util::alloc::counting_active() ? "true" : "false") << ",\n"
-      << "  \"seed_style\": {\n"
-      << "    \"traces_per_sec\": " << seed_rate << ",\n"
-      << "    \"allocations\": " << (seed_alloc1.allocations - seed_alloc0.allocations)
-      << ",\n"
-      << "    \"allocated_bytes\": " << (seed_alloc1.bytes - seed_alloc0.bytes) << "\n"
-      << "  },\n"
-      << "  \"streamed\": {\n";
-  write_monitor_run_json(out, incremental);
-  out << "  },\n"
-      << "  \"streamed_batch_recompute\": {\n";
-  write_monitor_run_json(out, batch);
-  out << "  },\n"
-      << "  \"speedup\": " << (incremental.traces_per_sec / seed_rate) << "\n"
+      << "  \"streamed\": {\n"
+      << "    \"traces_per_sec\": " << pushes / elapsed << ",\n"
+      << "    \"allocations\": " << (alloc1.allocations - alloc0.allocations) << ",\n"
+      << "    \"allocated_bytes\": " << (alloc1.bytes - alloc0.bytes) << ",\n"
+      << "    \"push_p50_ns\": " << push.p50_ns() << ",\n"
+      << "    \"push_p99_ns\": " << push.p99_ns() << ",\n"
+      << "    \"push_max_ns\": " << push.max_ns() << ",\n"
+      << "    \"push_p99_over_p50\": " << tail_ratio << ",\n"
+      << "    \"spectral_p50_ns\": " << spectral.p50_ns() << ",\n"
+      << "    \"spectral_p99_ns\": " << spectral.p99_ns() << "\n"
+      << "  }\n"
       << "}\n";
-  std::printf("monitor hot path: seed %.0f traces/s, streamed %.0f traces/s (%.2fx), "
-              "batch-recompute %.0f traces/s, push p99/p50 %.2f -> %s\n",
-              seed_rate, incremental.traces_per_sec,
-              incremental.traces_per_sec / seed_rate, batch.traces_per_sec,
-              incremental.push_p50_ns > 0.0
-                  ? incremental.push_p99_ns / incremental.push_p50_ns
-                  : 0.0,
-              path);
+  std::printf("monitor hot path: streamed %.0f traces/s, push p99/p50 %.2f -> %s\n",
+              pushes / elapsed, tail_ratio, path);
 }
 
 }  // namespace
@@ -607,6 +312,5 @@ int main(int argc, char** argv) {
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
   write_monitor_bench_json("BENCH_monitor.json");
-  write_fleet_bench_json("BENCH_fleet.json");
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "dsp/fft.hpp"
 #include "util/assert.hpp"
 
 namespace emts::core {
@@ -96,11 +97,6 @@ void RuntimeMonitor::bind_evaluator() {
     spectral_scratch_.emplace(spectral_->options().spectrum);
   }
   window_set_.sample_rate = sample_rate_;
-}
-
-bool RuntimeMonitor::incremental_spectral_active() const {
-  return options_.incremental_spectral && spectral_ != nullptr &&
-         spectral_scratch_.has_value();
 }
 
 void RuntimeMonitor::record_event(MonitorEventKind kind, double value) {
@@ -225,7 +221,7 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
   // Windowed stages re-run over a rolling window of recent captures.
   bool windowed_anomaly = false;
   window_.push(trace);
-  if (incremental_spectral_active()) {
+  if (spectral_ != nullptr) {
     // Pay this trace's FFT now (flat per-push cost) and fold its amplitudes
     // into the running window sum; the boundary pass below is then O(bins).
     spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
@@ -272,15 +268,10 @@ void RuntimeMonitor::run_windowed_pass(bool& windowed_anomaly) {
   for (const auto& detector : evaluator_->detectors()) {
     if (!detector->windowed()) continue;
     if (const auto* sd = dynamic_cast<const SpectralDetector*>(detector.get())) {
-      if (incremental_spectral_active()) {
-        bool rebuilt = false;
-        last_spectral_ = sd->stream_finish(window_, sample_rate_, *spectral_scratch_,
-                                           options_.spectral_rebuild_every, rebuilt);
-        if (rebuilt) ++stats_.spectral_recomputes;
-      } else {
-        last_spectral_ = sd->analyze_reusing(window_, sample_rate_, *spectral_scratch_);
-        ++stats_.spectral_recomputes;
-      }
+      bool rebuilt = false;
+      last_spectral_ = sd->stream_finish(window_, sample_rate_, *spectral_scratch_,
+                                         options_.spectral_rebuild_every, rebuilt);
+      if (rebuilt) ++stats_.spectral_recomputes;
       windowed_anomaly |= last_spectral_->anomalous();
     } else {
       // Generic windowed detectors take a TraceSet; snapshot the ring into a
@@ -297,7 +288,7 @@ void RuntimeMonitor::run_windowed_pass(bool& windowed_anomaly) {
   }
   const std::size_t analyzed = window_.size();
   window_.clear();
-  if (incremental_spectral_active()) spectral_scratch_->analyzer.stream_reset();
+  if (spectral_ != nullptr) spectral_scratch_->analyzer.stream_reset();
   ++stats_.spectral_passes;
   record_event(MonitorEventKind::kSpectralPass, static_cast<double>(analyzed));
   if (windowed_anomaly) {
@@ -318,7 +309,6 @@ MonitorStateImage RuntimeMonitor::export_state() const {
   image.alarm_debounce = options_.alarm_debounce;
   image.spectral_window = options_.spectral_window;
   image.event_log_capacity = options_.event_log_capacity;
-  image.incremental_spectral = options_.incremental_spectral;
   image.spectral_rebuild_every = options_.spectral_rebuild_every;
 
   image.state = state_;
@@ -358,7 +348,6 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
   EMTS_REQUIRE(image.alarm_debounce == options_.alarm_debounce &&
                    image.spectral_window == options_.spectral_window &&
                    image.event_log_capacity == options_.event_log_capacity &&
-                   image.incremental_spectral == options_.incremental_spectral &&
                    image.spectral_rebuild_every == options_.spectral_rebuild_every,
                "restore_state: image was captured under different monitor options");
   EMTS_REQUIRE((image.state == MonitorState::kCalibrating) == !evaluator_.has_value(),
@@ -382,10 +371,25 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
     EMTS_REQUIRE(image.expected_length != 0 && trace.size() == image.expected_length,
                  "restore_state: window trace shape disagrees with the pinned length");
   }
-  EMTS_REQUIRE(image.spectral_count == 0 || image.spectral_count == image.window.size(),
-               "restore_state: spectral accumulator count disagrees with the window");
-  EMTS_REQUIRE(image.spectral_count == 0 || !image.spectral_sum.empty(),
-               "restore_state: non-empty spectral accumulator with no bins");
+  if (spectral_ != nullptr) {
+    // The accumulator must describe the window exactly: a diverged count or
+    // bin shape would restore cleanly and then throw on every later push.
+    EMTS_REQUIRE(image.spectral_count == image.window.size(),
+                 "restore_state: spectral accumulator count disagrees with the window");
+    if (image.spectral_sum.empty()) {
+      EMTS_REQUIRE(image.window.empty(),
+                   "restore_state: non-empty window with no spectral accumulator");
+    } else {
+      EMTS_REQUIRE(image.expected_length != 0 &&
+                       image.spectral_sum.size() ==
+                           dsp::next_power_of_two(image.expected_length) / 2 + 1,
+                   "restore_state: spectral accumulator bins disagree with the trace length");
+    }
+  } else {
+    EMTS_REQUIRE(image.spectral_count == 0 && image.spectral_sum.empty() &&
+                     image.spectral_updates_since_rebuild == 0,
+                 "restore_state: spectral accumulator without a spectral stage");
+  }
 
   state_ = image.state;
   traces_seen_ = static_cast<std::size_t>(image.traces_seen);
@@ -396,15 +400,16 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
   last_spectral_ = image.last_spectral;
   calibration_.traces = image.calibration;
   window_.clear();
-  const bool incremental = incremental_spectral_active();
   for (const Trace& trace : image.window) {
     window_.push(trace);
     // Replay the per-slot spectrum caches deterministically; the accumulator
     // itself is then overwritten verbatim from the image below, so a
     // continued stream is bit-identical even mid-drift.
-    if (incremental) spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
+    if (spectral_ != nullptr) {
+      spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
+    }
   }
-  if (incremental) {
+  if (spectral_ != nullptr) {
     spectral_scratch_->analyzer.stream_restore(image.spectral_sum,
                                                image.spectral_count,
                                                image.spectral_updates_since_rebuild);
@@ -425,7 +430,7 @@ void RuntimeMonitor::acknowledge_alarm() {
   // alarm on a perfectly clean stream.
   consecutive_anomalies_ = 0;
   window_.clear();
-  if (incremental_spectral_active()) spectral_scratch_->analyzer.stream_reset();
+  if (spectral_ != nullptr) spectral_scratch_->analyzer.stream_reset();
   last_score_.reset();
   last_spectral_.reset();
   ++stats_.alarms_acknowledged;

@@ -13,18 +13,17 @@
 // after one warm-up window, a push performs zero heap allocations. Per-trace
 // scores stay bit-identical to the copying Detector::score() path.
 //
-// The spectral pass is incremental by default (Options::incremental_spectral):
-// each push computes the incoming trace's amplitude spectrum once (one
-// half-size real-split FFT), caches it in the ring, and updates a running
-// per-bin sum, so the window-boundary pass is an O(bins) mean + classify
-// instead of W FFTs — flattening the push-latency tail from ~450x p50 to
-// within ~10x. Scores match the batch path (incremental_spectral = false,
-// which matches SpectralDetector::analyze() to floating-point rounding) to
-// rounding: anomaly kinds, bins, states and alarm sequences are identical
-// because classification is tolerance-based, and at a drift-bounding rebuild
-// (every spectral_rebuild_every incremental updates) the accumulator is
-// re-summed bit-exactly from the cached spectra. MonitorStats and the
-// drainable event log expose what the loop did without perturbing it.
+// The spectral pass is incremental: each push computes the incoming trace's
+// amplitude spectrum once (one half-size real-split FFT), caches it in the
+// ring, and updates a running per-bin sum, so the window-boundary pass is an
+// O(bins) mean + classify instead of W FFTs — flattening the push-latency
+// tail from ~450x p50 to within ~10x. Windowed reports match
+// SpectralDetector::analyze() over the same window to floating-point
+// rounding: anomaly kinds and frequencies are identical because
+// classification is tolerance-based, and at a drift-bounding rebuild (every
+// spectral_rebuild_every incremental updates) the accumulator is re-summed
+// bit-exactly from the cached spectra. MonitorStats and the drainable event
+// log expose what the loop did without perturbing it.
 #pragma once
 
 #include <cstddef>
@@ -72,8 +71,7 @@ struct MonitorStats {
   std::uint64_t per_trace_anomalies = 0;  // pushes with a per-trace exceedance
   std::uint64_t spectral_passes = 0;      // completed windowed analyses
   std::uint64_t windowed_anomalies = 0;   // passes that flagged the window
-  std::uint64_t spectral_recomputes = 0;  // full mean-spectrum recomputes
-                                          // (batch passes / drift rebuilds)
+  std::uint64_t spectral_recomputes = 0;  // exact accumulator rebuilds
   std::uint64_t spectral_incremental_updates = 0;  // per-push accumulator adds
   std::uint64_t alarms_latched = 0;
   std::uint64_t alarms_acknowledged = 0;
@@ -97,7 +95,6 @@ struct MonitorStateImage {
   std::uint64_t alarm_debounce = 0;
   std::uint64_t spectral_window = 0;
   std::uint64_t event_log_capacity = 0;
-  bool incremental_spectral = true;
   std::uint64_t spectral_rebuild_every = 4096;
 
   MonitorState state = MonitorState::kCalibrating;
@@ -113,7 +110,8 @@ struct MonitorStateImage {
   // Incremental spectral accumulator: the running per-bin sum over `window`
   // plus its live count and drift counter. Restoring it verbatim (instead of
   // re-deriving it from the window) keeps the continued stream bit-identical
-  // to the uninterrupted one even mid-drift.
+  // to the uninterrupted one even mid-drift. Empty (zero count, no bins)
+  // when the stack has no spectral stage.
   std::uint64_t spectral_count = 0;
   std::uint64_t spectral_updates_since_rebuild = 0;
   std::vector<double> spectral_sum;
@@ -135,11 +133,6 @@ class RuntimeMonitor {
     // entry is overwritten on overflow and counted in events_dropped).
     // 0 disables event capture entirely.
     std::size_t event_log_capacity = 256;
-    // Maintain the windowed mean spectrum incrementally (one FFT per push,
-    // O(bins) at the boundary) instead of recomputing the whole window's
-    // FFTs at the boundary. Scores match the batch path to floating-point
-    // rounding; see the class comment.
-    bool incremental_spectral = true;
     // Exact-rebuild cadence of the incremental accumulator, measured in
     // incremental updates since the last rebuild — bounds floating-point
     // drift. Must be >= 1; 1 rebuilds at every window boundary.
@@ -200,7 +193,10 @@ class RuntimeMonitor {
   /// Reinstates an exported image onto a freshly constructed monitor. The
   /// target must be untouched (zero pushes), built with the same options and
   /// sample rate the image mirrors, and hold an evaluator iff the image is
-  /// past calibration. After restore, the monitor's observable state is
+  /// past calibration. The image's spectral accumulator must describe its
+  /// window: with a spectral stage, one summed spectrum per window trace and
+  /// one bin per frequency of the pinned trace length; without one, no
+  /// accumulator at all. After restore, the monitor's observable state is
   /// exactly the exporter's, and every subsequent push produces bit-identical
   /// scores, transitions, stats and events to the uninterrupted stream.
   /// Throws precondition_error on any mismatch.
@@ -248,8 +244,6 @@ class RuntimeMonitor {
   void finish_calibration();
   /// Builds the per-stream scratches once an evaluator exists.
   void bind_evaluator();
-  /// True when the incremental spectral path drives the windowed pass.
-  bool incremental_spectral_active() const;
   MonitorState ingest(const Trace& trace);
   void run_windowed_pass(bool& windowed_anomaly);
   void record_event(MonitorEventKind kind, double value);

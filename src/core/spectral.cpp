@@ -57,35 +57,6 @@ SpectralReport SpectralDetector::analyze(const TraceSet& suspect) const {
   return report;
 }
 
-const SpectralReport& SpectralDetector::analyze_reusing(const TraceRing& window,
-                                                        double sample_rate,
-                                                        SpectralScratch& scratch) const {
-  EMTS_REQUIRE(!window.empty(), "spectral analysis needs traces");
-  EMTS_REQUIRE(std::abs(sample_rate - sample_rate_) < 1e-6 * sample_rate_,
-               "suspect sample rate differs from calibration");
-
-  // Streamed mean spectrum, oldest-first: the same accumulation order as
-  // mean_spectrum over a TraceSet holding these traces, but packed two
-  // traces per FFT — amplitudes agree with the copying analyze() path to
-  // floating-point rounding.
-  scratch.analyzer.begin(window.oldest(0).size(), sample_rate);
-  for (std::size_t i = 0; i < window.size(); ++i) scratch.analyzer.add(window.oldest(i));
-  const dsp::Spectrum& spectrum = scratch.analyzer.mean();
-  return classify_mean(spectrum, scratch);
-}
-
-const SpectralReport& SpectralDetector::classify_mean(const dsp::Spectrum& spectrum,
-                                                      SpectralScratch& scratch) const {
-  EMTS_REQUIRE(spectrum.size() == golden_.size(),
-               "suspect trace length differs from calibration");
-  scratch.floor_scratch.assign(spectrum.amplitude.begin(), spectrum.amplitude.end());
-  const double floor_level =
-      std::max(noise_floor_, stats::median_in_place(scratch.floor_scratch));
-  dsp::find_peaks_into(spectrum, options_.new_spot_factor * floor_level, scratch.peaks);
-  match_peaks(scratch.peaks, scratch.report);
-  return scratch.report;
-}
-
 void SpectralDetector::stream_observe(TraceRing& window, double sample_rate,
                                       SpectralScratch& scratch) const {
   EMTS_REQUIRE(!window.empty(), "stream_observe on an empty window");
@@ -114,9 +85,8 @@ const SpectralReport& SpectralDetector::stream_finish(const TraceRing& window,
   if (scratch.analyzer.stream_updates_since_rebuild() >= rebuild_every) {
     // Exact rebuild: re-sum the cached per-slot spectra in arrival order.
     // Incremental accumulation added the very same values in the very same
-    // order (tumbling windows never retire), so this is bit-identical to the
-    // running sum unless sliding retirement has introduced drift — either
-    // way the accumulator is exact afterwards.
+    // order (windows tumble, nothing is retired), so the rebuilt sum is
+    // bit-identical to the running one and the accumulator is exact.
     scratch.analyzer.stream_reset();
     for (std::size_t i = 0; i < window.size(); ++i) {
       scratch.analyzer.stream_accumulate(window.oldest_spectrum(i));
@@ -125,7 +95,15 @@ const SpectralReport& SpectralDetector::stream_finish(const TraceRing& window,
     rebuilt = true;
   }
   const dsp::Spectrum& spectrum = scratch.analyzer.stream_mean();
-  return classify_mean(spectrum, scratch);
+  EMTS_REQUIRE(spectrum.size() == golden_.size(),
+               "suspect trace length differs from calibration");
+  // Same floor rule as analyze(), through the scratch buffers.
+  scratch.floor_scratch.assign(spectrum.amplitude.begin(), spectrum.amplitude.end());
+  const double floor_level =
+      std::max(noise_floor_, stats::median_in_place(scratch.floor_scratch));
+  dsp::find_peaks_into(spectrum, options_.new_spot_factor * floor_level, scratch.peaks);
+  match_peaks(scratch.peaks, scratch.report);
+  return scratch.report;
 }
 
 void SpectralDetector::match_peaks(const std::vector<dsp::SpectralPeak>& peaks,

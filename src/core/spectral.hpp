@@ -85,8 +85,8 @@ class SpectralDetector : public Detector {
   /// Analyzes one trace.
   SpectralReport analyze(const Trace& trace) const;
 
-  /// Caller-owned working state for the allocation-free analysis path: the
-  /// cached spectrum analyzer plus every scratch buffer one spectral pass
+  /// Caller-owned working state for the incremental runtime path: the
+  /// streaming spectrum analyzer plus every scratch buffer one spectral pass
   /// needs. Create via make_scratch(); one scratch serves one stream.
   struct SpectralScratch {
     explicit SpectralScratch(const dsp::SpectrumOptions& options) : analyzer{options} {}
@@ -100,18 +100,6 @@ class SpectralDetector : public Detector {
   /// Scratch wired to this detector's spectrum options.
   SpectralScratch make_scratch() const { return SpectralScratch{options_.spectrum}; }
 
-  /// analyze() over a capture ring through caller-owned buffers. Traces are
-  /// consumed oldest-first (arrival order), matching a TraceSet holding the
-  /// same traces. The mean spectrum rides the two-for-one packed real FFT
-  /// (half the transforms of analyze()), so amplitudes match analyze() on
-  /// that set to floating-point rounding — anomaly kinds, bins and verdicts
-  /// agree because classification is tolerance-based. The returned
-  /// reference stays valid until the next call with this scratch.
-  /// Zero heap allocations once the scratch is warm for the stream's trace
-  /// length. `sample_rate` of the ring's captures must match calibration.
-  const SpectralReport& analyze_reusing(const TraceRing& window, double sample_rate,
-                                        SpectralScratch& scratch) const;
-
   /// Incremental path, step 1 — call once right after window.push(trace):
   /// computes the newest trace's amplitude spectrum (one half-size real-split
   /// FFT), caches it in the ring's per-slot spectrum cache (enabled here on
@@ -119,14 +107,14 @@ class SpectralDetector : public Detector {
   /// heap allocations once scratch and ring cache are warm.
   void stream_observe(TraceRing& window, double sample_rate, SpectralScratch& scratch) const;
 
-  /// Incremental path, step 2 — call at the window boundary instead of
-  /// analyze_reusing(): classifies the running mean spectrum against the
-  /// golden spots. When the accumulator has absorbed >= rebuild_every
-  /// incremental updates since the last exact rebuild, the sum is first
-  /// rebuilt bit-exactly from the cached per-slot spectra (bounding
-  /// floating-point drift) and `rebuilt` is set. Per-push amplitudes match
-  /// the batch path to floating-point rounding, so anomaly kinds, bins and
-  /// verdicts agree with analyze_reusing(); at a rebuild point the mean is
+  /// Incremental path, step 2 — call at the window boundary: classifies the
+  /// running mean spectrum against the golden spots. When the accumulator
+  /// has absorbed >= rebuild_every incremental updates since the last exact
+  /// rebuild, the sum is first rebuilt bit-exactly from the cached per-slot
+  /// spectra (bounding floating-point drift) and `rebuilt` is set. Per-push
+  /// amplitudes match amplitude_spectrum to floating-point rounding, so
+  /// anomaly kinds, bins and verdicts agree with analyze() over a TraceSet
+  /// holding the window's traces; at a rebuild point the mean is
   /// bit-identical to a fresh accumulation of the cached spectra.
   const SpectralReport& stream_finish(const TraceRing& window, double sample_rate,
                                       SpectralScratch& scratch, std::uint64_t rebuild_every,
@@ -152,11 +140,6 @@ class SpectralDetector : public Detector {
   /// Classifies suspect peaks against the golden spots into `report`
   /// (cleared first), sorted strongest-ratio first.
   void match_peaks(const std::vector<dsp::SpectralPeak>& peaks, SpectralReport& report) const;
-
-  /// Shared classification tail of analyze_reusing()/stream_finish(): floor
-  /// estimate, peak finding and golden-spot matching over a mean spectrum.
-  const SpectralReport& classify_mean(const dsp::Spectrum& spectrum,
-                                      SpectralScratch& scratch) const;
 
   Options options_;
   dsp::Spectrum golden_;

@@ -10,6 +10,8 @@ namespace emts::dsp {
 bool is_power_of_two(std::size_t n) { return n >= 1 && (n & (n - 1)) == 0; }
 
 std::size_t next_power_of_two(std::size_t n) {
+  EMTS_REQUIRE(n <= (~std::size_t{0} >> 1) + 1,
+               "next_power_of_two: n has no power-of-two ceiling");
   std::size_t p = 1;
   while (p < n) p <<= 1;
   return p;

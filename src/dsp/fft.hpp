@@ -14,7 +14,8 @@ using cplx = std::complex<double>;
 /// True if n is a power of two (n >= 1).
 bool is_power_of_two(std::size_t n);
 
-/// Smallest power of two >= n.
+/// Smallest power of two >= n. Throws precondition_error when no such
+/// std::size_t exists (n above 2^63 on 64-bit hosts).
 std::size_t next_power_of_two(std::size_t n);
 
 /// In-place forward FFT. Requires power-of-two size.

@@ -107,114 +107,34 @@ void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
 
 SpectrumAnalyzer::SpectrumAnalyzer(const SpectrumOptions& options) : options_{options} {}
 
-void SpectrumAnalyzer::prepare(std::size_t n, double sample_rate) {
-  EMTS_REQUIRE(n > 0, "SpectrumAnalyzer requires a non-empty signal");
-  EMTS_REQUIRE(sample_rate > 0.0, "sample_rate must be positive");
-  if (n == signal_length_ && sample_rate == sample_rate_) return;
-
-  ++warmups_;
-  signal_length_ = n;
-  sample_rate_ = sample_rate;
-  window_ = make_window(options_.window, n);
-  gain_ = coherent_gain(window_);
-
-  const std::size_t padded = next_power_of_two(n);
-  if (!plan_.has_value() || plan_->size() != padded) plan_.emplace(padded);
-
-  const std::size_t bins = padded / 2 + 1;
-  out_.frequency.resize(bins);
-  out_.amplitude.resize(bins);
-  amp_.resize(bins);
-  for (std::size_t k = 0; k < bins; ++k) {
-    out_.frequency[k] = sample_rate * static_cast<double>(k) / static_cast<double>(padded);
-  }
-}
-
-void SpectrumAnalyzer::preprocess_into(const std::vector<double>& signal,
-                                       std::vector<double>& dst) {
-  // Mirrors amplitude_spectrum step for step (same summation order, same
-  // window product) so the single-signal path stays bit-identical to the
-  // allocating one.
-  dst.assign(signal.begin(), signal.end());
+void SpectrumAnalyzer::transform_into_amp(const std::vector<double>& signal) {
+  // Detrend + window, mirroring amplitude_spectrum step for step (same
+  // summation order, same window product).
+  work_.assign(signal.begin(), signal.end());
   if (options_.remove_mean) {
     double mean = 0.0;
-    for (double v : dst) mean += v;
-    mean /= static_cast<double>(dst.size());
-    for (double& v : dst) v -= mean;
+    for (double v : work_) mean += v;
+    mean /= static_cast<double>(work_.size());
+    for (double& v : work_) v -= mean;
   }
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] *= window_[i];
-}
+  for (std::size_t i = 0; i < work_.size(); ++i) work_[i] *= window_[i];
 
-void SpectrumAnalyzer::transform_into_amp(const std::vector<double>& signal) {
-  preprocess_into(signal, work_);
-  transform_preprocessed_into_amp(work_);
-}
-
-void SpectrumAnalyzer::transform_preprocessed_into_amp(const std::vector<double>& pre) {
-  const std::size_t padded = plan_->size();
-  data_.assign(padded, cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < pre.size(); ++i) data_[i] = cplx{pre[i], 0.0};
-  plan_->forward(data_);
-
-  const std::size_t bins = padded / 2 + 1;
-  for (std::size_t k = 0; k < bins; ++k) {
-    const double mag = std::abs(data_[k]);
-    const bool interior = (k != 0) && (k != padded / 2);
-    amp_[k] = (interior ? 2.0 : 1.0) * mag / gain_;
-  }
-}
-
-void SpectrumAnalyzer::transform_pair_into_amps(const std::vector<double>& first,
-                                                const std::vector<double>& second) {
-  // Two-for-one real FFT: both preprocessed signals ride one complex
-  // transform (first in the real lane, second in the imaginary lane) and the
-  // conjugate symmetry of real inputs separates them afterwards:
-  //   A[k] = (Z[k] + conj(Z[N-k])) / 2,   B[k] = (Z[k] - conj(Z[N-k])) / 2i.
-  // Only magnitudes are needed, and |B| is unchanged by the -i rotation, so
-  // the unpacking is two component sums and one |.| per signal per bin. This
-  // halves the FFT count of a mean-spectrum pass; results match the
-  // one-signal-per-transform path to floating-point rounding (a few ULPs).
-  const std::size_t padded = plan_->size();
-  data_.assign(padded, cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < first.size(); ++i) data_[i] = cplx{first[i], second[i]};
-  plan_->forward(data_);
-
-  const std::size_t bins = padded / 2 + 1;
-  for (std::size_t k = 0; k < bins; ++k) {
-    const std::size_t m = (padded - k) % padded;  // mirror bin; k=0 -> 0
-    const double zr = data_[k].real();
-    const double zi = data_[k].imag();
-    const double mr = data_[m].real();
-    const double mi = -data_[m].imag();  // conj(Z[N-k])
-    const double mag_a = 0.5 * std::abs(cplx{zr + mr, zi + mi});
-    const double mag_b = 0.5 * std::abs(cplx{zr - mr, zi - mi});
-    const bool interior = (k != 0) && (k != padded / 2);
-    const double scale = (interior ? 2.0 : 1.0) / gain_;
-    amp_[k] = scale * mag_a;
-    amp2_[k] = scale * mag_b;
-  }
-}
-
-void SpectrumAnalyzer::transform_preprocessed_realsplit_into_amp(
-    const std::vector<double>& pre) {
-  const std::size_t padded = plan_->size();
-  if (padded < 2) {
-    // A 1-point transform has no half-size plan; the full path is O(1) here.
-    transform_preprocessed_into_amp(pre);
+  if (padded_ < 2) {
+    // A 1-point transform is the sample itself; bin 0 is not interior.
+    amp_[0] = std::abs(work_[0]) / gain_;
     return;
   }
   // Real-split: even samples ride the real lane, odd samples the imaginary
   // lane of one N/2 complex FFT. Conjugate symmetry untangles the two real
   // half-streams E (even) and O (odd), and the classic decimation-in-time
   // recombination X[k] = E[k] + e^{-2πik/N}·O[k] yields the length-N real
-  // transform for k = 0..N/2 — one flat-latency FFT per push at the same
-  // amortized cost as the two-for-one pairing.
-  const std::size_t half = padded / 2;
+  // transform for k = 0..N/2 — one flat-latency FFT per push.
+  const std::size_t half = padded_ / 2;
   data_half_.assign(half, cplx{0.0, 0.0});
-  const std::size_t n = pre.size();
+  const std::size_t n = work_.size();
   for (std::size_t i = 0; i < half; ++i) {
-    const double re = (2 * i < n) ? pre[2 * i] : 0.0;
-    const double im = (2 * i + 1 < n) ? pre[2 * i + 1] : 0.0;
+    const double re = (2 * i < n) ? work_[2 * i] : 0.0;
+    const double im = (2 * i + 1 < n) ? work_[2 * i + 1] : 0.0;
     data_half_[i] = cplx{re, im};
   }
   plan_half_->forward(data_half_);
@@ -241,82 +161,38 @@ void SpectrumAnalyzer::transform_preprocessed_realsplit_into_amp(
   }
 }
 
-void SpectrumAnalyzer::accumulate_amp(const std::vector<double>& amp) {
-  if (accumulated_ == 0) {
-    out_.amplitude.assign(amp.begin(), amp.end());
-  } else {
-    for (std::size_t k = 0; k < out_.amplitude.size(); ++k) out_.amplitude[k] += amp[k];
-  }
-  ++accumulated_;
-}
-
-const Spectrum& SpectrumAnalyzer::analyze(const std::vector<double>& signal,
-                                          double sample_rate) {
-  prepare(signal.size(), sample_rate);
-  mean_open_ = false;
-  transform_into_amp(signal);
-  out_.amplitude.assign(amp_.begin(), amp_.end());
-  return out_;
-}
-
-void SpectrumAnalyzer::begin(std::size_t trace_length, double sample_rate) {
-  prepare(trace_length, sample_rate);
-  amp2_.resize(plan_->size() / 2 + 1);
-  accumulated_ = 0;
-  pending_full_ = false;
-  mean_open_ = true;
-}
-
-void SpectrumAnalyzer::add(const std::vector<double>& signal) {
-  EMTS_REQUIRE(mean_open_, "SpectrumAnalyzer::add before begin()");
-  EMTS_REQUIRE(signal.size() == signal_length_,
-               "SpectrumAnalyzer::add: trace length differs from begin()");
-  if (!pending_full_) {
-    // Hold the first of a pair; its transform rides the next add()'s FFT.
-    preprocess_into(signal, pending_);
-    pending_full_ = true;
-    return;
-  }
-  preprocess_into(signal, work_);
-  transform_pair_into_amps(pending_, work_);
-  pending_full_ = false;
-  accumulate_amp(amp_);
-  accumulate_amp(amp2_);
-}
-
-const Spectrum& SpectrumAnalyzer::mean() {
-  EMTS_REQUIRE(mean_open_, "SpectrumAnalyzer::mean before begin()");
-  if (pending_full_) {
-    // Odd trace count: the leftover (already preprocessed) signal gets its
-    // own transform, bit-identical to the unpaired single-signal path.
-    transform_preprocessed_into_amp(pending_);
-    pending_full_ = false;
-    accumulate_amp(amp_);
-  }
-  EMTS_REQUIRE(accumulated_ > 0, "SpectrumAnalyzer::mean with no traces added");
-  const double inv = 1.0 / static_cast<double>(accumulated_);
-  for (double& a : out_.amplitude) a *= inv;
-  mean_open_ = false;
-  return out_;
-}
-
 void SpectrumAnalyzer::ensure_stream(std::size_t trace_length, double sample_rate) {
-  prepare(trace_length, sample_rate);
-  const std::size_t padded = plan_->size();
-  if (padded >= 2) {
-    const std::size_t half = padded / 2;
-    if (!plan_half_.has_value() || plan_half_->size() != half) {
+  EMTS_REQUIRE(trace_length > 0, "SpectrumAnalyzer requires a non-empty signal");
+  EMTS_REQUIRE(sample_rate > 0.0, "sample_rate must be positive");
+  if (trace_length != signal_length_ || sample_rate != sample_rate_) {
+    ++warmups_;
+    signal_length_ = trace_length;
+    sample_rate_ = sample_rate;
+    window_ = make_window(options_.window, trace_length);
+    gain_ = coherent_gain(window_);
+    padded_ = next_power_of_two(trace_length);
+
+    const std::size_t bins = padded_ / 2 + 1;
+    out_.frequency.resize(bins);
+    out_.amplitude.resize(bins);
+    amp_.resize(bins);
+    for (std::size_t k = 0; k < bins; ++k) {
+      out_.frequency[k] = sample_rate * static_cast<double>(k) / static_cast<double>(padded_);
+    }
+
+    const std::size_t half = padded_ / 2;
+    if (half >= 1 && (!plan_half_.has_value() || plan_half_->size() != half)) {
       plan_half_.emplace(half);
       data_half_.reserve(half);
       stream_tw_.resize(half + 1);
       for (std::size_t k = 0; k <= half; ++k) {
         const double angle =
-            -2.0 * units::pi * static_cast<double>(k) / static_cast<double>(padded);
+            -2.0 * units::pi * static_cast<double>(k) / static_cast<double>(padded_);
         stream_tw_[k] = cplx{std::cos(angle), std::sin(angle)};
       }
     }
   }
-  const std::size_t bins = padded / 2 + 1;
+  const std::size_t bins = padded_ / 2 + 1;
   if (stream_sum_.size() != bins) {
     // Resizing the accumulator is only legal while it is empty; a restored
     // update counter must survive the first post-restore preparation.
@@ -330,8 +206,7 @@ void SpectrumAnalyzer::stream_transform(const std::vector<double>& signal,
                                         std::vector<double>& amp_out) {
   EMTS_REQUIRE(signal.size() == signal_length_,
                "SpectrumAnalyzer::stream_transform: trace length differs from ensure_stream()");
-  preprocess_into(signal, work_);
-  transform_preprocessed_realsplit_into_amp(work_);
+  transform_into_amp(signal);
   amp_out.assign(amp_.begin(), amp_.end());
 }
 
@@ -352,15 +227,6 @@ void SpectrumAnalyzer::stream_accumulate(const std::vector<double>& amp) {
   ++stream_count_;
 }
 
-void SpectrumAnalyzer::stream_retire(const std::vector<double>& amp) {
-  EMTS_REQUIRE(stream_count_ > 0, "SpectrumAnalyzer::stream_retire on an empty accumulator");
-  EMTS_REQUIRE(stream_sum_.size() == amp.size(),
-               "SpectrumAnalyzer::stream_retire: bin count mismatch");
-  for (std::size_t k = 0; k < stream_sum_.size(); ++k) stream_sum_[k] -= amp[k];
-  --stream_count_;
-  ++stream_updates_;
-}
-
 void SpectrumAnalyzer::stream_reset() {
   std::fill(stream_sum_.begin(), stream_sum_.end(), 0.0);
   stream_count_ = 0;
@@ -375,7 +241,6 @@ const Spectrum& SpectrumAnalyzer::stream_mean() {
   EMTS_REQUIRE(stream_count_ > 0, "SpectrumAnalyzer::stream_mean on an empty accumulator");
   EMTS_REQUIRE(stream_sum_.size() == out_.amplitude.size(),
                "SpectrumAnalyzer::stream_mean before ensure_stream()");
-  mean_open_ = false;
   const double inv = 1.0 / static_cast<double>(stream_count_);
   for (std::size_t k = 0; k < stream_sum_.size(); ++k) out_.amplitude[k] = stream_sum_[k] * inv;
   return out_;

@@ -63,45 +63,31 @@ std::vector<SpectralPeak> find_peaks(const Spectrum& spectrum, double min_amplit
 void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
                      std::vector<SpectralPeak>& peaks, std::size_t max_peaks = 32);
 
-/// Reusable spectral pass: caches the window coefficients, the FFT plan and
-/// every working buffer for one trace length, so repeated analyze() /
-/// begin()+add()+mean() calls on equally sized signals perform zero heap
-/// allocations after the first (warm-up) pass. analyze() is bit-identical to
-/// amplitude_spectrum with the same options. The streamed begin()/add()/
-/// mean() path additionally packs consecutive traces two-per-FFT (the
-/// two-for-one real transform), halving the dominant cost of a mean-spectrum
-/// pass; its output matches mean_spectrum to floating-point rounding (a few
-/// ULPs per bin), which the tolerance-based anomaly classification absorbs.
+/// Incremental mean spectrum over a stream of equal-length signals: the
+/// runtime monitor's spectral path. Caches the window coefficients, one
+/// half-size FFT plan and every working buffer for one trace length, so a
+/// push performs zero heap allocations after the first (warm-up) pass.
+///
+/// Each push is one real-split FFT (even samples in the real lane, odd in the
+/// imaginary lane of an N/2 complex transform) whose amplitudes land in a
+/// caller-owned buffer and are added into a running per-bin sum.
+/// stream_mean() divides the sum by the live count, so a window boundary
+/// costs one O(bins) pass instead of W FFTs. Per-push amplitudes match
+/// amplitude_spectrum to floating-point rounding (a few ULPs per bin); an
+/// exact rebuild from the cached amplitudes (stream_reset +
+/// stream_accumulate in arrival order) bounds accumulator drift and is
+/// bit-identical to re-summing the same values. The free amplitude_spectrum
+/// / mean_spectrum functions stay the offline path and the test oracle.
+///
+/// ensure_stream() prepares the caches for a trace length / sample rate;
+/// resizing the accumulator is only legal while it is empty
+/// (stream_count() == 0) — shape changes mid-stream are a caller bug.
 class SpectrumAnalyzer {
  public:
   explicit SpectrumAnalyzer(const SpectrumOptions& options = {});
 
   const SpectrumOptions& options() const { return options_; }
 
-  /// One-shot spectrum of a single signal; the returned reference stays
-  /// valid until the next analyze()/begin() call.
-  const Spectrum& analyze(const std::vector<double>& signal, double sample_rate);
-
-  /// Streamed mean spectrum: begin() fixes the trace length, add() feeds
-  /// each trace, mean() finishes. Matches mean_spectrum() over the same
-  /// traces in the same order to floating-point rounding (see class doc).
-  void begin(std::size_t trace_length, double sample_rate);
-  void add(const std::vector<double>& signal);
-  const Spectrum& mean();
-
-  /// Incremental mean-spectrum mode: one half-size real-split FFT per push,
-  /// amplitudes cached in a caller-owned buffer, and a running per-bin sum
-  /// maintained by add-incoming / subtract-outgoing. stream_mean() divides
-  /// the sum by the live count without touching per-trace state, so a window
-  /// boundary costs one O(bins) pass instead of W FFTs. Per-push amplitudes
-  /// match amplitude_spectrum to floating-point rounding (a few ULPs per
-  /// bin); an exact rebuild from the cached amplitudes (stream_reset +
-  /// stream_accumulate in arrival order) bounds accumulator drift and is
-  /// bit-identical to re-summing the same values.
-  ///
-  /// ensure_stream() prepares the caches for a trace length / sample rate;
-  /// resizing the accumulator is only legal while it is empty
-  /// (stream_count() == 0) — shape changes mid-stream are a caller bug.
   void ensure_stream(std::size_t trace_length, double sample_rate);
   /// Amplitude spectrum of one signal into `amp_out` (resized to bins).
   void stream_transform(const std::vector<double>& signal, std::vector<double>& amp_out);
@@ -111,9 +97,6 @@ class SpectrumAnalyzer {
   /// Adds an already-computed amplitude vector into the running sum without
   /// advancing the update counter (rebuild / restore path).
   void stream_accumulate(const std::vector<double>& amp);
-  /// Subtracts an outgoing cached amplitude vector from the running sum
-  /// (sliding-window retirement). Counts as one incremental update.
-  void stream_retire(const std::vector<double>& amp);
   /// Zeroes the running sum and count. Deliberately does NOT reset the
   /// lifetime update counter: rebuild cadence is measured in total
   /// incremental operations, so drift stays bounded even under tumbling
@@ -121,8 +104,8 @@ class SpectrumAnalyzer {
   void stream_reset();
   /// Marks an exact rebuild complete (zeroes the update counter).
   void stream_mark_rebuilt();
-  /// Mean of the accumulated spectra; valid until the next analyze()/begin()
-  /// /stream_mean() call. Requires stream_count() > 0.
+  /// Mean of the accumulated spectra; valid until the next stream_mean()
+  /// call. Requires stream_count() > 0.
   const Spectrum& stream_mean();
   /// Overwrites the accumulator bit-exactly (snapshot restore).
   void stream_restore(const std::vector<double>& sum, std::size_t count,
@@ -134,45 +117,23 @@ class SpectrumAnalyzer {
   std::size_t stream_bins() const { return stream_sum_.size(); }
 
   /// Number of times the caches had to be (re)built — a new trace length or
-  /// sample rate. Stays constant across passes once the analyzer is warm.
+  /// sample rate. Stays constant across pushes once the analyzer is warm.
   std::size_t warmups() const { return warmups_; }
 
  private:
-  void prepare(std::size_t n, double sample_rate);
-  /// Detrend + window one signal into dst (same arithmetic order as
-  /// amplitude_spectrum).
-  void preprocess_into(const std::vector<double>& signal, std::vector<double>& dst);
-  /// Preprocess + FFT of one signal into amp_ (amplitude per bin).
+  /// Detrend + window one signal into work_ (same arithmetic order as
+  /// amplitude_spectrum), then the real-split half-size FFT into amp_.
   void transform_into_amp(const std::vector<double>& signal);
-  /// FFT of one already-preprocessed signal into amp_.
-  void transform_preprocessed_into_amp(const std::vector<double>& pre);
-  /// Two-for-one real FFT of a pair of preprocessed signals: amplitudes of
-  /// `first` land in amp_, of `second` in amp2_.
-  void transform_pair_into_amps(const std::vector<double>& first,
-                                const std::vector<double>& second);
-  /// Real-split half-size FFT of one preprocessed signal into amp_ (even
-  /// samples in the real lane, odd in the imaginary lane of an N/2 complex
-  /// transform, untangled with precomputed twiddles). Same amortized cost as
-  /// the two-for-one pairing, but with flat per-call latency.
-  void transform_preprocessed_realsplit_into_amp(const std::vector<double>& pre);
-  /// Adds one per-trace amplitude vector into the running mean accumulator.
-  void accumulate_amp(const std::vector<double>& amp);
 
   SpectrumOptions options_;
   std::size_t signal_length_ = 0;
+  std::size_t padded_ = 0;            // signal_length_ zero-padded to 2^k
   double sample_rate_ = 0.0;
-  std::vector<double> window_;     // coefficients for signal_length_
-  double gain_ = 0.0;              // coherent gain of window_
-  std::optional<FftPlan> plan_;    // plan for the padded length
-  std::vector<double> work_;       // detrended + windowed signal
-  std::vector<double> pending_;    // first-of-pair preprocessed signal
-  bool pending_full_ = false;      // pending_ holds an unconsumed signal
-  std::vector<cplx> data_;         // FFT working buffer (padded)
-  std::vector<double> amp_;        // per-trace amplitude scratch
-  std::vector<double> amp2_;       // second lane of a packed pair
-  Spectrum out_;                   // analyze()/mean() result buffer
-  std::size_t accumulated_ = 0;    // traces added since begin()
-  bool mean_open_ = false;         // begin() called, mean() pending
+  std::vector<double> window_;        // coefficients for signal_length_
+  double gain_ = 0.0;                 // coherent gain of window_
+  std::vector<double> work_;          // detrended + windowed signal
+  std::vector<double> amp_;           // per-trace amplitude scratch
+  Spectrum out_;                      // stream_mean() result buffer
   std::size_t warmups_ = 0;
   std::optional<FftPlan> plan_half_;  // N/2 plan for the real-split transform
   std::vector<cplx> data_half_;       // half-size FFT working buffer

@@ -16,11 +16,11 @@ namespace emts::io {
 namespace {
 
 constexpr char kMagic[4] = {'E', 'M', 'F', 'S'};
-// v2: monitor states gained the incremental-spectral option mirrors and the
-// spectral accumulator (sum + count + drift counter) plus two MonitorStats
-// counters. v1 containers predate the incremental pipeline and cannot
-// reconstruct that state, so they are refused rather than guessed at.
-constexpr std::uint32_t kVersion = 2;
+// v2 added the spectral accumulator (sum + count + drift counter), the
+// rebuild-cadence mirror and two MonitorStats counters to monitor states; v3
+// drops v2's incremental-spectral flag byte, because the incremental path is
+// the only one left. Older containers are refused rather than guessed at.
+constexpr std::uint32_t kVersion = 3;
 // A fleet snapshot is an operational artifact, not a data lake: caps sized
 // generously above any believable deployment, tight enough that a corrupt
 // count is refused before it turns into an allocation.
@@ -69,7 +69,6 @@ void write_monitor_state(std::ostream& out, const core::MonitorStateImage& image
   util::write_u64(out, image.alarm_debounce);
   util::write_u64(out, image.spectral_window);
   util::write_u64(out, image.event_log_capacity);
-  util::write_u8(out, image.incremental_spectral ? 1 : 0);
   util::write_u64(out, image.spectral_rebuild_every);
 
   util::write_u8(out, static_cast<std::uint8_t>(image.state));
@@ -136,9 +135,6 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
   image.alarm_debounce = util::read_u64(in);
   image.spectral_window = util::read_u64(in);
   image.event_log_capacity = util::read_u64(in);
-  const std::uint8_t incremental = util::read_u8(in);
-  EMTS_REQUIRE(incremental <= 1, "monitor state: bad incremental-spectral flag");
-  image.incremental_spectral = incremental == 1;
   image.spectral_rebuild_every = util::read_u64(in);
   EMTS_REQUIRE(image.spectral_rebuild_every >= 1,
                "monitor state: bad spectral rebuild cadence");
@@ -347,7 +343,7 @@ FleetSnapshot load_fleet_snapshot(const std::string& path) {
   const std::uint32_t version = util::read_u32(in);
   EMTS_REQUIRE(version == kVersion,
                "load_fleet_snapshot: unsupported version " + std::to_string(version) +
-                   " (expected 2; v1 snapshots predate the incremental spectral state)");
+                   " (expected 3; v1 and v2 snapshots predate the single spectral path)");
 
   FleetSnapshot snapshot;
   snapshot.shards = util::read_u32(in);

@@ -4,10 +4,10 @@
 // core::MonitorStateImage), so a restarted daemon resumes monitoring every
 // device — window contents, debounce runs, latched alarms, lifetime stats —
 // without recalibration, and continues each stream bit-identically to a
-// process that never died. Format "EMFS" v1:
+// process that never died. Format "EMFS" v3 (docs/FORMATS.md):
 //
 //   magic   'E' 'M' 'F' 'S'
-//   u32     version (1)
+//   u32     version (3)
 //   u32     shard count        (the fleet's layout at snapshot time —
 //   u32     queue capacity      restart defaults; a restored fleet may
 //   u8      backpressure policy re-shard freely, device_hash is stable)
@@ -32,7 +32,7 @@
 // (Device::dirty == false) are streamed verbatim from a
 // FleetSnapshotRecordCache instead of being re-copied and re-encoded, so the
 // cost of a snapshot cut scales with the number of *moved* devices, not the
-// fleet size. The output is always a complete, self-contained EMFS v2
+// fleet size. The output is always a complete, self-contained EMFS v3
 // container, byte-identical to a full rewrite of the same state; there is no
 // delta file format and load_fleet_snapshot needs no changes.
 #pragma once

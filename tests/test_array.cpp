@@ -22,6 +22,7 @@
 #include "sim/engine.hpp"
 #include "sim/scan.hpp"
 #include "util/assert.hpp"
+#include "temp_path.hpp"
 
 namespace emts::array {
 namespace {
@@ -188,8 +189,7 @@ TEST(ArrayCalibration, RefusesArmedChip) {
 
 TEST(ArrayArtifact, EmaaRoundTripsBitIdentically) {
   const ArrayWorld& w = world();
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "emts_array_test.emaa").string();
+  const std::string path = temp_path("emts_array_test", ".emaa");
   save_array_calibration(path, w.calibration);
   const ArrayCalibration loaded = load_array_calibration(path);
 

@@ -15,6 +15,7 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+#include "temp_path.hpp"
 
 namespace emts::io {
 namespace {
@@ -55,8 +56,7 @@ class CalibrationArtifactTest : public ::testing::Test {
   void SetUp() override { baseline::register_ron_detector(); }
   void TearDown() override { std::filesystem::remove(path_); }
 
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "emts_calibration_test.emca").string();
+  std::string path_ = temp_path("emts_calibration_test", ".emca");
 };
 
 TEST_F(CalibrationArtifactTest, RoundTripScoresAreBitIdentical) {

@@ -259,55 +259,26 @@ TEST(SpectralDetector, SingleTraceAnalyzeOverloadWorks) {
   EXPECT_TRUE(report.anomalous());
 }
 
-// analyze_reusing streams the mean spectrum through the packed two-for-one
-// real FFT, so suspect amplitudes match the copying analyze() path to
-// floating-point rounding; anomaly kinds, frequencies and golden references
-// must agree exactly.
-TEST(SpectralDetector, AnalyzeReusingMatchesAnalyze) {
-  const auto det = SpectralDetector::calibrate(golden_set(16));
-  emts::Rng rng{60};
-  TraceSet suspect;
-  suspect.sample_rate = kFs;
-  for (int i = 0; i < 8; ++i) suspect.add(infected_trace(rng, 0.4, 72e6));
-
-  TraceRing ring{8};
-  for (const auto& t : suspect.traces) ring.push(t);
-
-  const SpectralReport copied = det.analyze(suspect);
-  auto scratch = det.make_scratch();
-  const SpectralReport& reused = det.analyze_reusing(ring, kFs, scratch);
-
-  ASSERT_EQ(reused.anomalies.size(), copied.anomalies.size());
-  ASSERT_TRUE(copied.anomalous());
-  for (std::size_t i = 0; i < copied.anomalies.size(); ++i) {
-    EXPECT_EQ(reused.anomalies[i].kind, copied.anomalies[i].kind) << i;
-    EXPECT_EQ(reused.anomalies[i].frequency_hz, copied.anomalies[i].frequency_hz) << i;
-    // Golden amplitudes come straight from calibration state — exact.
-    EXPECT_EQ(reused.anomalies[i].golden_amplitude, copied.anomalies[i].golden_amplitude) << i;
-    // Suspect-side values ride the packed FFT: rounding-level agreement.
-    EXPECT_NEAR(reused.anomalies[i].suspect_amplitude, copied.anomalies[i].suspect_amplitude,
-                1e-9 * std::abs(copied.anomalies[i].suspect_amplitude)) << i;
-    EXPECT_NEAR(reused.anomalies[i].ratio, copied.anomalies[i].ratio,
-                1e-9 * std::abs(copied.anomalies[i].ratio)) << i;
-  }
-
-  // A second pass through the same scratch reproduces the report.
-  const SpectralReport snapshot = reused;
-  const SpectralReport& again = det.analyze_reusing(ring, kFs, scratch);
-  ASSERT_EQ(again.anomalies.size(), snapshot.anomalies.size());
-  for (std::size_t i = 0; i < snapshot.anomalies.size(); ++i) {
-    EXPECT_EQ(again.anomalies[i].ratio, snapshot.anomalies[i].ratio) << i;
-  }
-}
-
-TEST(SpectralDetector, AnalyzeReusingRejectsBadWindow) {
+// The incremental window pass refuses what analyze() refuses — an empty
+// window, a foreign sample rate — and a ring whose traces the accumulator
+// did not observe.
+TEST(SpectralDetector, StreamPathRejectsBadWindow) {
   const auto det = SpectralDetector::calibrate(golden_set(4));
   auto scratch = det.make_scratch();
+  bool rebuilt = false;
   TraceRing empty{4};
-  EXPECT_THROW(det.analyze_reusing(empty, kFs, scratch), emts::precondition_error);
+  EXPECT_THROW(det.stream_observe(empty, kFs, scratch), emts::precondition_error);
+  EXPECT_THROW(det.stream_finish(empty, kFs, scratch, 4096, rebuilt), emts::precondition_error);
+
   TraceRing ring{4};
   ring.push(Trace(kLen, 0.0));
-  EXPECT_THROW(det.analyze_reusing(ring, kFs / 2.0, scratch), emts::precondition_error);
+  EXPECT_THROW(det.stream_observe(ring, kFs / 2.0, scratch), emts::precondition_error);
+  det.stream_observe(ring, kFs, scratch);
+  EXPECT_THROW(det.stream_finish(ring, kFs / 2.0, scratch, 4096, rebuilt),
+               emts::precondition_error);
+  EXPECT_THROW(det.stream_finish(ring, kFs, scratch, 0, rebuilt), emts::precondition_error);
+  ring.push(Trace(kLen, 0.0));  // never observed: the accumulator lags the ring
+  EXPECT_THROW(det.stream_finish(ring, kFs, scratch, 4096, rebuilt), emts::precondition_error);
 }
 
 // Regression: a calibration campaign with a corrupt sample rate must be

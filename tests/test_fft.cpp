@@ -26,6 +26,11 @@ TEST(FftHelpers, NextPowerOfTwo) {
   EXPECT_EQ(next_power_of_two(3), 4u);
   EXPECT_EQ(next_power_of_two(1000), 1024u);
   EXPECT_EQ(next_power_of_two(1024), 1024u);
+  // The largest representable power of two is its own ceiling; anything
+  // above it has none (the doubling would wrap to 0 and never terminate).
+  const std::size_t top = (~std::size_t{0} >> 1) + 1;
+  EXPECT_EQ(next_power_of_two(top), top);
+  EXPECT_THROW(next_power_of_two(top + 1), emts::precondition_error);
 }
 
 TEST(Fft, ImpulseHasFlatSpectrum) {

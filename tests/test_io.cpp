@@ -6,6 +6,7 @@
 #include "io/csv.hpp"
 #include "io/table.hpp"
 #include "util/assert.hpp"
+#include "temp_path.hpp"
 
 namespace emts::io {
 namespace {
@@ -48,7 +49,7 @@ TEST(Table, NumFormatsPrecision) {
 class CsvRoundTrip : public ::testing::Test {
  protected:
   void TearDown() override { std::filesystem::remove(path_); }
-  std::string path_ = (std::filesystem::temp_directory_path() / "emts_test.csv").string();
+  std::string path_ = temp_path("emts_test", ".csv");
 };
 
 TEST_F(CsvRoundTrip, WriteThenReadRecoversData) {

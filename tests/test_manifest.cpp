@@ -7,6 +7,7 @@
 #include <string>
 
 #include "util/assert.hpp"
+#include "temp_path.hpp"
 
 namespace emts::fleet {
 namespace {
@@ -19,8 +20,7 @@ class ManifestTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove(path_); }
 
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "emts_manifest_test.manifest").string();
+  std::string path_ = temp_path("emts_manifest_test", ".manifest");
 };
 
 TEST_F(ManifestTest, ParsesDevicesCommentsAndBlankLines) {

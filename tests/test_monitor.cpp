@@ -389,30 +389,6 @@ TEST(RuntimeMonitor, SteadyStatePushIsAllocationFree) {
       << "steady-state push allocated " << (after.bytes - before.bytes) << " bytes";
 }
 
-// The batch-recompute spectral path (incremental_spectral = false) keeps the
-// same contract: its window pass runs through the cached analyzer and scratch
-// buffers, so steady-state pushes allocate nothing either.
-TEST(RuntimeMonitor, BatchSpectralSteadyStatePushIsAllocationFree) {
-  if (!util::alloc::counting_active()) {
-    GTEST_SKIP() << "allocation hooks disabled in this build (sanitizer)";
-  }
-  const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 45));
-  RuntimeMonitor::Options opt = small_options();
-  opt.incremental_spectral = false;
-  RuntimeMonitor monitor{kFs, evaluator, opt};
-  const TraceSet stream = make_set(16, false, 46);
-
-  for (int round = 0; round < 2; ++round) {
-    for (const auto& trace : stream.traces) monitor.push(trace);
-  }
-
-  const auto before = util::alloc::thread_counts();
-  for (const auto& trace : stream.traces) monitor.push(trace);
-  const auto after = util::alloc::thread_counts();
-  EXPECT_EQ(after.allocations - before.allocations, 0u)
-      << "steady-state batch push allocated " << (after.bytes - before.bytes) << " bytes";
-}
-
 // ---------- movability (fleet sessions relocate monitors) ----------
 
 static_assert(std::is_nothrow_move_constructible_v<RuntimeMonitor>,

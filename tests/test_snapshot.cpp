@@ -21,6 +21,7 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+#include "temp_path.hpp"
 
 namespace emts::io {
 namespace {
@@ -119,7 +120,6 @@ void expect_image_eq(const core::MonitorStateImage& a, const core::MonitorStateI
   EXPECT_EQ(a.alarm_debounce, b.alarm_debounce);
   EXPECT_EQ(a.spectral_window, b.spectral_window);
   EXPECT_EQ(a.event_log_capacity, b.event_log_capacity);
-  EXPECT_EQ(a.incremental_spectral, b.incremental_spectral);
   EXPECT_EQ(a.spectral_rebuild_every, b.spectral_rebuild_every);
   EXPECT_EQ(a.state, b.state);
   EXPECT_EQ(a.traces_seen, b.traces_seen);
@@ -154,8 +154,7 @@ class SnapshotFile : public ::testing::Test {
  protected:
   void TearDown() override { std::filesystem::remove(path_); }
 
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "emts_snapshot_test.emfs").string();
+  std::string path_ = temp_path("emts_snapshot_test", ".emfs");
 };
 
 // ---------- monitor state image serialization ----------
@@ -196,9 +195,9 @@ TEST(MonitorStateSerialization, CorruptStateTagThrows) {
   std::stringstream stream{std::ios::binary | std::ios::in | std::ios::out};
   write_monitor_state(stream, monitor.export_state());
   std::string bytes = stream.str();
-  // The state tag sits after the f64 rate, four u64 mirrors, the incremental
-  // flag (u8) and the rebuild cadence (u64).
-  bytes[8 + 4 * 8 + 1 + 8] = 7;
+  // The state tag sits after the f64 rate, four u64 mirrors and the rebuild
+  // cadence (u64).
+  bytes[8 + 4 * 8 + 8] = 7;
   std::istringstream corrupt{bytes, std::ios::binary};
   EXPECT_THROW(read_monitor_state(corrupt), emts::precondition_error);
 }
@@ -381,19 +380,24 @@ TEST_F(SnapshotFile, AbsurdDeclaredRecordSizeRejectedBeforeAllocating) {
 }
 
 TEST_F(SnapshotFile, RefusesV1Container) {
-  // v1 predates the incremental spectral state; the loader must name the
-  // version instead of misparsing the record bytes.
-  save_fleet_snapshot(path_, sample_snapshot());
-  std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
-  const std::uint32_t old_version = 1;
-  file.seekp(4);  // version u32 right after the 4-byte magic
-  file.write(reinterpret_cast<const char*>(&old_version), sizeof old_version);
-  file.close();
-  try {
-    load_fleet_snapshot(path_);
-    FAIL() << "v1 container was accepted";
-  } catch (const emts::precondition_error& error) {
-    EXPECT_NE(std::string{error.what()}.find("unsupported version 1"), std::string::npos);
+  // v1 predates the spectral accumulator and v2 still carries the removed
+  // incremental-spectral flag byte; the loader must name the version instead
+  // of misparsing the record bytes.
+  for (const std::uint32_t old_version : {1u, 2u}) {
+    save_fleet_snapshot(path_, sample_snapshot());
+    std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
+    file.seekp(4);  // version u32 right after the 4-byte magic
+    file.write(reinterpret_cast<const char*>(&old_version), sizeof old_version);
+    file.close();
+    try {
+      load_fleet_snapshot(path_);
+      FAIL() << "v" << old_version << " container was accepted";
+    } catch (const emts::precondition_error& error) {
+      EXPECT_NE(std::string{error.what()}.find("unsupported version " +
+                                               std::to_string(old_version)),
+                std::string::npos)
+          << error.what();
+    }
   }
 }
 

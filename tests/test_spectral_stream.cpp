@@ -1,9 +1,10 @@
 // The incremental spectral pipeline, layer by layer: the analyzer's
 // streaming mean-spectrum mode (one real-split FFT per push plus a running
 // per-bin sum), the ring's per-slot spectrum cache, the detector's
-// stream_observe/stream_finish pair, and the monitor-level equivalence of the
-// incremental path against the batch-recompute path over long randomized
-// streams — including ring wraparound, alarm re-arm and snapshot/restore cut
+// stream_observe/stream_finish pair, and the monitor's windowed reports
+// against the offline oracle (SpectralDetector::analyze over the same
+// window, built on the free mean_spectrum) over long randomized streams —
+// including ring wraparound, alarm re-arm and snapshot/restore cut
 // mid-window.
 #include <gtest/gtest.h>
 
@@ -67,6 +68,27 @@ TEST(SpectrumStream, TransformMatchesAmplitudeSpectrumToRounding) {
       EXPECT_NEAR(amp[k], copied.amplitude[k], 1e-12 * peak) << "n " << n << " bin " << k;
     }
   }
+
+  // Tiny lengths, rectangular and not detrended so the bins are non-zero:
+  // n = 1 takes the closed form (a 1-point FFT is the sample itself), n = 2
+  // and 3 the smallest half-size plans.
+  const SpectrumOptions raw{WindowKind::kRectangular, false};
+  for (std::size_t n : {1u, 2u, 3u}) {
+    std::vector<double> sig(n);
+    for (double& v : sig) v = rng.gaussian();
+    const Spectrum copied = amplitude_spectrum(sig, 1000.0, raw);
+
+    SpectrumAnalyzer analyzer{raw};
+    analyzer.ensure_stream(n, 1000.0);
+    std::vector<double> amp;
+    analyzer.stream_transform(sig, amp);
+
+    ASSERT_EQ(amp.size(), copied.size()) << "length " << n;
+    const double peak = peak_amplitude(copied.amplitude);
+    for (std::size_t k = 0; k < copied.size(); ++k) {
+      EXPECT_NEAR(amp[k], copied.amplitude[k], 1e-12 * peak) << "n " << n << " bin " << k;
+    }
+  }
 }
 
 TEST(SpectrumStream, PushedMeanMatchesMeanSpectrumToRounding) {
@@ -90,49 +112,26 @@ TEST(SpectrumStream, PushedMeanMatchesMeanSpectrumToRounding) {
   }
 }
 
-// Sliding-window use: retiring the outgoing trace's cached amplitudes and
-// pushing the incoming one keeps the mean equal to a fresh accumulation of
-// the live window, to rounding; a reset + re-accumulation of the same cached
-// vectors (the drift-bounding rebuild) reproduces the sum bit-exactly.
-TEST(SpectrumStream, RetireSlidesTheWindowAndRebuildIsBitExact) {
+// The drift-bounding rebuild — reset, then re-accumulate the cached per-push
+// amplitudes in arrival order — reproduces the running sum bit-exactly:
+// windows tumble, so it adds the very same values in the very same order.
+TEST(SpectrumStream, RebuildFromCachedSpectraIsBitExact) {
   emts::Rng rng{903};
   constexpr std::size_t kWindow = 4;
-  std::vector<std::vector<double>> amps;  // cached per-trace amplitudes
+  std::vector<std::vector<double>> amps(kWindow);  // cached per-trace amplitudes
 
   SpectrumAnalyzer analyzer;
   analyzer.ensure_stream(256, 1000.0);
-  for (std::size_t t = 0; t < kWindow + 3; ++t) {
-    amps.emplace_back();
-    analyzer.stream_push(noisy_tone(rng, 125.0, 1000.0, 256), amps.back());
-    if (amps.size() > kWindow) analyzer.stream_retire(amps[amps.size() - kWindow - 1]);
-  }
-  EXPECT_EQ(analyzer.stream_count(), kWindow);
-  // kWindow + 3 pushes and 3 retirements each count as an update.
-  EXPECT_EQ(analyzer.stream_updates_since_rebuild(), kWindow + 3 + 3);
+  for (auto& amp : amps) analyzer.stream_push(noisy_tone(rng, 125.0, 1000.0, 256), amp);
+  const std::vector<double> running = analyzer.stream_sum();
+  EXPECT_EQ(analyzer.stream_updates_since_rebuild(), kWindow);
 
-  // Fresh accumulation of the live window from the cached amplitudes.
-  SpectrumAnalyzer fresh;
-  fresh.ensure_stream(256, 1000.0);
-  for (std::size_t t = amps.size() - kWindow; t < amps.size(); ++t) {
-    fresh.stream_accumulate(amps[t]);
-  }
-  const std::vector<double> slid = analyzer.stream_mean().amplitude;
-  const std::vector<double> rebuilt_mean = fresh.stream_mean().amplitude;
-  ASSERT_EQ(slid.size(), rebuilt_mean.size());
-  const double peak = peak_amplitude(rebuilt_mean);
-  for (std::size_t k = 0; k < slid.size(); ++k) {
-    EXPECT_NEAR(slid[k], rebuilt_mean[k], 1e-12 * peak) << "bin " << k;
-  }
-
-  // The rebuild path on the sliding analyzer is bit-identical to the fresh
-  // accumulation: same values, same order, same arithmetic.
   analyzer.stream_reset();
-  for (std::size_t t = amps.size() - kWindow; t < amps.size(); ++t) {
-    analyzer.stream_accumulate(amps[t]);
-  }
+  for (const auto& amp : amps) analyzer.stream_accumulate(amp);
   analyzer.stream_mark_rebuilt();
+  EXPECT_EQ(analyzer.stream_count(), kWindow);
   EXPECT_EQ(analyzer.stream_updates_since_rebuild(), 0u);
-  EXPECT_EQ(analyzer.stream_sum(), fresh.stream_sum());  // bitwise
+  EXPECT_EQ(analyzer.stream_sum(), running);  // bitwise
 }
 
 // stream_reset() clears the accumulator but NOT the lifetime update counter —
@@ -245,7 +244,12 @@ void expect_reports_equivalent(const SpectralReport& incremental,
     const SpectralAnomaly& rhs = batch.anomalies[a];
     EXPECT_EQ(lhs.kind, rhs.kind) << context << " anomaly " << a;
     EXPECT_EQ(lhs.frequency_hz, rhs.frequency_hz) << context << " anomaly " << a;
-    // Amplitudes ride different FFT factorizations: equal to rounding only.
+    // Golden amplitudes come straight from calibration state — exact.
+    EXPECT_EQ(lhs.golden_amplitude, rhs.golden_amplitude) << context << " anomaly " << a;
+    // Suspect amplitudes ride different FFT factorizations: equal to rounding.
+    EXPECT_NEAR(lhs.suspect_amplitude, rhs.suspect_amplitude,
+                1e-9 * std::abs(rhs.suspect_amplitude))
+        << context << " anomaly " << a;
     EXPECT_NEAR(lhs.ratio, rhs.ratio, 1e-9 * std::max(1.0, std::abs(rhs.ratio)))
         << context << " anomaly " << a;
   }
@@ -293,14 +297,10 @@ TEST(TraceRingSpectrumCache, GuardsMisuse) {
 
 // ---------- SpectralDetector stream path ----------
 
-TEST(SpectralDetectorStream, StreamFinishMatchesAnalyzeReusing) {
+TEST(SpectralDetectorStream, StreamFinishMatchesAnalyze) {
   const auto detector = SpectralDetector::calibrate(make_set(16, false, 910));
   const TraceSet suspect = make_set(8, true, 911);
-
-  auto batch_scratch = detector.make_scratch();
-  TraceRing batch_ring{8};
-  for (const auto& trace : suspect.traces) batch_ring.push(trace);
-  const SpectralReport batch = detector.analyze_reusing(batch_ring, kFs, batch_scratch);
+  const SpectralReport batch = detector.analyze(suspect);
 
   auto stream_scratch = detector.make_scratch();
   TraceRing stream_ring{8};
@@ -334,55 +334,57 @@ TEST(SpectralDetectorStream, StreamFinishMatchesAnalyzeReusing) {
   }
 }
 
-// ---------- RuntimeMonitor: incremental vs batch over long streams ----------
+// ---------- RuntimeMonitor: windowed reports vs the offline oracle ----------
 
-// One long randomized stream pushed through an incremental monitor and a
-// batch-recompute monitor in lockstep: every state transition, alarm latch,
-// acknowledge re-arm and spectral verdict must coincide, with spectral ratios
-// equal to rounding. Covers dozens of window boundaries, ring reuse and both
-// anomaly kinds.
+// One long randomized stream through a monitor: at every window boundary the
+// monitor's report (running accumulator) must match SpectralDetector::analyze
+// over the same window (the free mean_spectrum oracle) — anomaly kinds and
+// frequencies exactly, ratios to rounding. Covers dozens of window
+// boundaries, ring reuse, alarm re-arm and both anomaly kinds.
 TEST(RuntimeMonitorIncremental, LongRandomizedStreamMatchesBatchPath) {
   const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 920));
-  RuntimeMonitor::Options batch_options = small_options();
-  batch_options.incremental_spectral = false;
-  RuntimeMonitor incremental{kFs, evaluator, small_options()};
-  RuntimeMonitor batch{kFs, evaluator, batch_options};
+  RuntimeMonitor monitor{kFs, evaluator, small_options()};
+  TraceSet window;  // the traces the monitor's next windowed pass will see
+  window.sample_rate = kFs;
 
   emts::Rng stream_rng{921};
   emts::Rng trace_rng{922};
+  std::uint64_t compared = 0;
+  std::uint64_t anomalous = 0;
   for (int i = 0; i < 240; ++i) {
     // Randomized regime switches: mostly golden with infected bursts.
     const bool infected = stream_rng.uniform() < 0.18;
     const Trace t = infected ? infected_trace(trace_rng) : golden_trace(trace_rng);
-    const MonitorState incremental_state = incremental.push(t);
-    const MonitorState batch_state = batch.push(t);
-    ASSERT_EQ(incremental_state, batch_state) << "push " << i;
-    ASSERT_EQ(incremental.last_score(), batch.last_score()) << "push " << i;
+    const std::uint64_t passes = monitor.stats().spectral_passes;
+    const MonitorState state = monitor.push(t);
+    window.add(t);
 
-    if (incremental_state == MonitorState::kAlarm) {
-      ASSERT_EQ(incremental.last_spectral().has_value(), batch.last_spectral().has_value());
-      incremental.acknowledge_alarm();
-      batch.acknowledge_alarm();
+    if (monitor.stats().spectral_passes != passes) {
+      ASSERT_EQ(window.size(), small_options().spectral_window) << "push " << i;
+      ASSERT_TRUE(monitor.last_spectral().has_value()) << "push " << i;
+      const SpectralReport oracle = evaluator.spectral().analyze(window);
+      expect_reports_equivalent(*monitor.last_spectral(), oracle, "windowed report");
+      ++compared;
+      if (oracle.anomalous()) ++anomalous;
+      window.traces.clear();
     }
-    if (incremental.last_spectral().has_value()) {
-      ASSERT_TRUE(batch.last_spectral().has_value()) << "push " << i;
-      expect_reports_equivalent(*incremental.last_spectral(), *batch.last_spectral(),
-                                "windowed report");
+    if (state == MonitorState::kAlarm) {
+      monitor.acknowledge_alarm();  // re-arming drops the partial window
+      window.traces.clear();
     }
   }
 
-  const MonitorStats& istats = incremental.stats();
-  const MonitorStats& bstats = batch.stats();
-  EXPECT_GE(istats.spectral_passes, 25u);  // dozens of window boundaries ran
-  EXPECT_EQ(istats.spectral_passes, bstats.spectral_passes);
-  EXPECT_EQ(istats.windowed_anomalies, bstats.windowed_anomalies);
-  EXPECT_EQ(istats.alarms_latched, bstats.alarms_latched);
-  EXPECT_GT(istats.alarms_latched, 0u);  // the bursts actually latched
-  // Path accounting: every scored push fed the accumulator; the batch path
-  // recomputed every window and never updated incrementally.
-  EXPECT_EQ(istats.spectral_incremental_updates, istats.scored_captures);
-  EXPECT_EQ(bstats.spectral_incremental_updates, 0u);
-  EXPECT_EQ(bstats.spectral_recomputes, bstats.spectral_passes);
+  const MonitorStats& stats = monitor.stats();
+  EXPECT_EQ(compared, stats.spectral_passes);
+  EXPECT_GE(compared, 25u);  // dozens of window boundaries ran
+  EXPECT_GT(anomalous, 0u);
+  EXPECT_LT(anomalous, compared);  // clean windows were compared too
+  EXPECT_EQ(anomalous, stats.windowed_anomalies);
+  EXPECT_GT(stats.alarms_latched, 0u);  // the bursts actually latched
+  // Path accounting: every scored push fed the accumulator, and 240 updates
+  // never reach the default 4096-update rebuild cadence.
+  EXPECT_EQ(stats.spectral_incremental_updates, stats.scored_captures);
+  EXPECT_EQ(stats.spectral_recomputes, 0u);
 }
 
 // A tight rebuild cadence must not move any score: in tumbling-window mode
@@ -464,9 +466,9 @@ TEST(RuntimeMonitorIncremental, SnapshotRestoreMidWindowContinuesBitIdentically)
   }
 }
 
-// Restore must also refuse an image whose incremental options disagree with
-// the target's — a different rebuild cadence would silently desynchronize the
-// recompute counter from the exporter's stream.
+// Restore must also refuse an image whose rebuild cadence disagrees with the
+// target's — it would silently desynchronize the recompute counter from the
+// exporter's stream.
 TEST(RuntimeMonitorIncremental, RestoreRefusesMismatchedIncrementalOptions) {
   const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 950));
   RuntimeMonitor exporter{kFs, evaluator, small_options()};
@@ -474,15 +476,64 @@ TEST(RuntimeMonitorIncremental, RestoreRefusesMismatchedIncrementalOptions) {
   exporter.push(golden_trace(rng));
   const MonitorStateImage image = exporter.export_state();
 
-  RuntimeMonitor::Options batch_options = small_options();
-  batch_options.incremental_spectral = false;
-  RuntimeMonitor batch_target{kFs, evaluator, batch_options};
-  EXPECT_THROW(batch_target.restore_state(image), emts::precondition_error);
-
   RuntimeMonitor::Options cadence_options = small_options();
   cadence_options.spectral_rebuild_every = 7;
   RuntimeMonitor cadence_target{kFs, evaluator, cadence_options};
   EXPECT_THROW(cadence_target.restore_state(image), emts::precondition_error);
+}
+
+// Regression: an accumulator that does not describe its window used to
+// restore cleanly and then throw on the next window boundary (a diverged
+// count) or on every push (a foreign bin count) — in a fleet, each throw a
+// worker fault. Restore must refuse both up front, refuse an accumulator on
+// a stack without a spectral stage, and accept the untouched images.
+TEST(RuntimeMonitorIncremental, RestoreRefusesAccumulatorThatDisagreesWithWindow) {
+  const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 970));
+  RuntimeMonitor exporter{kFs, evaluator, small_options()};
+  const TraceSet stream = make_set(15, false, 971);
+  for (std::size_t i = 0; i < 3; ++i) exporter.push(stream.traces[i]);
+  const MonitorStateImage image = exporter.export_state();
+  ASSERT_EQ(image.window.size(), 3u);
+  ASSERT_EQ(image.spectral_sum.size(), kLen / 2 + 1);
+
+  auto refused = [&](const MonitorStateImage& crafted) {
+    RuntimeMonitor target{kFs, evaluator, small_options()};
+    EXPECT_THROW(target.restore_state(crafted), emts::precondition_error);
+  };
+  MonitorStateImage zero_count = image;
+  zero_count.spectral_count = 0;
+  refused(zero_count);
+  MonitorStateImage three_bins = image;
+  three_bins.spectral_sum.resize(3);
+  refused(three_bins);
+  MonitorStateImage no_bins = image;
+  no_bins.spectral_sum.clear();
+  refused(no_bins);
+  MonitorStateImage huge_length = image;  // no power-of-two ceiling: refused, not hung
+  huge_length.window.clear();
+  huge_length.spectral_count = 0;
+  huge_length.expected_length = ~std::uint64_t{0};
+  refused(huge_length);
+
+  RuntimeMonitor restored{kFs, evaluator, small_options()};
+  restored.restore_state(image);
+  for (std::size_t i = 3; i < stream.size(); ++i) restored.push(stream.traces[i]);
+  EXPECT_EQ(restored.stats().spectral_passes, 1u);  // 3 restored + 5 pushed
+
+  TrustEvaluator::Options euclidean_only;
+  euclidean_only.detectors = {"euclidean"};
+  const auto plain = TrustEvaluator::calibrate(make_set(30, false, 972), euclidean_only);
+  RuntimeMonitor plain_exporter{kFs, plain, small_options()};
+  plain_exporter.push(stream.traces[0]);
+  const MonitorStateImage plain_image = plain_exporter.export_state();
+  EXPECT_TRUE(plain_image.spectral_sum.empty());
+  MonitorStateImage stray = plain_image;
+  stray.spectral_sum = image.spectral_sum;
+  stray.spectral_count = 1;
+  RuntimeMonitor plain_target{kFs, plain, small_options()};
+  EXPECT_THROW(plain_target.restore_state(stray), emts::precondition_error);
+  plain_target.restore_state(plain_image);
+  EXPECT_EQ(plain_target.traces_seen(), 1u);
 }
 
 // The incremental path inherits the zero-allocation contract: after warm-up,

@@ -200,73 +200,17 @@ TEST(FindPeaks, IntoVariantMatchesAndReusesItsBuffer) {
   EXPECT_EQ(reused.size(), copied.size());
 }
 
-// The analyzer's cached window/plan/buffers must not move any output by a
-// single bit relative to the one-shot helpers — the monitor's scores depend
-// on it.
-TEST(SpectrumAnalyzer, AnalyzeMatchesAmplitudeSpectrumBitwise) {
-  emts::Rng rng{88};
-  std::vector<double> sig(1000);  // non-power-of-two: exercises padding
-  for (double& v : sig) v = rng.gaussian();
-
-  SpectrumAnalyzer analyzer;
-  for (int pass = 0; pass < 3; ++pass) {
-    const Spectrum& cached = analyzer.analyze(sig, 1000.0);
-    const Spectrum copied = amplitude_spectrum(sig, 1000.0);
-    ASSERT_EQ(cached.size(), copied.size());
-    for (std::size_t k = 0; k < copied.size(); ++k) {
-      EXPECT_EQ(cached.amplitude[k], copied.amplitude[k]) << "pass " << pass << " bin " << k;
-      EXPECT_EQ(cached.frequency[k], copied.frequency[k]) << "pass " << pass << " bin " << k;
-    }
-  }
-  EXPECT_EQ(analyzer.warmups(), 1u);  // same shape throughout: one cache build
-}
-
-// The streamed mean path packs traces two-per-FFT (two-for-one real
-// transform), so it matches mean_spectrum to floating-point rounding rather
-// than bitwise. Seven traces (odd) also exercise the leftover-signal flush
-// in mean().
-TEST(SpectrumAnalyzer, StreamedMeanMatchesMeanSpectrumToRounding) {
-  emts::Rng rng{89};
-  std::vector<std::vector<double>> signals;
-  for (int t = 0; t < 7; ++t) {
-    auto sig = tone(125.0, 1000.0, 512, 1.0);
-    for (double& v : sig) v += rng.gaussian(0.0, 0.5);
-    signals.push_back(std::move(sig));
-  }
-  const Spectrum copied = mean_spectrum(signals, 1000.0);
-
-  SpectrumAnalyzer analyzer;
-  analyzer.begin(512, 1000.0);
-  for (const auto& sig : signals) analyzer.add(sig);
-  const Spectrum& streamed = analyzer.mean();
-
-  ASSERT_EQ(streamed.size(), copied.size());
-  double peak = 0.0;
-  for (double a : copied.amplitude) peak = std::max(peak, a);
-  for (std::size_t k = 0; k < copied.size(); ++k) {
-    // Tight absolute bound relative to the spectrum's scale: the packed and
-    // per-signal transforms differ only by rounding inside the butterflies.
-    EXPECT_NEAR(streamed.amplitude[k], copied.amplitude[k], 1e-12 * peak) << "bin " << k;
-  }
-
-  // A second streamed pass over the same traces reproduces itself exactly.
-  std::vector<double> first_pass(streamed.amplitude);
-  analyzer.begin(512, 1000.0);
-  for (const auto& sig : signals) analyzer.add(sig);
-  const Spectrum& again = analyzer.mean();
-  for (std::size_t k = 0; k < first_pass.size(); ++k) {
-    EXPECT_EQ(again.amplitude[k], first_pass[k]) << "bin " << k;
-  }
-}
-
 TEST(SpectrumAnalyzer, RewarmsOnShapeChangeOnly) {
   SpectrumAnalyzer analyzer;
-  analyzer.analyze(tone(10.0, 1000.0, 256, 1.0), 1000.0);
-  analyzer.analyze(tone(20.0, 1000.0, 256, 1.0), 1000.0);
+  std::vector<double> amp;
+  analyzer.ensure_stream(256, 1000.0);
+  analyzer.stream_transform(tone(10.0, 1000.0, 256, 1.0), amp);
+  analyzer.ensure_stream(256, 1000.0);
+  analyzer.stream_transform(tone(20.0, 1000.0, 256, 1.0), amp);
   EXPECT_EQ(analyzer.warmups(), 1u);
-  analyzer.analyze(tone(10.0, 1000.0, 512, 1.0), 1000.0);  // new length
+  analyzer.ensure_stream(512, 1000.0);  // new length
   EXPECT_EQ(analyzer.warmups(), 2u);
-  analyzer.analyze(tone(10.0, 2000.0, 512, 1.0), 2000.0);  // new rate
+  analyzer.ensure_stream(512, 2000.0);  // new rate
   EXPECT_EQ(analyzer.warmups(), 3u);
 }
 

@@ -11,6 +11,7 @@
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "temp_path.hpp"
 
 namespace emts::io {
 namespace {
@@ -31,8 +32,7 @@ class TraceArchiveTest : public ::testing::Test {
     return set;
   }
 
-  std::string path_ =
-      (std::filesystem::temp_directory_path() / "emts_archive_test.bin").string();
+  std::string path_ = temp_path("emts_archive_test", ".bin");
 };
 
 TEST_F(TraceArchiveTest, RoundTripPreservesEverything) {
