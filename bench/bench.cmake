@@ -29,11 +29,9 @@ emsentry_bench(ablation_pca_dims)
 emsentry_bench(ablation_noise_sweep)
 emsentry_bench(ablation_threshold)
 emsentry_perf_bench(perf_pipeline)
-emsentry_bench(perf_daemon)
 emsentry_bench(perf_fleet_scale)
 emsentry_bench(perf_array)
 emsentry_bench(ablation_workload)
-emsentry_bench(ext_localization)
 emsentry_bench(ext_roc_detection)
 emsentry_bench(ext_baseline_ron)
 emsentry_bench(ext_process_variation)

@@ -4,7 +4,7 @@
 // The question the sweep answers: how does the per-window cost grow with the
 // coil count, and how far from real time does the array monitor run?
 //
-// Writes BENCH_array.json. Following BENCH_daemon.json / BENCH_fleet_scale:
+// Writes BENCH_array.json. Following BENCH_fleet_scale.json:
 // hardware_threads is the *first* key — on a one-core host the capture rates
 // are contention measurements, not capacities — and every row records
 // whether the run was oversubscribed (engine workers > hardware threads).

@@ -6,8 +6,7 @@
 // speedup keys. Every row records whether the run was oversubscribed
 // (producers + shard workers > hardware threads) — on a one-core host the
 // numbers are contention measurements, not capacities, and the JSON says so
-// (hardware_threads is the first key for exactly that reason, matching
-// BENCH_daemon.json).
+// (hardware_threads is the first key for exactly that reason).
 //
 // The rig also re-proves the fleet's core guarantee on the batched path: a
 // bit-identity pass compares per-device results (last score, counters,

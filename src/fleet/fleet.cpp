@@ -239,18 +239,6 @@ std::size_t FleetMonitor::submit_batch(const std::string& device_id,
   return enqueue_work(*shards_[session->shard], items.data(), items.size()).accepted;
 }
 
-SubmitResult FleetMonitor::submit_frame(io::wire::TraceFrame&& frame) {
-  Session* session = find_session(frame.device_id);
-  EMTS_REQUIRE(session != nullptr, "unknown device '" + frame.device_id + "'");
-  // sample_rate() is immutable after construction, so this read needs no
-  // exec lock even while the session's worker is scoring.
-  const double expected = session->monitor.sample_rate();
-  EMTS_REQUIRE(std::abs(frame.sample_rate - expected) <= 1e-6 * expected,
-               "frame sample rate for '" + frame.device_id +
-                   "' disagrees with the session's calibration");
-  return submit(frame.device_id, std::move(frame.trace));
-}
-
 FrameBatchOutcome FleetMonitor::submit_frames(std::vector<io::wire::TraceFrame>&& frames) {
   FrameBatchOutcome out;
   if (frames.empty()) return out;

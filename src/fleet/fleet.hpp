@@ -205,19 +205,14 @@ class FleetMonitor {
   /// equals batch.size()). `blocked` counts wait episodes, not traces.
   std::size_t submit_batch(const std::string& device_id, const core::TraceSet& batch);
 
-  /// submit() for a decoded wire frame (io::wire::FrameDecoder output) — the
-  /// ingest daemon's entry point. The frame's device must be registered and
-  /// its sample rate must match the session's (within 1e-6 relative); either
-  /// mismatch throws precondition_error, so a daemon can refuse a frame
-  /// without perturbing any session state.
-  SubmitResult submit_frame(io::wire::TraceFrame&& frame);
-
-  /// Batched submit_frame for a drained decoder buffer: frames are vetted,
-  /// grouped by shard in arrival order, and bulk-enqueued (one reservation
-  /// per contiguous run). Invalid frames (unknown device, sample-rate
-  /// mismatch, empty trace) are counted instead of thrown, so one bad frame
-  /// never blocks the rest of a network read. Per-device ordering holds:
-  /// one device's frames stay in arrival order within its shard group.
+  /// The ingest daemon's entry point: a drained io::wire::FrameDecoder
+  /// buffer. Frames are vetted, grouped by shard in arrival order, and
+  /// bulk-enqueued (one reservation per contiguous run). A frame whose
+  /// device is unregistered, whose sample rate disagrees with the session's
+  /// (beyond 1e-6 relative) or whose trace is empty is counted out instead
+  /// of thrown, without touching any session, so one bad frame never blocks
+  /// the rest of a network read. Per-device ordering holds: one device's
+  /// frames stay in arrival order within its shard group.
   FrameBatchOutcome submit_frames(std::vector<io::wire::TraceFrame>&& frames);
 
   /// Barrier: returns once every capture submitted before the call has been

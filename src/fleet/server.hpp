@@ -1,9 +1,10 @@
 // Ingest daemon around a FleetMonitor: an accept loop over a unix-domain
 // socket and/or a TCP listener that decodes EMWF trace frames from any
 // number of client connections and routes them into the fleet's shard
-// queues (submit_frame). This is the service surface of the paper's
-// deployment story — sensors stream captures to a long-running trust
-// evaluator instead of batch replays — grown on top of the existing
+// queues (one submit_frames batch per client read). This is the service
+// surface of the paper's deployment story — sensors stream captures to a
+// long-running trust evaluator instead of batch replays — grown on top of
+// the existing
 // bounded-ingest machinery: the shard queues, backpressure policies and
 // per-device ordering all apply unchanged to socket traffic.
 //

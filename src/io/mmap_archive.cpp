@@ -5,24 +5,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cmath>
-#include <cstdint>
-#include <cstring>
-
 #include "util/assert.hpp"
-#include "util/binio.hpp"
 
 namespace emts::io {
-
-namespace {
-
-// Mirror of the EMTA v1 header in trace_archive.cpp (private there by
-// design; the wire layout is the contract, not the struct).
-constexpr char kMagic[4] = {'E', 'M', 'T', 'A'};
-constexpr std::uint32_t kVersion = 1;
-constexpr std::size_t kHeaderBytes = 32;
-
-}  // namespace
 
 MappedTraceArchive::MappedTraceArchive(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -34,58 +19,25 @@ MappedTraceArchive::MappedTraceArchive(const std::string& path) {
     EMTS_REQUIRE(false, "mmap_archive: cannot stat " + path);
   }
   const std::size_t file_bytes = static_cast<std::size_t>(st.st_size);
-  if (file_bytes < kHeaderBytes) {
-    ::close(fd);
-    EMTS_REQUIRE(false, "mmap_archive: truncated header in " + path);
-  }
 
-  void* mapping = ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
+  // mmap refuses a zero-length mapping; the header check reports an empty
+  // file as truncated without reading it.
+  void* mapping = file_bytes == 0
+                      ? nullptr
+                      : ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping holds its own reference
   EMTS_REQUIRE(mapping != MAP_FAILED, "mmap_archive: mmap failed for " + path);
   mapping_ = mapping;
   mapping_bytes_ = file_bytes;
 
   const char* bytes = static_cast<const char*>(mapping);
-  std::uint32_t version = 0;
-  std::uint64_t trace_count = 0;
-  std::uint64_t trace_length = 0;
-  double sample_rate = 0.0;
-  std::memcpy(&version, bytes + 4, sizeof version);
-  std::memcpy(&trace_count, bytes + 8, sizeof trace_count);
-  std::memcpy(&trace_length, bytes + 16, sizeof trace_length);
-  std::memcpy(&sample_rate, bytes + 24, sizeof sample_rate);
-
   try {
-    EMTS_REQUIRE(std::memcmp(bytes, kMagic, sizeof kMagic) == 0,
-                 "mmap_archive: bad magic in " + path);
-    EMTS_REQUIRE(version == kVersion, "mmap_archive: unsupported version");
-    EMTS_REQUIRE(trace_count > 0 && trace_length > 0,
-                 "mmap_archive: empty archive " + path);
-    EMTS_REQUIRE(std::isfinite(sample_rate) && sample_rate > 0.0,
-                 "mmap_archive: bad sample rate");
-    EMTS_REQUIRE(trace_count < (1ull << 32) && trace_length < (1ull << 32),
-                 "mmap_archive: implausible sizes in " + path);
-    // The whole-file shape check: header + samples must account for every
-    // byte, so a truncated or padded file is rejected up front — there is no
-    // per-trace read to fail later. Both factors may be up to 2^32-1, so the
-    // product can wrap u64 (e.g. 2^31 x 2^30 x 8 = 2^64 ≡ 0) and make a
-    // crafted header agree with a header-only file; multiply checked.
-    std::uint64_t sample_count = 0;
-    std::uint64_t payload_bytes = 0;
-    EMTS_REQUIRE(util::checked_mul_u64(trace_count, trace_length, &sample_count) &&
-                     util::checked_mul_u64(sample_count, sizeof(double), &payload_bytes),
-                 "mmap_archive: declared shape overflows in " + path);
-    EMTS_REQUIRE(file_bytes == kHeaderBytes + payload_bytes,
-                 "mmap_archive: file size disagrees with declared shape in " + path);
+    shape_ = decode_trace_archive_header(bytes, file_bytes, path);
   } catch (...) {
     unmap();
     throw;
   }
-
-  samples_ = reinterpret_cast<const double*>(bytes + kHeaderBytes);
-  trace_count_ = static_cast<std::size_t>(trace_count);
-  trace_length_ = static_cast<std::size_t>(trace_length);
-  sample_rate_ = sample_rate;
+  samples_ = reinterpret_cast<const double*>(bytes + kTraceArchiveHeaderBytes);
 }
 
 MappedTraceArchive::~MappedTraceArchive() { unmap(); }
@@ -94,14 +46,11 @@ MappedTraceArchive::MappedTraceArchive(MappedTraceArchive&& other) noexcept
     : mapping_{other.mapping_},
       mapping_bytes_{other.mapping_bytes_},
       samples_{other.samples_},
-      trace_count_{other.trace_count_},
-      trace_length_{other.trace_length_},
-      sample_rate_{other.sample_rate_} {
+      shape_{other.shape_} {
   other.mapping_ = nullptr;
   other.mapping_bytes_ = 0;
   other.samples_ = nullptr;
-  other.trace_count_ = 0;
-  other.trace_length_ = 0;
+  other.shape_ = {};
 }
 
 MappedTraceArchive& MappedTraceArchive::operator=(MappedTraceArchive&& other) noexcept {
@@ -110,14 +59,11 @@ MappedTraceArchive& MappedTraceArchive::operator=(MappedTraceArchive&& other) no
     mapping_ = other.mapping_;
     mapping_bytes_ = other.mapping_bytes_;
     samples_ = other.samples_;
-    trace_count_ = other.trace_count_;
-    trace_length_ = other.trace_length_;
-    sample_rate_ = other.sample_rate_;
+    shape_ = other.shape_;
     other.mapping_ = nullptr;
     other.mapping_bytes_ = 0;
     other.samples_ = nullptr;
-    other.trace_count_ = 0;
-    other.trace_length_ = 0;
+    other.shape_ = {};
   }
   return *this;
 }
@@ -132,13 +78,13 @@ void MappedTraceArchive::unmap() noexcept {
 }
 
 const double* MappedTraceArchive::trace(std::size_t i) const {
-  EMTS_REQUIRE(i < trace_count_, "mmap_archive: trace index out of range");
-  return samples_ + i * trace_length_;
+  EMTS_REQUIRE(i < shape_.trace_count, "mmap_archive: trace index out of range");
+  return samples_ + i * shape_.trace_length;
 }
 
 core::Trace MappedTraceArchive::trace_copy(std::size_t i) const {
   const double* begin = trace(i);
-  return core::Trace(begin, begin + trace_length_);
+  return core::Trace(begin, begin + shape_.trace_length);
 }
 
 }  // namespace emts::io

@@ -14,6 +14,7 @@
 #include <string>
 
 #include "core/trace.hpp"
+#include "io/trace_archive.hpp"
 
 namespace emts::io {
 
@@ -22,7 +23,8 @@ class MappedTraceArchive {
   /// Opens and maps the archive read-only, validating the EMTA header
   /// against the actual file size (declared shape must account for every
   /// byte). Throws precondition_error on open/map failure or any header
-  /// mismatch — the same corruption checks load_trace_archive applies.
+  /// mismatch — the header check is decode_trace_archive_header, the one
+  /// load_trace_archive applies.
   explicit MappedTraceArchive(const std::string& path);
   ~MappedTraceArchive();
 
@@ -31,9 +33,9 @@ class MappedTraceArchive {
   MappedTraceArchive(const MappedTraceArchive&) = delete;
   MappedTraceArchive& operator=(const MappedTraceArchive&) = delete;
 
-  std::size_t size() const { return trace_count_; }
-  std::size_t trace_length() const { return trace_length_; }
-  double sample_rate() const { return sample_rate_; }
+  std::size_t size() const { return shape_.trace_count; }
+  std::size_t trace_length() const { return shape_.trace_length; }
+  double sample_rate() const { return shape_.sample_rate; }
 
   /// Pointer to trace i's samples inside the mapping (trace_length doubles).
   /// Valid for the archive's lifetime. Requires i < size().
@@ -48,9 +50,7 @@ class MappedTraceArchive {
   void* mapping_ = nullptr;
   std::size_t mapping_bytes_ = 0;
   const double* samples_ = nullptr;  // payload start inside the mapping
-  std::size_t trace_count_ = 0;
-  std::size_t trace_length_ = 0;
-  double sample_rate_ = 0.0;
+  TraceArchiveShape shape_;
 };
 
 }  // namespace emts::io

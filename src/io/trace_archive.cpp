@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
+#include <string>
 
 #include "util/assert.hpp"
 #include "util/binio.hpp"
@@ -15,6 +16,9 @@ namespace {
 constexpr char kMagic[4] = {'E', 'M', 'T', 'A'};
 constexpr std::uint32_t kVersion = 1;
 
+// The EMTA v1 header as it sits on disk (docs/FORMATS.md): magic[4] @0,
+// u32 version @4, u64 trace_count @8, u64 trace_length @16, f64
+// sample_rate @24, little-endian.
 struct Header {
   char magic[4];
   std::uint32_t version;
@@ -22,8 +26,42 @@ struct Header {
   std::uint64_t trace_length;
   double sample_rate;
 };
+static_assert(sizeof(Header) == kTraceArchiveHeaderBytes, "EMTA header is 32 bytes");
 
 }  // namespace
+
+TraceArchiveShape decode_trace_archive_header(const char* header_bytes, std::uint64_t file_bytes,
+                                              const std::string& path) {
+  EMTS_REQUIRE(file_bytes >= sizeof(Header), "trace archive: truncated header in " + path);
+  Header header{};
+  std::memcpy(&header, header_bytes, sizeof header);
+  EMTS_REQUIRE(std::memcmp(header.magic, kMagic, sizeof kMagic) == 0,
+               "trace archive: bad magic in " + path);
+  EMTS_REQUIRE(header.version == kVersion, "trace archive: unsupported version " +
+                                               std::to_string(header.version) + " in " + path);
+  EMTS_REQUIRE(header.trace_count > 0 && header.trace_length > 0,
+               "trace archive: empty archive " + path);
+  EMTS_REQUIRE(std::isfinite(header.sample_rate) && header.sample_rate > 0.0,
+               "trace archive: bad sample rate in " + path);
+  // Guard pathological headers before anything is sized from them.
+  EMTS_REQUIRE(header.trace_count < (1ull << 32) && header.trace_length < (1ull << 32),
+               "trace archive: implausible sizes in " + path);
+  // The declared shape must account for every byte after the header, so a
+  // truncated or padded file is refused before a single trace is allocated
+  // or handed out of a mapping. Both factors may be up to 2^32-1, so the
+  // product can wrap u64 (2^31 x 2^30 x 8 = 2^64 ≡ 0) and make a crafted
+  // header agree with a header-only file; multiply checked.
+  std::uint64_t sample_count = 0;
+  std::uint64_t payload_bytes = 0;
+  EMTS_REQUIRE(util::checked_mul_u64(header.trace_count, header.trace_length,
+                                     &sample_count) &&
+                   util::checked_mul_u64(sample_count, sizeof(double), &payload_bytes),
+               "trace archive: declared shape overflows in " + path);
+  EMTS_REQUIRE(file_bytes - sizeof(Header) == payload_bytes,
+               "trace archive: declared shape disagrees with file size in " + path);
+  return TraceArchiveShape{static_cast<std::size_t>(header.trace_count),
+                           static_cast<std::size_t>(header.trace_length), header.sample_rate};
+}
 
 void save_trace_archive(const std::string& path, const core::TraceSet& set) {
   EMTS_REQUIRE(!set.empty(), "cannot archive an empty trace set");
@@ -51,36 +89,15 @@ core::TraceSet load_trace_archive(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
   EMTS_REQUIRE(in.good(), "load_trace_archive: cannot open " + path);
 
-  Header header{};
-  in.read(reinterpret_cast<char*>(&header), sizeof header);
-  EMTS_REQUIRE(in.gcount() == sizeof header, "load_trace_archive: truncated header in " + path);
-  EMTS_REQUIRE(std::memcmp(header.magic, kMagic, sizeof kMagic) == 0,
-               "load_trace_archive: bad magic in " + path);
-  EMTS_REQUIRE(header.version == kVersion, "load_trace_archive: unsupported version");
-  EMTS_REQUIRE(header.trace_count > 0 && header.trace_length > 0,
-               "load_trace_archive: empty archive " + path);
-  EMTS_REQUIRE(std::isfinite(header.sample_rate) && header.sample_rate > 0.0,
-               "load_trace_archive: bad sample rate");
-  // Guard pathological headers before allocating.
-  EMTS_REQUIRE(header.trace_count < (1ull << 32) && header.trace_length < (1ull << 32),
-               "load_trace_archive: implausible sizes in " + path);
-  // The declared shape must account for every remaining byte — checked
-  // before the read loop so a header claiming gigabytes against a kilobyte
-  // file is rejected without allocating a single trace. The product of two
-  // <2^32 factors times 8 can wrap u64, so it is computed checked.
-  std::uint64_t sample_count = 0;
-  std::uint64_t payload_bytes = 0;
-  EMTS_REQUIRE(util::checked_mul_u64(header.trace_count, header.trace_length,
-                                     &sample_count) &&
-                   util::checked_mul_u64(sample_count, sizeof(double), &payload_bytes),
-               "load_trace_archive: declared shape overflows in " + path);
-  EMTS_REQUIRE(payload_bytes == util::stream_remaining(in),
-               "load_trace_archive: declared shape disagrees with file size in " + path);
+  const std::uint64_t file_bytes = util::stream_remaining(in);
+  char header[kTraceArchiveHeaderBytes] = {};
+  in.read(header, sizeof header);
+  const TraceArchiveShape shape = decode_trace_archive_header(header, file_bytes, path);
 
   core::TraceSet set;
-  set.sample_rate = header.sample_rate;
-  for (std::uint64_t t = 0; t < header.trace_count; ++t) {
-    core::Trace trace(header.trace_length);
+  set.sample_rate = shape.sample_rate;
+  for (std::size_t t = 0; t < shape.trace_count; ++t) {
+    core::Trace trace(shape.trace_length);
     in.read(reinterpret_cast<char*>(trace.data()),
             static_cast<std::streamsize>(trace.size() * sizeof(double)));
     EMTS_REQUIRE(in.gcount() ==
@@ -88,10 +105,6 @@ core::TraceSet load_trace_archive(const std::string& path) {
                  "load_trace_archive: truncated payload in " + path);
     set.add(std::move(trace));
   }
-  // A well-formed archive ends exactly where the header says it does;
-  // trailing bytes mean the header lies about the payload shape.
-  EMTS_REQUIRE(in.peek() == std::ifstream::traits_type::eof(),
-               "load_trace_archive: trailing bytes in " + path);
   return set;
 }
 

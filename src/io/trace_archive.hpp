@@ -5,19 +5,42 @@
 // little-endian float64 samples, trace-major.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "core/trace.hpp"
 
 namespace emts::io {
 
+/// Bytes of the fixed EMTA v1 header that precedes the float64 payload.
+inline constexpr std::size_t kTraceArchiveHeaderBytes = 32;
+
+/// An archive's shape as its (validated) header declares it.
+struct TraceArchiveShape {
+  std::size_t trace_count = 0;
+  std::size_t trace_length = 0;
+  double sample_rate = 0.0;
+};
+
+/// The one EMTA header check, shared by load_trace_archive and
+/// MappedTraceArchive. Decodes the header at `header_bytes` and validates
+/// it against the archive's total size: a whole header present, magic,
+/// version, non-empty shape, finite positive sample rate, both sizes below
+/// 2^32, and header + count x length x 8 == file_bytes (multiplied without
+/// wrapping). `header_bytes` is read only once file_bytes covers a whole
+/// header. Throws precondition_error naming `path`.
+TraceArchiveShape decode_trace_archive_header(const char* header_bytes, std::uint64_t file_bytes,
+                                              const std::string& path);
+
 /// Writes a validated TraceSet; throws precondition_error on I/O failure or
 /// an empty/ragged set.
 void save_trace_archive(const std::string& path, const core::TraceSet& set);
 
-/// Reads an archive written by save_trace_archive; validates the header and
-/// returns the reconstructed set. Throws precondition_error on any mismatch
-/// (bad magic, truncated payload, zero sizes).
+/// Reads an archive written by save_trace_archive; validates the header
+/// (decode_trace_archive_header) and returns the reconstructed set. Throws
+/// precondition_error on any mismatch (bad magic, truncated payload, zero
+/// sizes).
 core::TraceSet load_trace_archive(const std::string& path);
 
 }  // namespace emts::io

@@ -20,7 +20,6 @@
 #include "fleet/fleet.hpp"
 #include "sim/chip.hpp"
 #include "sim/engine.hpp"
-#include "sim/scan.hpp"
 #include "util/assert.hpp"
 #include "temp_path.hpp"
 
@@ -167,17 +166,6 @@ TEST(ArrayCapture, BundlesBitIdenticalAcrossRunsAndThreadCounts) {
   // Different windows and different sensors see different noise streams.
   EXPECT_NE(a.per_sensor[0].traces[0], a.per_sensor[0].traces[1]);
   EXPECT_NE(a.per_sensor[0].traces[0], a.per_sensor[1].traces[0]);
-}
-
-TEST(ArrayCapture, NearFieldScanDeterministic) {
-  const ArrayWorld& w = world();
-  sim::ScanSpec spec;
-  spec.nx = 6;
-  spec.ny = 6;
-  const sim::ScanMap first = sim::near_field_scan(w.chip, spec, true, 0);
-  const sim::ScanMap second = sim::near_field_scan(w.chip, spec, true, 0);
-  ASSERT_EQ(first.rms.size(), second.rms.size());
-  EXPECT_EQ(first.rms, second.rms);
 }
 
 TEST(ArrayCalibration, RefusesArmedChip) {

@@ -485,51 +485,6 @@ TEST(FleetMonitor, ConcurrentProducersAndObserversAreSafe) {
   }
 }
 
-// ---------- wire-frame ingest (the daemon entry point) ----------
-
-TEST(FleetMonitor, SubmitFrameRoutesLikeSubmit) {
-  FleetOptions opt;
-  opt.shards = 2;
-  opt.monitor = small_options();
-  FleetMonitor fleet{opt};
-  fleet.add_device("chip-00", fitted());
-  emts::Rng rng{40};
-
-  io::wire::TraceFrame frame;
-  frame.device_id = "chip-00";
-  frame.sample_rate = kFs;
-  frame.trace = golden_trace(rng);
-  EXPECT_EQ(fleet.submit_frame(std::move(frame)), SubmitResult::kAccepted);
-  fleet.flush();
-  const FleetStats stats = fleet.stats();
-  ASSERT_EQ(stats.sessions.size(), 1u);
-  EXPECT_EQ(stats.sessions[0].monitor.scored_captures, 1u);
-}
-
-TEST(FleetMonitor, SubmitFrameRefusesUnknownDeviceAndRateMismatch) {
-  FleetOptions opt;
-  opt.monitor = small_options();
-  FleetMonitor fleet{opt};
-  fleet.add_device("chip-00", fitted());
-  emts::Rng rng{41};
-
-  io::wire::TraceFrame ghost;
-  ghost.device_id = "ghost";
-  ghost.sample_rate = kFs;
-  ghost.trace = golden_trace(rng);
-  EXPECT_THROW(fleet.submit_frame(std::move(ghost)), emts::precondition_error);
-
-  io::wire::TraceFrame wrong_rate;
-  wrong_rate.device_id = "chip-00";
-  wrong_rate.sample_rate = kFs * 2;
-  wrong_rate.trace = golden_trace(rng);
-  EXPECT_THROW(fleet.submit_frame(std::move(wrong_rate)), emts::precondition_error);
-
-  // A refused frame must not have perturbed the session.
-  fleet.flush();
-  EXPECT_EQ(fleet.stats().traces_submitted, 0u);
-}
-
 // ---------- pause/resume/flush racing blocking producers (tsan target) ----
 
 TEST(FleetMonitor, PauseResumeFlushRaceWithBlockingProducers) {

@@ -5,6 +5,7 @@
 #include "io/mmap_archive.hpp"
 
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -15,6 +16,25 @@
 
 namespace emts::io {
 namespace {
+
+// The two EMTA readers: the decoding loader and the zero-copy mapping the
+// replay client streams from. They share one header check
+// (decode_trace_archive_header); every load-side case below runs against
+// both, so they cannot drift apart.
+core::TraceSet load_mapped(const std::string& path) {
+  const MappedTraceArchive archive{path};
+  core::TraceSet set;
+  set.sample_rate = archive.sample_rate();
+  for (std::size_t t = 0; t < archive.size(); ++t) set.add(archive.trace_copy(t));
+  return set;
+}
+
+struct Reader {
+  const char* name;
+  core::TraceSet (*load)(const std::string& path);
+};
+constexpr Reader kReaders[] = {{"load_trace_archive", &load_trace_archive},
+                               {"MappedTraceArchive", &load_mapped}};
 
 class TraceArchiveTest : public ::testing::Test {
  protected:
@@ -32,21 +52,38 @@ class TraceArchiveTest : public ::testing::Test {
     return set;
   }
 
+  /// Every reader returns `expected` from `path`, bit for bit.
+  static void expect_round_trip(const std::string& path, const core::TraceSet& expected) {
+    for (const Reader& reader : kReaders) {
+      SCOPED_TRACE(reader.name);
+      const core::TraceSet loaded = reader.load(path);
+      EXPECT_EQ(loaded.sample_rate, expected.sample_rate);
+      ASSERT_EQ(loaded.size(), expected.size());
+      ASSERT_EQ(loaded.trace_length(), expected.trace_length());
+      for (std::size_t t = 0; t < expected.size(); ++t) {
+        EXPECT_EQ(std::memcmp(loaded.traces[t].data(), expected.traces[t].data(),
+                              expected.trace_length() * sizeof(double)),
+                  0)
+            << "trace " << t;
+      }
+    }
+  }
+
+  /// Every reader refuses `path`.
+  static void expect_rejected(const std::string& path) {
+    for (const Reader& reader : kReaders) {
+      SCOPED_TRACE(reader.name);
+      EXPECT_THROW(reader.load(path), emts::precondition_error);
+    }
+  }
+
   std::string path_ = temp_path("emts_archive_test", ".bin");
 };
 
 TEST_F(TraceArchiveTest, RoundTripPreservesEverything) {
   const auto original = random_set(7, 256, 1);
   save_trace_archive(path_, original);
-  const auto loaded = load_trace_archive(path_);
-  EXPECT_DOUBLE_EQ(loaded.sample_rate, original.sample_rate);
-  ASSERT_EQ(loaded.size(), original.size());
-  ASSERT_EQ(loaded.trace_length(), original.trace_length());
-  for (std::size_t t = 0; t < original.size(); ++t) {
-    for (std::size_t i = 0; i < original.trace_length(); ++i) {
-      ASSERT_DOUBLE_EQ(loaded.traces[t][i], original.traces[t][i]);
-    }
-  }
+  expect_round_trip(path_, original);
 }
 
 TEST_F(TraceArchiveTest, BitExactForExtremeValues) {
@@ -54,10 +91,7 @@ TEST_F(TraceArchiveTest, BitExactForExtremeValues) {
   set.sample_rate = 1.0;
   set.add(core::Trace{0.0, -0.0, 1e-308, 1e308, -3.141592653589793});
   save_trace_archive(path_, set);
-  const auto loaded = load_trace_archive(path_);
-  for (std::size_t i = 0; i < 5; ++i) {
-    EXPECT_DOUBLE_EQ(loaded.traces[0][i], set.traces[0][i]);
-  }
+  expect_round_trip(path_, set);
 }
 
 TEST_F(TraceArchiveTest, RejectsEmptySet) {
@@ -67,14 +101,14 @@ TEST_F(TraceArchiveTest, RejectsEmptySet) {
 }
 
 TEST_F(TraceArchiveTest, RejectsMissingFile) {
-  EXPECT_THROW(load_trace_archive("/nonexistent/emts.bin"), emts::precondition_error);
+  expect_rejected("/nonexistent/emts.bin");
 }
 
 TEST_F(TraceArchiveTest, RejectsBadMagic) {
   std::ofstream out{path_, std::ios::binary};
   out << "NOT-AN-ARCHIVE-AT-ALL-1234567890123456789012345678901234567890";
   out.close();
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsTruncatedPayload) {
@@ -83,14 +117,14 @@ TEST_F(TraceArchiveTest, RejectsTruncatedPayload) {
   // Chop the file short.
   const auto full_size = std::filesystem::file_size(path_);
   std::filesystem::resize_file(path_, full_size - 64);
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsTruncatedHeader) {
   std::ofstream out{path_, std::ios::binary};
   out << "EM";
   out.close();
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 // Header layout (32 bytes): magic[4] @0, u32 version @4, u64 trace_count @8,
@@ -108,28 +142,28 @@ TEST_F(TraceArchiveTest, RejectsWrongVersion) {
   save_trace_archive(path_, random_set(3, 64, 3));
   const std::uint32_t bogus_version = 99;
   patch_bytes(path_, 4, &bogus_version, sizeof bogus_version);
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsZeroTraceCount) {
   save_trace_archive(path_, random_set(3, 64, 4));
   const std::uint64_t zero = 0;
   patch_bytes(path_, 8, &zero, sizeof zero);
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsZeroTraceLength) {
   save_trace_archive(path_, random_set(3, 64, 5));
   const std::uint64_t zero = 0;
   patch_bytes(path_, 16, &zero, sizeof zero);
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsNonFiniteSampleRate) {
   save_trace_archive(path_, random_set(3, 64, 6));
   const double nan = std::numeric_limits<double>::quiet_NaN();
   patch_bytes(path_, 24, &nan, sizeof nan);
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsTrailingGarbage) {
@@ -137,14 +171,14 @@ TEST_F(TraceArchiveTest, RejectsTrailingGarbage) {
   std::ofstream out{path_, std::ios::binary | std::ios::app};
   out << "extra bytes past the declared payload";
   out.close();
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsImplausibleTraceCount) {
   save_trace_archive(path_, random_set(3, 64, 8));
   const std::uint64_t huge = 1ull << 40;
   patch_bytes(path_, 8, &huge, sizeof huge);
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsImplausibleTraceLength) {
@@ -153,7 +187,7 @@ TEST_F(TraceArchiveTest, RejectsImplausibleTraceLength) {
   save_trace_archive(path_, random_set(3, 64, 9));
   const std::uint64_t huge = 1ull << 40;
   patch_bytes(path_, 16, &huge, sizeof huge);
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsShapeProductThatWrapsU64) {
@@ -167,8 +201,7 @@ TEST_F(TraceArchiveTest, RejectsShapeProductThatWrapsU64) {
   const std::uint64_t length = 1ull << 30;
   patch_bytes(path_, 8, &count, sizeof count);
   patch_bytes(path_, 16, &length, sizeof length);
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
-  EXPECT_THROW(MappedTraceArchive{path_}, emts::precondition_error);
+  expect_rejected(path_);
 }
 
 TEST_F(TraceArchiveTest, RejectsShapeTimesEightThatWrapsU64) {
@@ -181,8 +214,7 @@ TEST_F(TraceArchiveTest, RejectsShapeTimesEightThatWrapsU64) {
   const std::uint64_t length = (1ull << 32) - 1;
   patch_bytes(path_, 8, &count, sizeof count);
   patch_bytes(path_, 16, &length, sizeof length);
-  EXPECT_THROW(load_trace_archive(path_), emts::precondition_error);
-  EXPECT_THROW(MappedTraceArchive{path_}, emts::precondition_error);
+  expect_rejected(path_);
 }
 
 }  // namespace

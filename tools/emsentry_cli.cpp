@@ -17,13 +17,17 @@
 // 2 malformed arguments (usage on stderr), 3 runtime error.
 #include <atomic>
 #include <cerrno>
+#include <charconv>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -153,14 +157,67 @@ int usage_error() {
   return 2;
 }
 
-bool parse_trojan(const std::string& label, trojan::TrojanKind* kind) {
-  for (trojan::TrojanKind k : trojan::kAllTrojanKinds) {
-    if (label == trojan::kind_label(k)) {
-      *kind = k;
-      return true;
-    }
+// ---------- argument parsing ----------
+//
+// Every flag value goes through the helpers below, so a missing, malformed
+// or out-of-range value is a UsageError naming the flag, which main()
+// reports as exit 2.
+
+/// A malformed command line (exit 2, usage on stderr).
+struct UsageError : std::runtime_error {
+  using std::runtime_error::runtime_error;
+};
+
+/// The value following the flag args[*i]; advances *i past it.
+const std::string& flag_value(const std::vector<std::string>& args, std::size_t* i) {
+  if (*i + 1 >= args.size()) throw UsageError(args[*i] + " needs a value");
+  return args[++*i];
+}
+
+/// Unsigned decimal: digits only (no sign, space or suffix), no overflow.
+bool parse_decimal(const std::string& text, std::uint64_t* out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, *out);
+  return error == std::errc{} && stop == end;
+}
+
+/// flag_value() as a parse_decimal() count.
+std::uint64_t flag_count(const std::vector<std::string>& args, std::size_t* i) {
+  const std::string& flag = args[*i];
+  const std::string& text = flag_value(args, i);
+  std::uint64_t value = 0;
+  if (!parse_decimal(text, &value)) {
+    throw UsageError(flag + " takes an integer in [0, " + std::to_string(UINT64_MAX) +
+                     "], got '" + text + "'");
   }
-  return false;
+  return value;
+}
+
+/// Runs a library parser over a flag value (endpoint, CIDR, cadence); its
+/// precondition_error is a usage error, not a runtime one.
+template <class Parse>
+auto usage_checked(Parse&& parse) {
+  try {
+    return parse();
+  } catch (const precondition_error& error) {
+    throw UsageError(error.what());
+  }
+}
+
+trojan::TrojanKind flag_trojan(const std::vector<std::string>& args, std::size_t* i) {
+  const std::string& label = flag_value(args, i);
+  for (trojan::TrojanKind k : trojan::kAllTrojanKinds) {
+    if (label == trojan::kind_label(k)) return k;
+  }
+  throw UsageError("--trojan takes T1|T2|T3|T4|A2, got '" + label + "'");
+}
+
+fleet::BackpressurePolicy flag_policy(const std::vector<std::string>& args, std::size_t* i) {
+  const std::string& p = flag_value(args, i);
+  if (p == "block") return fleet::BackpressurePolicy::kBlock;
+  if (p == "drop-oldest") return fleet::BackpressurePolicy::kDropOldest;
+  if (p == "reject") return fleet::BackpressurePolicy::kReject;
+  throw UsageError("--policy takes block|drop-oldest|reject, got '" + p + "'");
 }
 
 std::vector<std::string> split_csv(const std::string& csv) {
@@ -241,30 +298,27 @@ int cmd_capture(const std::vector<std::string>& args) {
 
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--windows") {
-      windows = std::stoul(next());
+      windows = flag_count(args, &i);
     } else if (a == "--threads") {
-      engine_options.threads = std::stoul(next());
+      engine_options.threads = flag_count(args, &i);
     } else if (a == "--first") {
-      first = std::stoull(next());
+      first = flag_count(args, &i);
     } else if (a == "--silicon") {
       silicon = true;
     } else if (a == "--idle") {
       encrypting = false;
     } else if (a == "--pickup") {
-      const std::string& p = next();
-      EMTS_REQUIRE(p == "sensor" || p == "probe", "--pickup takes sensor|probe");
+      const std::string& p = flag_value(args, &i);
+      if (p != "sensor" && p != "probe") {
+        throw UsageError("--pickup takes sensor|probe, got '" + p + "'");
+      }
       pickup = p == "sensor" ? sim::Pickup::kOnChipSensor : sim::Pickup::kExternalProbe;
     } else if (a == "--trojan") {
-      EMTS_REQUIRE(parse_trojan(next(), &kind), "unknown trojan label");
+      kind = flag_trojan(args, &i);
       has_trojan = true;
     } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unknown option " + a);
     }
   }
 
@@ -309,12 +363,10 @@ int cmd_calibrate(const std::vector<std::string>& args) {
   for (std::size_t i = 2; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--detectors") {
-      EMTS_REQUIRE(i + 1 < args.size(), "--detectors needs a value");
-      options.detectors = split_csv(args[++i]);
-      EMTS_REQUIRE(!options.detectors.empty(), "--detectors needs at least one name");
+      options.detectors = split_csv(flag_value(args, &i));
+      if (options.detectors.empty()) throw UsageError("--detectors needs at least one name");
     } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unknown option " + a);
     }
   }
 
@@ -341,14 +393,10 @@ int cmd_monitor(const std::vector<std::string>& args) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--model") {
-      model_path = next();
+      model_path = flag_value(args, &i);
     } else if (a == "--windows") {
-      windows = std::stoul(next());
+      windows = flag_count(args, &i);
     } else if (a == "--silicon") {
       silicon = true;
     } else if (a == "--stats") {
@@ -357,16 +405,14 @@ int cmd_monitor(const std::vector<std::string>& args) {
       json = true;  // implies --stats; the object on stdout is the output
       show_stats = true;
     } else if (a == "--trojan") {
-      EMTS_REQUIRE(parse_trojan(next(), &kind), "unknown trojan label");
+      kind = flag_trojan(args, &i);
       has_trojan = true;
     } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unknown option " + a);
     }
   }
   if (model_path.empty()) {
-    std::fprintf(stderr, "monitor needs --model <model.emca>\n");
-    return usage_error();
+    throw UsageError("monitor needs --model <model.emca>");
   }
 
   auto evaluator = io::load_calibration(model_path);
@@ -432,27 +478,14 @@ int cmd_fleet(const std::vector<std::string>& args) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--model") {
-      model_path = next();
+      model_path = flag_value(args, &i);
     } else if (a == "--shards") {
-      options.shards = std::stoul(next());
+      options.shards = flag_count(args, &i);
     } else if (a == "--queue") {
-      options.queue_capacity = std::stoul(next());
+      options.queue_capacity = flag_count(args, &i);
     } else if (a == "--policy") {
-      const std::string& p = next();
-      if (p == "block") {
-        options.backpressure = fleet::BackpressurePolicy::kBlock;
-      } else if (p == "drop-oldest") {
-        options.backpressure = fleet::BackpressurePolicy::kDropOldest;
-      } else if (p == "reject") {
-        options.backpressure = fleet::BackpressurePolicy::kReject;
-      } else {
-        EMTS_REQUIRE(false, "--policy takes block|drop-oldest|reject");
-      }
+      options.backpressure = flag_policy(args, &i);
     } else if (a == "--pin") {
       options.pin_workers = true;
     } else if (a == "--stats") {
@@ -461,18 +494,15 @@ int cmd_fleet(const std::vector<std::string>& args) {
       json = true;
       show_stats = true;
     } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unknown option " + a);
     } else if (manifest_path.empty()) {
       manifest_path = a;
     } else {
-      std::fprintf(stderr, "unexpected argument %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unexpected argument " + a);
     }
   }
   if (manifest_path.empty()) {
-    std::fprintf(stderr, "fleet needs a <fleet.manifest>\n");
-    return usage_error();
+    throw UsageError("fleet needs a <fleet.manifest>");
   }
 
   std::vector<fleet::ManifestEntry> entries;
@@ -593,102 +623,69 @@ int cmd_serve(const std::vector<std::string>& args) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--socket") {
-      server_options.socket_path = next();
+      server_options.socket_path = flag_value(args, &i);
     } else if (a == "--listen") {
-      server_options.listen_address = next();
-      // Malformed endpoints are argument errors (exit 2), caught here rather
-      // than as a runtime throw out of the server constructor.
-      try {
-        fleet::parse_tcp_endpoint(server_options.listen_address);
-      } catch (const precondition_error& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return usage_error();
-      }
+      // Malformed endpoints are argument errors, caught here rather than as
+      // a runtime throw out of the server constructor.
+      server_options.listen_address = flag_value(args, &i);
+      usage_checked([&] { return fleet::parse_tcp_endpoint(server_options.listen_address); });
     } else if (a == "--allow") {
-      const std::string& rule = next();
-      try {
-        fleet::parse_cidr(rule);
-      } catch (const precondition_error& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return usage_error();
-      }
+      const std::string& rule = flag_value(args, &i);
+      usage_checked([&] { return fleet::parse_cidr(rule); });
       server_options.allow.push_back(rule);
     } else if (a == "--auth-secret") {
-      server_options.auth_secret = next();
+      server_options.auth_secret = flag_value(args, &i);
     } else if (a == "--incremental-snapshots") {
       server_options.incremental_snapshots = true;
     } else if (a == "--full-snapshot-every") {
-      server_options.full_snapshot_every = std::stoull(next());
+      server_options.full_snapshot_every = flag_count(args, &i);
       if (server_options.full_snapshot_every == 0) {
-        std::fprintf(stderr, "--full-snapshot-every must be >= 1\n");
-        return usage_error();
+        throw UsageError("--full-snapshot-every must be >= 1");
       }
     } else if (a == "--model") {
-      model_path = next();
+      model_path = flag_value(args, &i);
     } else if (a == "--restore") {
-      restore_path = next();
+      restore_path = flag_value(args, &i);
     } else if (a == "--snapshot-path") {
-      server_options.snapshot_path = next();
+      server_options.snapshot_path = flag_value(args, &i);
     } else if (a == "--snapshot-every") {
-      // Bad cadence syntax is an argument error (exit 2), not a runtime one.
-      try {
-        const fleet::SnapshotCadence cadence = fleet::parse_snapshot_cadence(next());
-        server_options.snapshot_every_frames = cadence.every_frames;
-        server_options.snapshot_every_ms = cadence.every_ms;
-      } catch (const precondition_error& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return usage_error();
-      }
+      const std::string& text = flag_value(args, &i);
+      const fleet::SnapshotCadence cadence =
+          usage_checked([&] { return fleet::parse_snapshot_cadence(text); });
+      server_options.snapshot_every_frames = cadence.every_frames;
+      server_options.snapshot_every_ms = cadence.every_ms;
     } else if (a == "--stats-path") {
-      server_options.stats_path = next();
+      server_options.stats_path = flag_value(args, &i);
     } else if (a == "--stats-every") {
-      server_options.stats_every_frames = std::stoull(next());
+      server_options.stats_every_frames = flag_count(args, &i);
     } else if (a == "--shards") {
-      fleet_options.shards = std::stoul(next());
+      fleet_options.shards = flag_count(args, &i);
       shards_given = true;
     } else if (a == "--queue") {
-      fleet_options.queue_capacity = std::stoul(next());
+      fleet_options.queue_capacity = flag_count(args, &i);
       queue_given = true;
     } else if (a == "--policy") {
-      const std::string& p = next();
-      if (p == "block") {
-        fleet_options.backpressure = fleet::BackpressurePolicy::kBlock;
-      } else if (p == "drop-oldest") {
-        fleet_options.backpressure = fleet::BackpressurePolicy::kDropOldest;
-      } else if (p == "reject") {
-        fleet_options.backpressure = fleet::BackpressurePolicy::kReject;
-      } else {
-        EMTS_REQUIRE(false, "--policy takes block|drop-oldest|reject");
-      }
+      fleet_options.backpressure = flag_policy(args, &i);
       policy_given = true;
     } else if (a == "--pin") {
       fleet_options.pin_workers = true;
     } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unknown option " + a);
     } else if (manifest_path.empty()) {
       manifest_path = a;
     } else {
-      std::fprintf(stderr, "unexpected argument %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unexpected argument " + a);
     }
   }
   if (server_options.socket_path.empty() && server_options.listen_address.empty()) {
-    std::fprintf(stderr, "serve needs --socket <path>, --listen <host:port>, or both\n");
-    return usage_error();
+    throw UsageError("serve needs --socket <path>, --listen <host:port>, or both");
   }
   if (manifest_path.empty() && restore_path.empty()) {
-    std::fprintf(stderr, "serve needs a <fleet.manifest> or --restore <snap.emfs>\n");
-    return usage_error();
+    throw UsageError("serve needs a <fleet.manifest> or --restore <snap.emfs>");
   }
   if (!manifest_path.empty() && !restore_path.empty()) {
-    std::fprintf(stderr, "serve takes a manifest or --restore, not both\n");
-    return usage_error();
+    throw UsageError("serve takes a manifest or --restore, not both");
   }
 
   std::optional<io::FleetSnapshot> restored;
@@ -773,46 +770,38 @@ int cmd_replay_client(const std::vector<std::string>& args) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--socket") {
-      socket_path = next();
+      socket_path = flag_value(args, &i);
     } else if (a == "--connect") {
-      connect_address = next();
-      try {
-        fleet::parse_tcp_endpoint(connect_address);
-      } catch (const precondition_error& error) {
-        std::fprintf(stderr, "%s\n", error.what());
-        return usage_error();
-      }
+      connect_address = flag_value(args, &i);
+      usage_checked([&] { return fleet::parse_tcp_endpoint(connect_address); });
     } else if (a == "--auth-secret") {
-      auth_secret = next();
+      auth_secret = flag_value(args, &i);
     } else if (a == "--device") {
-      device_id = next();
+      device_id = flag_value(args, &i);
     } else if (a == "--rate") {
-      rate = std::stod(next());
-      EMTS_REQUIRE(rate >= 0.0, "--rate must be >= 0");
+      const std::string& text = flag_value(args, &i);
+      char* end = nullptr;
+      rate = std::strtod(text.c_str(), &end);
+      if (text.empty() || *end != '\0' || !std::isfinite(rate) || rate < 0.0) {
+        throw UsageError("--rate takes a finite number >= 0, got '" + text + "'");
+      }
     } else if (a == "--first") {
-      first = std::stoull(next());
+      first = flag_count(args, &i);
     } else if (a == "--count") {
-      count = std::stoull(next());
+      count = flag_count(args, &i);
     } else if (!a.empty() && a[0] == '-') {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unknown option " + a);
     } else if (archive_path.empty()) {
       archive_path = a;
     } else {
-      std::fprintf(stderr, "unexpected argument %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unexpected argument " + a);
     }
   }
   if (archive_path.empty() || device_id.empty() ||
       (socket_path.empty() == connect_address.empty())) {
-    std::fprintf(stderr, "replay-client needs <archive.emta>, --device, and exactly one"
-                         " of --socket or --connect\n");
-    return usage_error();
+    throw UsageError("replay-client needs <archive.emta>, --device, and exactly one of"
+                     " --socket or --connect");
   }
 
   // The archive stays on disk: frames are encoded straight out of the
@@ -940,14 +929,15 @@ int cmd_replay_client(const std::vector<std::string>& args) {
 
 bool parse_grid_spec(const std::string& text, array::GridSpec* spec) {
   const std::size_t x = text.find('x');
-  if (x == std::string::npos || x == 0 || x + 1 >= text.size()) return false;
-  try {
-    spec->nx = std::stoul(text.substr(0, x));
-    spec->ny = std::stoul(text.substr(x + 1));
-  } catch (const std::exception&) {
+  std::uint64_t nx = 0;
+  std::uint64_t ny = 0;
+  if (x == std::string::npos || !parse_decimal(text.substr(0, x), &nx) ||
+      !parse_decimal(text.substr(x + 1), &ny) || nx < 2 || ny < 2) {
     return false;
   }
-  return spec->nx >= 2 && spec->ny >= 2;
+  spec->nx = nx;
+  spec->ny = ny;
+  return true;
 }
 
 int cmd_array_calibrate(const std::vector<std::string>& args) {
@@ -960,27 +950,21 @@ int cmd_array_calibrate(const std::vector<std::string>& args) {
 
   for (std::size_t i = 1; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--grid") {
-      const std::string& g = next();
+      const std::string& g = flag_value(args, &i);
       if (!parse_grid_spec(g, &grid_spec)) {
-        std::fprintf(stderr, "--grid takes NxM with N, M >= 2 (got %s)\n", g.c_str());
-        return usage_error();
+        throw UsageError("--grid takes NxM with N, M >= 2 (got " + g + ")");
       }
     } else if (a == "--turns") {
-      grid_spec.turns = std::stoul(next());
+      grid_spec.turns = flag_count(args, &i);
     } else if (a == "--windows") {
-      options.windows = std::stoul(next());
+      options.windows = flag_count(args, &i);
     } else if (a == "--first") {
-      options.first_index = std::stoull(next());
+      options.first_index = flag_count(args, &i);
     } else if (a == "--threads") {
-      engine_options.threads = std::stoul(next());
+      engine_options.threads = flag_count(args, &i);
     } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unknown option " + a);
     }
   }
 
@@ -1009,7 +993,7 @@ struct ArrayRun {
   std::unique_ptr<array::ArrayMonitor> monitor;
 };
 
-int run_array_monitor(const std::vector<std::string>& args, ArrayRun* run) {
+void run_array_monitor(const std::vector<std::string>& args, ArrayRun* run) {
   std::string model_path;
   std::size_t windows = 64;
   // Default replay range sits past the calibration campaign, so a fresh
@@ -1020,31 +1004,23 @@ int run_array_monitor(const std::vector<std::string>& args, ArrayRun* run) {
 
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& a = args[i];
-    const auto next = [&]() -> const std::string& {
-      EMTS_REQUIRE(i + 1 < args.size(), a + " needs a value");
-      return args[++i];
-    };
     if (a == "--model") {
-      model_path = next();
+      model_path = flag_value(args, &i);
     } else if (a == "--windows") {
-      windows = std::stoul(next());
+      windows = flag_count(args, &i);
     } else if (a == "--first") {
-      first = std::stoull(next());
+      first = flag_count(args, &i);
     } else if (a == "--json") {
       // handled by the caller; accepted here so both subcommands share flags
     } else if (a == "--trojan") {
-      EMTS_REQUIRE(parse_trojan(next(), &kind), "unknown trojan label");
+      kind = flag_trojan(args, &i);
       has_trojan = true;
     } else {
-      std::fprintf(stderr, "unknown option %s\n", a.c_str());
-      return usage_error();
+      throw UsageError("unknown option " + a);
     }
   }
-  if (model_path.empty()) {
-    std::fprintf(stderr, "array monitor/localize needs --model <model.emaa>\n");
-    return usage_error();
-  }
-  EMTS_REQUIRE(windows >= 1, "--windows must be >= 1");
+  if (model_path.empty()) throw UsageError("array monitor/localize needs --model <model.emaa>");
+  if (windows == 0) throw UsageError("--windows must be >= 1");
 
   run->calibration = array::load_array_calibration(model_path);
   run->windows = windows;
@@ -1063,7 +1039,6 @@ int run_array_monitor(const std::vector<std::string>& args, ArrayRun* run) {
       capture.capture_batch(sim::CaptureEngine::shared(), *run->chip, windows, first);
   run->monitor = std::make_unique<array::ArrayMonitor>(*run->grid, run->calibration);
   run->monitor->push_bundles(bundles);
-  return -1;  // no exit yet: the subcommand renders the result
 }
 
 bool array_json_requested(const std::vector<std::string>& args) {
@@ -1075,8 +1050,7 @@ bool array_json_requested(const std::vector<std::string>& args) {
 
 int cmd_array_monitor(const std::vector<std::string>& args) {
   ArrayRun run;
-  const int early_exit = run_array_monitor(args, &run);
-  if (early_exit >= 0) return early_exit;
+  run_array_monitor(args, &run);
   const bool json = array_json_requested(args);
 
   const auto states = run.monitor->states();
@@ -1109,8 +1083,7 @@ int cmd_array_monitor(const std::vector<std::string>& args) {
 
 int cmd_array_localize(const std::vector<std::string>& args) {
   ArrayRun run;
-  const int early_exit = run_array_monitor(args, &run);
-  if (early_exit >= 0) return early_exit;
+  run_array_monitor(args, &run);
   const bool json = array_json_requested(args);
 
   const bool alarm = run.monitor->any_alarm();
@@ -1180,8 +1153,7 @@ int cmd_array(const std::vector<std::string>& args) {
   if (args[0] == "calibrate") return cmd_array_calibrate(rest);
   if (args[0] == "monitor") return cmd_array_monitor(rest);
   if (args[0] == "localize") return cmd_array_localize(rest);
-  std::fprintf(stderr, "unknown array subcommand %s\n", args[0].c_str());
-  return usage_error();
+  throw UsageError("unknown array subcommand " + args[0]);
 }
 
 int cmd_snr(const std::vector<std::string>& args) {
@@ -1235,6 +1207,9 @@ int main(int argc, char** argv) {
     if (command == "replay-client") return cmd_replay_client(args);
     if (command == "snr") return cmd_snr(args);
     if (command == "info") return cmd_info(args);
+  } catch (const UsageError& e) {
+    std::fprintf(stderr, "%s\n", e.what());
+    return usage_error();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 3;
