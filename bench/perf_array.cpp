@@ -4,10 +4,11 @@
 // The question the sweep answers: how does the per-window cost grow with the
 // coil count, and how far from real time does the array monitor run?
 //
-// Writes BENCH_array.json. Following BENCH_fleet_scale.json:
-// hardware_threads is the *first* key — on a one-core host the capture rates
-// are contention measurements, not capacities — and every row records
-// whether the run was oversubscribed (engine workers > hardware threads).
+// Writes BENCH_array.json through bench_util's rules, like
+// BENCH_fleet_scale.json: hardware_threads is the *first* key, every row
+// records whether the run was oversubscribed (engine workers > hardware
+// threads), and every capture, push and localize figure is the best of three
+// timed runs (calibrate_s is one timed calibration per grid).
 //
 // The bench also re-proves the subsystem's gate on every run: the golden
 // replay must not alarm any coil, and the process exits non-zero if it does,
@@ -18,9 +19,8 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <deque>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "array/calibration.hpp"
@@ -28,6 +28,7 @@
 #include "array/grid.hpp"
 #include "array/localizer.hpp"
 #include "array/monitor.hpp"
+#include "bench_util.hpp"
 #include "sim/chip.hpp"
 #include "sim/engine.hpp"
 
@@ -35,20 +36,25 @@ using namespace emts;
 
 namespace {
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
+// Everything one grid size needs. The capture and the localizer refer to
+// `grid`, so a Grid never moves once built (the sweep keeps them in a deque).
+struct Grid {
+  Grid(const sim::Chip& chip, std::size_t side)
+      : grid{chip.floorplan(), {.nx = side, .ny = side}}, capture{grid}, localizer{grid} {}
 
-struct Row {
-  std::size_t nx = 0;
-  std::size_t ny = 0;
-  std::size_t windows = 0;
+  array::SensorGrid grid;
+  array::ArrayCapture capture;
+  array::Localizer localizer;
+  array::ArrayCalibration calibration;
   double calibrate_s = 0.0;
-  double capture_bundles_per_sec = 0.0;
-  double push_bundles_per_sec = 0.0;
-  double localize_us = 0.0;
-  std::size_t engine_threads = 0;
-  bool oversubscribed = false;
+};
+
+// One (grid, window count) row and what its timed steps hand each other.
+struct Row {
+  const Grid* grid = nullptr;
+  std::size_t windows = 0;
+  array::BundleSet bundles;    // from the capture step
+  std::vector<double> energy;  // from the push step
 };
 
 }  // namespace
@@ -64,96 +70,80 @@ int main(int argc, char** argv) {
     }
   }
 
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
+  bench::warm_up();
   const sim::CaptureEngine& engine = sim::CaptureEngine::shared();
   const sim::Chip chip{sim::make_default_config()};
 
-  const std::vector<std::pair<std::size_t, std::size_t>> grids =
-      smoke ? std::vector<std::pair<std::size_t, std::size_t>>{{3, 3}}
-            : std::vector<std::pair<std::size_t, std::size_t>>{{3, 3}, {4, 4}, {5, 5}};
+  const std::vector<std::size_t> sides =
+      smoke ? std::vector<std::size_t>{3} : std::vector<std::size_t>{3, 4, 5};
   const std::vector<std::size_t> window_counts =
       smoke ? std::vector<std::size_t>{8} : std::vector<std::size_t>{16, 64};
 
+  std::deque<Grid> grids;
   std::vector<Row> rows;
-  bool golden_alarm_free = true;
-  for (const auto& [nx, ny] : grids) {
-    array::GridSpec spec;
-    spec.nx = nx;
-    spec.ny = ny;
-    const array::SensorGrid grid{chip.floorplan(), spec};
-    const array::ArrayCapture capture{grid};
-
+  for (const std::size_t side : sides) {
+    Grid& grid = grids.emplace_back(chip, side);
     array::ArrayCalibrationOptions calibration_options;
     calibration_options.windows = smoke ? 16 : 64;
-    const auto t_calibrate = std::chrono::steady_clock::now();
-    const array::ArrayCalibration calibration =
-        array::calibrate_array(capture, engine, chip, calibration_options);
-    const double calibrate_s = seconds_since(t_calibrate);
+    const auto t0 = std::chrono::steady_clock::now();
+    grid.calibration = array::calibrate_array(grid.capture, engine, chip, calibration_options);
+    grid.calibrate_s = bench::seconds_since(t0);
+    for (const std::size_t windows : window_counts) rows.push_back({&grid, windows, {}, {}});
+  }
 
-    const array::Localizer localizer{grid};
-    for (const std::size_t windows : window_counts) {
-      Row row;
-      row.nx = nx;
-      row.ny = ny;
-      row.windows = windows;
-      row.calibrate_s = calibrate_s;
-      row.engine_threads = engine.thread_count();
-      row.oversubscribed =
-          hardware_threads > 0 && engine.thread_count() > hardware_threads;
-
-      const auto t_capture = std::chrono::steady_clock::now();
-      const array::BundleSet bundles =
-          capture.capture_batch(engine, chip, windows, 100000);
-      const double capture_s = seconds_since(t_capture);
-      row.capture_bundles_per_sec = static_cast<double>(windows) / capture_s;
-
-      array::ArrayMonitor monitor{grid, calibration};
-      const auto t_push = std::chrono::steady_clock::now();
-      monitor.push_bundles(bundles);
-      const double push_s = seconds_since(t_push);
-      row.push_bundles_per_sec = static_cast<double>(windows) / push_s;
+  // Three steps per row, timed as 3 x rows best-of-3 rows: every row's
+  // capture, then every row's push, then every row's localization, so the
+  // three runs of one step sit a whole pass over all steps apart.
+  constexpr int kLocalizeCalls = 20000;  // one localization is well under 1 us
+  const std::size_t n = rows.size();
+  bool golden_alarm_free = true;
+  const auto best = bench::best_of_3(3 * n, [&](std::size_t step) {
+    Row& row = rows[step % n];
+    const double bundles_timed = static_cast<double>(row.windows);
+    if (step < n) {
+      const auto t0 = std::chrono::steady_clock::now();
+      row.bundles = row.grid->capture.capture_batch(engine, chip, row.windows, 100000);
+      return bench::TimedRun{bundles_timed, bench::seconds_since(t0)};
+    }
+    if (step < 2 * n) {
+      array::ArrayMonitor monitor{row.grid->grid, row.grid->calibration};
+      const auto t0 = std::chrono::steady_clock::now();
+      monitor.push_bundles(row.bundles);
+      const bench::TimedRun run{bundles_timed, bench::seconds_since(t0)};
+      row.energy = monitor.anomaly_energy();
       if (monitor.any_alarm()) {
-        std::fprintf(stderr, "perf_array: golden replay alarmed at %zux%zu/%zu windows\n",
-                     nx, ny, windows);
+        std::fprintf(stderr, "perf_array: golden replay alarmed (%zu coils, %zu windows)\n",
+                     row.grid->grid.sensor_count(), row.windows);
         golden_alarm_free = false;
       }
-
-      const auto t_localize = std::chrono::steady_clock::now();
-      const array::LocalizationReport report = localizer.localize(monitor.anomaly_energy());
-      row.localize_us = seconds_since(t_localize) * 1e6;
-      (void)report;
-
-      std::printf("%zux%zu  %3zu windows: capture %8.1f bundles/s, push %8.1f bundles/s,"
-                  " localize %6.1f us (calibrate %.2f s)\n",
-                  nx, ny, windows, row.capture_bundles_per_sec, row.push_bundles_per_sec,
-                  row.localize_us, calibrate_s);
-      rows.push_back(row);
+      return run;
     }
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < kLocalizeCalls; ++i) (void)row.grid->localizer.localize(row.energy);
+    return bench::TimedRun{kLocalizeCalls, bench::seconds_since(t0)};
+  });
+
+  std::vector<bench::JsonObject> json_rows;
+  for (std::size_t r = 0; r < n; ++r) {
+    const Row& row = rows[r];
+    const std::size_t side = row.grid->grid.spec().nx;
+    json_rows.push_back(bench::JsonObject{}
+                            .add("grid", std::to_string(side) + "x" + std::to_string(side))
+                            .add("sensors", side * side)
+                            .add("windows", row.windows)
+                            .add("calibrate_s", row.grid->calibrate_s)
+                            .add("capture_bundles_per_sec", best[r].per_second())
+                            .add("push_bundles_per_sec", best[n + r].per_second())
+                            .add("localize_us", 1e6 / best[2 * n + r].per_second())
+                            .add("engine_threads", engine.thread_count())
+                            .add("oversubscribed", bench::oversubscribed(engine.thread_count())));
   }
 
-  std::ofstream out(out_path);
-  out << "{\n";
-  out << "  \"hardware_threads\": " << hardware_threads << ",\n";
-  out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
-  out << "  \"trace_samples\": " << chip.samples_per_trace() << ",\n";
-  out << "  \"golden_alarm_free\": " << (golden_alarm_free ? "true" : "false") << ",\n";
-  out << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char line[512];
-    std::snprintf(line, sizeof line,
-                  "    {\"grid\": \"%zux%zu\", \"sensors\": %zu, \"windows\": %zu,"
-                  " \"calibrate_s\": %.3f, \"capture_bundles_per_sec\": %.2f,"
-                  " \"push_bundles_per_sec\": %.2f, \"localize_us\": %.2f,"
-                  " \"engine_threads\": %zu, \"oversubscribed\": %s}%s\n",
-                  r.nx, r.ny, r.nx * r.ny, r.windows, r.calibrate_s,
-                  r.capture_bundles_per_sec, r.push_bundles_per_sec, r.localize_us,
-                  r.engine_threads, r.oversubscribed ? "true" : "false",
-                  i + 1 < rows.size() ? "," : "");
-    out << line;
-  }
-  out << "  ]\n";
-  out << "}\n";
-  std::printf("wrote %s\n", out_path.c_str());
+  bench::JsonObject{}
+      .add("smoke", smoke)
+      .add("trace_samples", chip.samples_per_trace())
+      .add("golden_alarm_free", golden_alarm_free)
+      .add("rows", json_rows)
+      .write_bench(out_path);
   return golden_alarm_free ? 0 : 1;
 }

@@ -1,33 +1,32 @@
 // Multicore fleet-scaling rig: a load generator that drives FleetMonitor
-// from N producer threads and sweeps shards x devices x backpressure policy
-// x batch size, measuring sustained scored-traces/sec per configuration.
-// This is the harness behind the "near-linear traces/sec up to shards ~=
-// cores under BLOCK" target: run it on real multicore hardware and read the
-// speedup keys. Every row records whether the run was oversubscribed
-// (producers + shard workers > hardware threads) — on a one-core host the
-// numbers are contention measurements, not capacities, and the JSON says so
-// (hardware_threads is the first key for exactly that reason).
+// from one producer on the calling thread and sweeps shards x devices x
+// backpressure policy, measuring sustained scored-traces/sec per
+// configuration. One producer is the served traffic's shape: the daemon's
+// one server thread feeds every shard. This is the harness behind the
+// "near-linear traces/sec up to shards ~= cores under BLOCK" target: run it
+// on real multicore hardware and read the speedup key. Every row records
+// whether the run was oversubscribed (producer + shard workers > hardware
+// threads); there the numbers are contention measurements, not capacities,
+// and the JSON says so (hardware_threads is the first key for exactly that
+// reason).
 //
-// The rig also re-proves the fleet's core guarantee on the batched path: a
-// bit-identity pass compares per-device results (last score, counters,
-// state) against standalone RuntimeMonitors and the process exits non-zero
-// on any mismatch, so a recorded BENCH_fleet_scale.json implies the exact-EQ
+// The rig also re-proves the fleet's core guarantee: a bit-identity pass
+// compares per-device results (last score, counters, state) against
+// standalone RuntimeMonitors and the process exits non-zero on any
+// mismatch, so a recorded BENCH_fleet_scale.json implies the exact-EQ
 // guarantee held on that machine.
 //
 // Usage: perf_fleet_scale [out.json] [--smoke]
-//   --smoke: one small configuration, 3 repeats per row (best-of, stable on
-//   noisy single-core CI). The CI step reads the emitted JSON and asserts
-//   the batched row's rate >= the per-trace row's.
-#include <algorithm>
+//   --smoke: one small configuration, the CI mode.
 #include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/evaluator.hpp"
 #include "core/monitor.hpp"
 #include "fleet/fleet.hpp"
@@ -41,6 +40,7 @@ namespace {
 constexpr double kFs = 384e6;
 constexpr std::size_t kLen = 2048;
 constexpr std::size_t kQueueCapacity = 64;
+constexpr std::size_t kProducers = 1;
 
 core::Trace golden_trace(Rng& rng) {
   core::Trace t(kLen);
@@ -59,109 +59,54 @@ core::TraceSet make_set(std::size_t n, std::uint64_t seed) {
   return set;
 }
 
-double seconds_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
 std::string device_id(std::size_t d) { return "chip-" + std::to_string(d); }
 
-struct Row {
+struct Config {
   std::size_t shards = 0;
   std::size_t devices = 0;
-  const char* policy = "BLOCK";
-  std::size_t batch_size = 1;
-  std::size_t producers = 0;
-  double traces_per_sec = 0.0;
-  std::uint64_t processed = 0;
-  bool oversubscribed = false;
-  bool pinned = false;
+  fleet::BackpressurePolicy policy = fleet::BackpressurePolicy::kBlock;
+
+  bool pinned() const {
+    const unsigned hardware_threads = std::thread::hardware_concurrency();
+    return hardware_threads > 1 && shards <= hardware_threads;
+  }
 };
 
-/// One measured configuration: `producers` threads partition the devices and
-/// push `traces_per_device` each, as per-trace submits (batch_size 1) or
-/// submit_batch chunks. The per-device chunk TraceSets are pre-built outside
-/// the timed region so both paths pay identical trace-copy cost inside it.
-Row run_row(const core::TrustEvaluator& evaluator, std::size_t shards,
-            std::size_t devices, fleet::BackpressurePolicy policy,
-            std::size_t batch_size, std::size_t traces_per_device,
-            unsigned hardware_threads, std::size_t repeats) {
-  Row row;
-  row.shards = shards;
-  row.devices = devices;
-  row.policy = fleet::backpressure_label(policy);
-  row.batch_size = batch_size;
-  row.producers = std::min<std::size_t>(devices, 4);
-  row.pinned = hardware_threads > 1 && shards <= hardware_threads;
-  row.oversubscribed =
-      hardware_threads > 0 && row.producers + shards > hardware_threads;
+/// One timed run of a configuration: the calling thread pushes every trace
+/// of `stream` to every device, trace-major and device-minor (interleaved
+/// arrival, the shape a shared capture front-end produces), then flushes.
+bench::TimedRun run_once(const core::TrustEvaluator& evaluator, const Config& config,
+                         const core::TraceSet& stream) {
+  fleet::FleetOptions options;
+  options.shards = config.shards;
+  options.queue_capacity = kQueueCapacity;
+  options.backpressure = config.policy;
+  options.pin_workers = config.pinned();
+  fleet::FleetMonitor fleet{options};
+  for (std::size_t d = 0; d < config.devices; ++d) fleet.add_device(device_id(d), evaluator);
 
-  // Pre-build every producer's submission plan: per device, a list of
-  // batch_size-trace chunks (the same synthetic stream for every device).
-  const core::TraceSet stream = make_set(traces_per_device, 42);
-  std::vector<core::TraceSet> chunks;
-  for (std::size_t start = 0; start < traces_per_device; start += batch_size) {
-    core::TraceSet chunk;
-    chunk.sample_rate = kFs;
-    const std::size_t end = std::min(traces_per_device, start + batch_size);
-    for (std::size_t t = start; t < end; ++t) chunk.add(core::Trace{stream.traces[t]});
-    chunks.push_back(std::move(chunk));
+  const auto t0 = std::chrono::steady_clock::now();
+  for (const core::Trace& trace : stream.traces) {
+    for (std::size_t d = 0; d < config.devices; ++d) (void)fleet.submit(device_id(d), trace);
   }
-
-  for (std::size_t rep = 0; rep < repeats; ++rep) {
-    fleet::FleetOptions options;
-    options.shards = shards;
-    options.queue_capacity = kQueueCapacity;
-    options.backpressure = policy;
-    options.pin_workers = row.pinned;
-    fleet::FleetMonitor fleet{options};
-    for (std::size_t d = 0; d < devices; ++d) fleet.add_device(device_id(d), evaluator);
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> producers;
-    for (std::size_t p = 0; p < row.producers; ++p) {
-      producers.emplace_back([&, p] {
-        // Chunk-major, device-minor: interleaved arrival across this
-        // producer's devices, the shape a shared capture front-end produces.
-        for (const core::TraceSet& chunk : chunks) {
-          for (std::size_t d = p; d < devices; d += row.producers) {
-            if (batch_size == 1) {
-              (void)fleet.submit(device_id(d), core::Trace{chunk.traces[0]});
-            } else {
-              (void)fleet.submit_batch(device_id(d), chunk);
-            }
-          }
-        }
-      });
-    }
-    for (std::thread& t : producers) t.join();
-    fleet.flush();
-    const double elapsed = seconds_since(t0);
-
-    // Scored traces per second: under REJECT the queue sheds load, so the
-    // processed count (not the offered count) is the honest numerator.
-    const fleet::FleetStats stats = fleet.stats();
-    const double rate = static_cast<double>(stats.traces_processed) / elapsed;
-    if (rate > row.traces_per_sec) {
-      row.traces_per_sec = rate;
-      row.processed = stats.traces_processed;
-    }
-  }
-  return row;
+  fleet.flush();
+  const double seconds = bench::seconds_since(t0);
+  // Scored traces per second: under REJECT and DROP_OLDEST the queue sheds
+  // load, so the processed count (not the offered count) is the honest
+  // numerator.
+  return bench::TimedRun{static_cast<double>(fleet.stats().traces_processed), seconds};
 }
 
-/// Bit-identity pass on the batched path: every device's stream through
-/// submit_batch must leave the exact per-device results a standalone
-/// RuntimeMonitor produces. Returns false (and prints the offender) on any
-/// mismatch.
+/// Bit-identity pass: every device's stream through submit() must leave the
+/// exact per-device results a standalone RuntimeMonitor produces. Returns
+/// false (and prints the offender) on any mismatch.
 bool verify_bit_identity(const core::TrustEvaluator& evaluator) {
   constexpr std::size_t kDevices = 4;
   constexpr std::size_t kPerDevice = 24;
-  constexpr std::size_t kBatch = 8;
 
   fleet::FleetOptions options;
   options.shards = 2;
   options.queue_capacity = kQueueCapacity;
-  options.backpressure = fleet::BackpressurePolicy::kBlock;
   fleet::FleetMonitor fleet{options};
 
   std::vector<core::RuntimeMonitor> standalone;
@@ -173,30 +118,20 @@ bool verify_bit_identity(const core::TrustEvaluator& evaluator) {
     streams.push_back(make_set(kPerDevice, 500 + d));
   }
 
-  for (std::size_t start = 0; start < kPerDevice; start += kBatch) {
+  for (std::size_t t = 0; t < kPerDevice; ++t) {
     for (std::size_t d = 0; d < kDevices; ++d) {
-      core::TraceSet chunk;
-      chunk.sample_rate = kFs;
-      for (std::size_t t = start; t < std::min(kPerDevice, start + kBatch); ++t) {
-        chunk.add(core::Trace{streams[d].traces[t]});
-      }
-      fleet.submit_batch(device_id(d), chunk);
+      fleet.submit(device_id(d), streams[d].traces[t]);
+      standalone[d].push(streams[d].traces[t]);
     }
   }
   fleet.flush();
-  for (std::size_t d = 0; d < kDevices; ++d) {
-    for (const core::Trace& trace : streams[d].traces) standalone[d].push(trace);
-  }
 
   const fleet::FleetStats stats = fleet.stats();
   for (std::size_t d = 0; d < kDevices; ++d) {
     const fleet::SessionStats& session = stats.sessions[d];
     const core::MonitorStats& expect = standalone[d].stats();
-    const bool score_ok =
-        session.last_score.has_value() == standalone[d].last_score().has_value() &&
-        (!session.last_score.has_value() ||
-         *session.last_score == *standalone[d].last_score());  // exact EQ
-    if (!score_ok || session.state != standalone[d].state() ||
+    if (session.last_score != standalone[d].last_score() ||  // exact EQ
+        session.state != standalone[d].state() ||
         session.monitor.scored_captures != expect.scored_captures ||
         session.monitor.per_trace_anomalies != expect.per_trace_anomalies ||
         session.monitor.alarms_latched != expect.alarms_latched) {
@@ -205,17 +140,6 @@ bool verify_bit_identity(const core::TrustEvaluator& evaluator) {
     }
   }
   return true;
-}
-
-double find_rate(const std::vector<Row>& rows, std::size_t shards, std::size_t devices,
-                 const char* policy, std::size_t batch_size) {
-  for (const Row& row : rows) {
-    if (row.shards == shards && row.devices == devices && row.batch_size == batch_size &&
-        std::strcmp(row.policy, policy) == 0) {
-      return row.traces_per_sec;
-    }
-  }
-  return 0.0;
 }
 
 }  // namespace
@@ -231,104 +155,58 @@ int main(int argc, char** argv) {
     }
   }
 
-  const unsigned hardware_threads = std::thread::hardware_concurrency();
-  std::printf("perf_fleet_scale: %u hardware threads%s\n", hardware_threads,
-              smoke ? " (smoke)" : "");
+  bench::warm_up();
   const core::TrustEvaluator evaluator = core::TrustEvaluator::calibrate(make_set(30, 1));
 
   const bool bit_identical = verify_bit_identity(evaluator);
-  std::printf("  bit-identity vs standalone monitors: %s\n",
-              bit_identical ? "PASS" : "FAIL");
 
-  std::vector<Row> rows;
-  const auto sweep = [&](std::size_t shards, std::size_t devices,
-                         fleet::BackpressurePolicy policy, std::size_t batch_size,
-                         std::size_t traces_per_device, std::size_t repeats) {
-    Row row = run_row(evaluator, shards, devices, policy, batch_size, traces_per_device,
-                      hardware_threads, repeats);
-    std::printf("  shards %zu devices %2zu %-11s batch %2zu: %7.0f traces/s%s\n",
-                row.shards, row.devices, row.policy, row.batch_size, row.traces_per_sec,
-                row.oversubscribed ? " (oversubscribed)" : "");
-    if (row.oversubscribed) {
-      std::fprintf(stderr,
-                   "warning: %zu producers + %zu shards exceed %u hardware threads —"
-                   " this row measures contention, not capacity\n",
-                   row.producers, row.shards, hardware_threads);
-    }
-    rows.push_back(row);
-  };
-
+  std::vector<Config> configs;
   if (smoke) {
-    // CI configuration: one shard count, per-trace vs batched, best-of-3.
-    for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
-      sweep(2, 8, fleet::BackpressurePolicy::kBlock, batch, 48, 3);
-    }
+    configs.push_back({2, 8, fleet::BackpressurePolicy::kBlock});
   } else {
-    // The scaling story: shards sweep under BLOCK, per-trace vs batched.
+    // The scaling story: shards sweep under BLOCK, then policy behavior at
+    // the largest configuration.
     for (const std::size_t shards : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       for (const std::size_t devices : {std::size_t{4}, std::size_t{16}}) {
-        for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
-          sweep(shards, devices, fleet::BackpressurePolicy::kBlock, batch, 64, 1);
-        }
+        configs.push_back({shards, devices, fleet::BackpressurePolicy::kBlock});
       }
     }
-    // Policy behavior at the largest configuration.
-    for (const fleet::BackpressurePolicy policy :
-         {fleet::BackpressurePolicy::kDropOldest, fleet::BackpressurePolicy::kReject}) {
-      for (const std::size_t batch : {std::size_t{1}, std::size_t{16}}) {
-        sweep(4, 16, policy, batch, 64, 1);
-      }
+    configs.push_back({4, 16, fleet::BackpressurePolicy::kDropOldest});
+    configs.push_back({4, 16, fleet::BackpressurePolicy::kReject});
+  }
+  // 256 traces per device keep each 16-device run at 0.15-0.6 s.
+  const core::TraceSet stream = make_set(smoke ? 48 : 256, 42);
+  const std::vector<bench::TimedRun> best = bench::best_of_3(
+      configs.size(), [&](std::size_t row) { return run_once(evaluator, configs[row], stream); });
+
+  std::vector<bench::JsonObject> rows;
+  double one_shard = 0.0;
+  double speedup = 0.0;  // stays 0 in smoke mode, which has one row
+  for (std::size_t row = 0; row < configs.size(); ++row) {
+    const Config& config = configs[row];
+    const double rate = best[row].per_second();
+    rows.push_back(bench::JsonObject{}
+                       .add("shards", config.shards)
+                       .add("devices", config.devices)
+                       .add("policy", fleet::backpressure_label(config.policy))
+                       .add("producers", kProducers)
+                       .add("traces_per_sec", rate)
+                       .add("processed", static_cast<std::uint64_t>(best[row].work))
+                       .add("oversubscribed", bench::oversubscribed(kProducers + config.shards))
+                       .add("pinned", config.pinned()));
+    if (config.policy == fleet::BackpressurePolicy::kBlock && config.devices == 16) {
+      if (config.shards == 1) one_shard = rate;
+      if (config.shards == 4) speedup = rate / one_shard;
     }
   }
 
-  // Summary ratios (0 when the sweep didn't include the rows — smoke mode).
-  const std::size_t top_shards = smoke ? 2 : 4;
-  const std::size_t top_devices = smoke ? 8 : 16;
-  const double batched = find_rate(rows, top_shards, top_devices, "BLOCK", 16);
-  const double per_trace = find_rate(rows, top_shards, top_devices, "BLOCK", 1);
-  const double batched_over_per_trace = per_trace > 0.0 ? batched / per_trace : 0.0;
-  const double scale_batched = find_rate(rows, 1, 16, "BLOCK", 16) > 0.0
-                                   ? find_rate(rows, 4, 16, "BLOCK", 16) /
-                                         find_rate(rows, 1, 16, "BLOCK", 16)
-                                   : 0.0;
-  const double scale_per_trace = find_rate(rows, 1, 16, "BLOCK", 1) > 0.0
-                                     ? find_rate(rows, 4, 16, "BLOCK", 1) /
-                                           find_rate(rows, 1, 16, "BLOCK", 1)
-                                     : 0.0;
-  if (!smoke) {
-    std::printf("  1->4 shard speedup at 16 devices (BLOCK): batched %.2fx, per-trace %.2fx\n",
-                scale_batched, scale_per_trace);
-  }
-  std::printf("  batched over per-trace at %zu shards / %zu devices: %.2fx\n", top_shards,
-              top_devices, batched_over_per_trace);
-
-  std::ofstream out{out_path};
-  out << "{\n";
-  out << "  \"hardware_threads\": " << hardware_threads << ",\n";
-  out << "  \"smoke\": " << (smoke ? "true" : "false") << ",\n";
-  out << "  \"trace_samples\": " << kLen << ",\n";
-  out << "  \"queue_capacity\": " << kQueueCapacity << ",\n";
-  out << "  \"bit_identical_to_standalone\": " << (bit_identical ? "true" : "false")
-      << ",\n";
-  out << "  \"rows\": [\n";
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& row = rows[i];
-    out << "    {\"shards\": " << row.shards << ", \"devices\": " << row.devices
-        << ", \"policy\": \"" << row.policy << "\", \"batch_size\": " << row.batch_size
-        << ", \"producers\": " << row.producers
-        << ", \"traces_per_sec\": " << row.traces_per_sec
-        << ", \"processed\": " << row.processed
-        << ", \"oversubscribed\": " << (row.oversubscribed ? "true" : "false")
-        << ", \"pinned\": " << (row.pinned ? "true" : "false") << "}"
-        << (i + 1 < rows.size() ? "," : "") << "\n";
-  }
-  out << "  ],\n";
-  out << "  \"speedup_1_to_4_shards_at_16_devices_block_batched\": " << scale_batched
-      << ",\n";
-  out << "  \"speedup_1_to_4_shards_at_16_devices_block_per_trace\": " << scale_per_trace
-      << ",\n";
-  out << "  \"batched_over_per_trace\": " << batched_over_per_trace << "\n";
-  out << "}\n";
-  std::printf("wrote %s\n", out_path.c_str());
+  bench::JsonObject{}
+      .add("smoke", smoke)
+      .add("trace_samples", kLen)
+      .add("queue_capacity", kQueueCapacity)
+      .add("bit_identical_to_standalone", bit_identical)
+      .add("rows", rows)
+      .add("speedup_1_to_4_shards_at_16_devices_block", speedup)
+      .write_bench(out_path);
   return bit_identical ? 0 : 1;
 }

@@ -6,11 +6,10 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "bench_util.hpp"
 #include "core/euclidean.hpp"
 #include "core/evaluator.hpp"
 #include "core/monitor.hpp"
@@ -271,8 +270,7 @@ void write_monitor_bench_json(const char* path) {
   const auto alloc0 = util::alloc::thread_counts();
   const auto t0 = std::chrono::steady_clock::now();
   for (int r = 0; r < kRepeats; ++r) monitor.push_batch(stream);
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  const double elapsed = bench::seconds_since(t0);
   const auto alloc1 = util::alloc::thread_counts();
 
   const double pushes = static_cast<double>(kRepeats) * static_cast<double>(stream.size());
@@ -280,28 +278,22 @@ void write_monitor_bench_json(const char* path) {
   const util::LatencyHistogram& spectral = monitor.stats().spectral_latency;
   const double tail_ratio = push.p50_ns() > 0.0 ? push.p99_ns() / push.p50_ns() : 0.0;
 
-  std::ofstream out{path};
-  out << "{\n"
-      << "  \"window_traces\": " << kMonitorWindow << ",\n"
-      << "  \"trace_samples\": " << stream.trace_length() << ",\n"
-      << "  \"measured_pushes\": " << static_cast<std::uint64_t>(pushes) << ",\n"
-      << "  \"hardware_threads\": " << std::thread::hardware_concurrency() << ",\n"
-      << "  \"alloc_counting_active\": "
-      << (util::alloc::counting_active() ? "true" : "false") << ",\n"
-      << "  \"streamed\": {\n"
-      << "    \"traces_per_sec\": " << pushes / elapsed << ",\n"
-      << "    \"allocations\": " << (alloc1.allocations - alloc0.allocations) << ",\n"
-      << "    \"allocated_bytes\": " << (alloc1.bytes - alloc0.bytes) << ",\n"
-      << "    \"push_p50_ns\": " << push.p50_ns() << ",\n"
-      << "    \"push_p99_ns\": " << push.p99_ns() << ",\n"
-      << "    \"push_max_ns\": " << push.max_ns() << ",\n"
-      << "    \"push_p99_over_p50\": " << tail_ratio << ",\n"
-      << "    \"spectral_p50_ns\": " << spectral.p50_ns() << ",\n"
-      << "    \"spectral_p99_ns\": " << spectral.p99_ns() << "\n"
-      << "  }\n"
-      << "}\n";
-  std::printf("monitor hot path: streamed %.0f traces/s, push p99/p50 %.2f -> %s\n",
-              pushes / elapsed, tail_ratio, path);
+  bench::JsonObject{}
+      .add("window_traces", kMonitorWindow)
+      .add("trace_samples", stream.trace_length())
+      .add("measured_pushes", static_cast<std::uint64_t>(pushes))
+      .add("alloc_counting_active", util::alloc::counting_active())
+      .add("streamed", bench::JsonObject{}
+                           .add("traces_per_sec", pushes / elapsed)
+                           .add("allocations", alloc1.allocations - alloc0.allocations)
+                           .add("allocated_bytes", alloc1.bytes - alloc0.bytes)
+                           .add("push_p50_ns", push.p50_ns())
+                           .add("push_p99_ns", push.p99_ns())
+                           .add("push_max_ns", push.max_ns())
+                           .add("push_p99_over_p50", tail_ratio)
+                           .add("spectral_p50_ns", spectral.p50_ns())
+                           .add("spectral_p99_ns", spectral.p99_ns()))
+      .write_bench(path);
 }
 
 }  // namespace

@@ -184,8 +184,8 @@ FleetMonitor::EnqueueOutcome FleetMonitor::enqueue_work(Shard& shard, WorkItem* 
       }
       case BackpressurePolicy::kBlock: {
         if (!counted_block) {
-          // One wait episode per call (submit() keeps its one-per-submission
-          // meaning; a batch counts each time it has to park).
+          // One wait episode per call: one per blocked submit(), one per
+          // shard group of a submit_frames() batch that had to wait.
           shard.blocked.fetch_add(1, std::memory_order_relaxed);
           counted_block = true;
         }
@@ -225,20 +225,6 @@ SubmitResult FleetMonitor::submit(const std::string& device_id, core::Trace trac
   return out.evicted ? SubmitResult::kReplacedOldest : SubmitResult::kAccepted;
 }
 
-std::size_t FleetMonitor::submit_batch(const std::string& device_id,
-                                       const core::TraceSet& batch) {
-  EMTS_REQUIRE(!batch.empty(), "submit_batch needs traces");
-  EMTS_REQUIRE(batch.trace_length() > 0, "cannot submit empty traces");
-  Session* session = find_session(device_id);
-  EMTS_REQUIRE(session != nullptr, "unknown device '" + device_id + "'");
-  std::vector<WorkItem> items;
-  items.reserve(batch.size());
-  for (const core::Trace& trace : batch.traces) {
-    items.push_back(WorkItem{session, core::Trace{trace}});
-  }
-  return enqueue_work(*shards_[session->shard], items.data(), items.size()).accepted;
-}
-
 FrameBatchOutcome FleetMonitor::submit_frames(std::vector<io::wire::TraceFrame>&& frames) {
   FrameBatchOutcome out;
   if (frames.empty()) return out;
@@ -254,7 +240,8 @@ FrameBatchOutcome FleetMonitor::submit_frames(std::vector<io::wire::TraceFrame>&
       continue;
     }
     const double expected = session->monitor.sample_rate();
-    if (std::abs(frame.sample_rate - expected) > 1e-6 * expected) {
+    // Written so that a NaN rate fails: every comparison with NaN is false.
+    if (!(std::abs(frame.sample_rate - expected) <= 1e-6 * expected)) {
       ++out.rejected_invalid;
       continue;
     }

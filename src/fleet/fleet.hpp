@@ -12,13 +12,14 @@
 //   * Per-device ordering — a device maps to one shard (stable FNV-1a hash,
 //     device_hash() % shards), each shard runs one worker draining a FIFO
 //     ring, so one device's captures are scored in submission order while
-//     different devices run concurrently. Batched submission preserves this:
-//     a batch occupies one contiguous ring reservation.
+//     different devices run concurrently. Bulk wire-frame submission
+//     preserves this: a shard's frames occupy one contiguous ring
+//     reservation.
 //   * Bit-identical scoring — a session's monitor sees exactly the trace
 //     sequence submitted for its device, so per-device results (scores,
 //     states, stats, events) are bit-identical to running that device
-//     through its own standalone RuntimeMonitor — on the per-trace, batched,
-//     and wire-frame paths alike.
+//     through its own standalone RuntimeMonitor — through submit() and
+//     submit_frames() alike.
 //   * Bounded ingest — every shard queue holds at most queue_capacity
 //     traces; the backpressure policy decides what a full queue does to a
 //     submitter (block, evict the oldest queued capture, or refuse), with
@@ -196,23 +197,15 @@ class FleetMonitor {
   /// structured event — see RuntimeMonitor::push.
   SubmitResult submit(const std::string& device_id, core::Trace trace);
 
-  /// Submits a whole batch for one device with a single ring reservation
-  /// per contiguous run — the amortized path: one CAS admits the run that
-  /// fits instead of one synchronization round per trace. Trace order is
-  /// preserved (a reservation is contiguous), so results are bit-identical
-  /// to per-trace submit(). Returns the number of traces accepted (kReject
-  /// refusals are counted out; with kBlock or kDropOldest this always
-  /// equals batch.size()). `blocked` counts wait episodes, not traces.
-  std::size_t submit_batch(const std::string& device_id, const core::TraceSet& batch);
-
   /// The ingest daemon's entry point: a drained io::wire::FrameDecoder
   /// buffer. Frames are vetted, grouped by shard in arrival order, and
   /// bulk-enqueued (one reservation per contiguous run). A frame whose
-  /// device is unregistered, whose sample rate disagrees with the session's
-  /// (beyond 1e-6 relative) or whose trace is empty is counted out instead
-  /// of thrown, without touching any session, so one bad frame never blocks
-  /// the rest of a network read. Per-device ordering holds: one device's
-  /// frames stay in arrival order within its shard group.
+  /// device is unregistered, whose sample rate is not within 1e-6
+  /// (relative) of the session's, NaN included, or whose trace is empty is
+  /// counted out instead of thrown, without touching any session, so one
+  /// bad frame never blocks the rest of a network read. Per-device ordering
+  /// holds: one device's frames stay in arrival order within its shard
+  /// group.
   FrameBatchOutcome submit_frames(std::vector<io::wire::TraceFrame>&& frames);
 
   /// Barrier: returns once every capture submitted before the call has been

@@ -11,12 +11,12 @@ namespace emts::io {
 
 MappedTraceArchive::MappedTraceArchive(const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY);
-  EMTS_REQUIRE(fd >= 0, "mmap_archive: cannot open " + path);
+  EMTS_REQUIRE(fd >= 0, "trace archive: cannot open " + path);
 
   struct stat st {};
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
-    EMTS_REQUIRE(false, "mmap_archive: cannot stat " + path);
+    EMTS_REQUIRE(false, "trace archive: cannot stat " + path);
   }
   const std::size_t file_bytes = static_cast<std::size_t>(st.st_size);
 
@@ -26,7 +26,7 @@ MappedTraceArchive::MappedTraceArchive(const std::string& path) {
                       ? nullptr
                       : ::mmap(nullptr, file_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
   ::close(fd);  // the mapping holds its own reference
-  EMTS_REQUIRE(mapping != MAP_FAILED, "mmap_archive: mmap failed for " + path);
+  EMTS_REQUIRE(mapping != MAP_FAILED, "trace archive: mmap failed for " + path);
   mapping_ = mapping;
   mapping_bytes_ = file_bytes;
 
@@ -78,7 +78,7 @@ void MappedTraceArchive::unmap() noexcept {
 }
 
 const double* MappedTraceArchive::trace(std::size_t i) const {
-  EMTS_REQUIRE(i < shape_.trace_count, "mmap_archive: trace index out of range");
+  EMTS_REQUIRE(i < shape_.trace_count, "trace archive: trace index out of range");
   return samples_ + i * shape_.trace_length;
 }
 

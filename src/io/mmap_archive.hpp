@@ -1,13 +1,12 @@
-// Zero-copy EMTA archive access for load generation. load_trace_archive()
-// deserializes every sample into freshly allocated Traces — fine for
-// analysis, wasteful for a replay client whose only job is to push bytes at
-// a socket as fast as possible. MappedTraceArchive mmap()s the archive and
-// validates the same header invariants, then hands out pointers straight
-// into the mapping: the EMTA payload is little-endian float64 starting at a
-// double-aligned offset, so a trace is readable in place with no copy and no
-// per-trace heap traffic. The kernel pages samples in on demand, which is
-// what lets a replay client stream archives much larger than RAM at line
-// rate.
+// The one EMTA read mechanism. MappedTraceArchive mmap()s the archive,
+// validates its header (decode_trace_archive_header), then hands out
+// pointers straight into the mapping: the EMTA payload is little-endian
+// float64 starting at a double-aligned offset, so a trace is readable in
+// place with no copy and no per-trace heap traffic. The kernel pages samples
+// in on demand, which is what lets a replay client stream archives much
+// larger than RAM at line rate. load_trace_archive() is this mapping plus
+// one trace_copy() per trace, for analysis code that wants an owned
+// TraceSet.
 #pragma once
 
 #include <cstddef>
@@ -23,8 +22,7 @@ class MappedTraceArchive {
   /// Opens and maps the archive read-only, validating the EMTA header
   /// against the actual file size (declared shape must account for every
   /// byte). Throws precondition_error on open/map failure or any header
-  /// mismatch — the header check is decode_trace_archive_header, the one
-  /// load_trace_archive applies.
+  /// mismatch (decode_trace_archive_header).
   explicit MappedTraceArchive(const std::string& path);
   ~MappedTraceArchive();
 

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <string>
 
+#include "io/mmap_archive.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
 
@@ -86,25 +87,10 @@ void save_trace_archive(const std::string& path, const core::TraceSet& set) {
 }
 
 core::TraceSet load_trace_archive(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  EMTS_REQUIRE(in.good(), "load_trace_archive: cannot open " + path);
-
-  const std::uint64_t file_bytes = util::stream_remaining(in);
-  char header[kTraceArchiveHeaderBytes] = {};
-  in.read(header, sizeof header);
-  const TraceArchiveShape shape = decode_trace_archive_header(header, file_bytes, path);
-
+  const MappedTraceArchive archive{path};
   core::TraceSet set;
-  set.sample_rate = shape.sample_rate;
-  for (std::size_t t = 0; t < shape.trace_count; ++t) {
-    core::Trace trace(shape.trace_length);
-    in.read(reinterpret_cast<char*>(trace.data()),
-            static_cast<std::streamsize>(trace.size() * sizeof(double)));
-    EMTS_REQUIRE(in.gcount() ==
-                     static_cast<std::streamsize>(trace.size() * sizeof(double)),
-                 "load_trace_archive: truncated payload in " + path);
-    set.add(std::move(trace));
-  }
+  set.sample_rate = archive.sample_rate();
+  for (std::size_t t = 0; t < archive.size(); ++t) set.add(archive.trace_copy(t));
   return set;
 }
 

@@ -23,8 +23,8 @@ struct TraceArchiveShape {
   double sample_rate = 0.0;
 };
 
-/// The one EMTA header check, shared by load_trace_archive and
-/// MappedTraceArchive. Decodes the header at `header_bytes` and validates
+/// The one EMTA header check, applied by MappedTraceArchive (and so by
+/// load_trace_archive). Decodes the header at `header_bytes` and validates
 /// it against the archive's total size: a whole header present, magic,
 /// version, non-empty shape, finite positive sample rate, both sizes below
 /// 2^32, and header + count x length x 8 == file_bytes (multiplied without
@@ -37,10 +37,10 @@ TraceArchiveShape decode_trace_archive_header(const char* header_bytes, std::uin
 /// an empty/ragged set.
 void save_trace_archive(const std::string& path, const core::TraceSet& set);
 
-/// Reads an archive written by save_trace_archive; validates the header
-/// (decode_trace_archive_header) and returns the reconstructed set. Throws
-/// precondition_error on any mismatch (bad magic, truncated payload, zero
-/// sizes).
+/// Reads an archive written by save_trace_archive: maps it through
+/// MappedTraceArchive (which validates the header) and copies every trace
+/// out. Throws precondition_error on any mismatch (bad magic, truncated
+/// payload, zero sizes).
 core::TraceSet load_trace_archive(const std::string& path);
 
 }  // namespace emts::io

@@ -14,10 +14,8 @@
 #include "array/artifact.hpp"
 #include "array/calibration.hpp"
 #include "array/capture.hpp"
-#include "array/fleet.hpp"
 #include "array/localizer.hpp"
 #include "array/monitor.hpp"
-#include "fleet/fleet.hpp"
 #include "sim/chip.hpp"
 #include "sim/engine.hpp"
 #include "util/assert.hpp"
@@ -275,45 +273,6 @@ TEST(Localizer, ZeroAnomalyDoesNotLocalize) {
   const LocalizationReport report =
       localizer.localize(std::vector<double>(w.grid.sensor_count(), 0.0));
   EXPECT_FALSE(report.localized);
-}
-
-TEST(ArrayFleet, SensorDeviceIdsAreZeroPaddedRowMajor) {
-  EXPECT_EQ(sensor_device_id("die7", 0), "die7/s000");
-  EXPECT_EQ(sensor_device_id("die7", 37), "die7/s037");
-  EXPECT_EQ(sensor_device_id("die7", 999), "die7/s999");
-}
-
-TEST(ArrayFleet, HostedScoresBitIdenticalToStandaloneMonitor) {
-  const ArrayWorld& w = world();
-  const sim::Chip infected = armed_chip(trojan::TrojanKind::kT4PowerHog);
-  const BundleSet bundles =
-      w.capture.capture_batch(sim::CaptureEngine::shared(), infected, 24, 30000);
-
-  ArrayMonitor standalone{w.grid, w.calibration};
-  standalone.push_bundles(bundles);
-
-  fleet::FleetOptions options;
-  options.shards = 2;
-  fleet::FleetMonitor hosted{options};
-  add_array_device(hosted, "arr", w.calibration);
-  submit_bundles(hosted, "arr", bundles);
-  hosted.flush();
-
-  const fleet::FleetStats stats = hosted.stats();
-  ASSERT_EQ(stats.sessions.size(), w.grid.sensor_count());
-  for (std::size_t s = 0; s < w.grid.sensor_count(); ++s) {
-    const std::string key = sensor_device_id("arr", s);
-    bool found = false;
-    for (const fleet::SessionStats& session : stats.sessions) {
-      if (session.device_id != key) continue;
-      found = true;
-      EXPECT_EQ(session.state, standalone.session(s).state()) << key;
-      ASSERT_TRUE(session.last_score.has_value()) << key;
-      ASSERT_TRUE(standalone.session(s).last_score().has_value()) << key;
-      EXPECT_EQ(*session.last_score, *standalone.session(s).last_score()) << key;
-    }
-    EXPECT_TRUE(found) << key;
-  }
 }
 
 }  // namespace

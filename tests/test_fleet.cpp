@@ -50,6 +50,21 @@ core::TraceSet make_set(std::size_t n, bool infected, std::uint64_t seed) {
   return set;
 }
 
+// One EMWF frame per trace, as a daemon's decoder hands them to
+// submit_frames().
+std::vector<io::wire::TraceFrame> frames_of(const std::string& device_id,
+                                            const core::TraceSet& set) {
+  std::vector<io::wire::TraceFrame> frames;
+  for (const core::Trace& trace : set.traces) {
+    io::wire::TraceFrame frame;
+    frame.device_id = device_id;
+    frame.sample_rate = set.sample_rate;
+    frame.trace = trace;
+    frames.push_back(std::move(frame));
+  }
+  return frames;
+}
+
 // One shared calibration for the whole suite — the fleet deployment shape
 // (calibrate once, monitor many) and much cheaper than refitting per test.
 const core::TrustEvaluator& fitted() {
@@ -302,22 +317,6 @@ TEST(FleetMonitor, BlockPolicyAppliesFlowControl) {
   EXPECT_EQ(stats.backpressure_rejected, 0u);
 }
 
-TEST(FleetMonitor, SubmitBatchCountsRejections) {
-  FleetOptions opt;
-  opt.shards = 1;
-  opt.queue_capacity = 2;
-  opt.backpressure = BackpressurePolicy::kReject;
-  opt.monitor = small_options();
-  FleetMonitor fleet{opt};
-  fleet.add_device("dev", core::TrustEvaluator{fitted()});
-
-  fleet.pause();
-  EXPECT_EQ(fleet.submit_batch("dev", make_set(5, false, 10)), 2u);
-  fleet.resume();
-  fleet.flush();
-  EXPECT_EQ(fleet.stats().sessions[0].monitor.traces_ingested, 2u);
-}
-
 // ---------- fault injection ----------
 
 TEST(FleetMonitor, MalformedCapturesAreRejectedAndDeviceTagged) {
@@ -414,7 +413,6 @@ TEST(FleetMonitor, PreconditionsThrow) {
   emts::Rng rng{13};
   EXPECT_THROW(fleet.submit("ghost", golden_trace(rng)), emts::precondition_error);
   EXPECT_THROW(fleet.submit("dev", core::Trace{}), emts::precondition_error);
-  EXPECT_THROW(fleet.submit_batch("dev", core::TraceSet{}), emts::precondition_error);
   EXPECT_THROW(fleet.device_state("ghost"), emts::precondition_error);
   EXPECT_THROW(fleet.acknowledge_alarm("ghost"), emts::precondition_error);
 }
@@ -594,13 +592,14 @@ TEST(FleetMonitor, FlushOnIdleFleetReturnsImmediately) {
   EXPECT_EQ(fleet.stats().traces_submitted, 0u);
 }
 
-// ---------- batched submission: bit-identical to per-trace ----------
+// ---------- bulk frame submission: bit-identical to per-trace ----------
 
-// The exact-EQ guarantee extends to submit_batch under every backpressure
-// policy: with capacity >= traffic no policy loses traces, and a batch's
-// single contiguous ring reservation preserves order, so the batched fleet,
-// the per-trace fleet, and a standalone monitor must all agree bit for bit.
-TEST(FleetMonitor, SubmitBatchMatchesPerTraceSubmitExactly) {
+// The exact-EQ guarantee extends to submit_frames under every backpressure
+// policy: with capacity >= traffic no policy loses traces, and a shard
+// group's single contiguous ring reservation preserves order, so the
+// batched fleet, the per-trace fleet, and a standalone monitor must all
+// agree bit for bit.
+TEST(FleetMonitor, SubmitFramesMatchesPerTraceSubmitExactly) {
   const core::RuntimeMonitor::Options mon = small_options();
   for (const BackpressurePolicy policy :
        {BackpressurePolicy::kBlock, BackpressurePolicy::kDropOldest,
@@ -627,7 +626,9 @@ TEST(FleetMonitor, SubmitBatchMatchesPerTraceSubmitExactly) {
     }
 
     for (std::size_t d = 0; d < ids.size(); ++d) {
-      EXPECT_EQ(batched.submit_batch(ids[d], streams[d]), streams[d].size());
+      const FrameBatchOutcome outcome = batched.submit_frames(frames_of(ids[d], streams[d]));
+      EXPECT_EQ(outcome.accepted, streams[d].size());
+      EXPECT_EQ(outcome.rejected_backpressure, 0u);
       for (const core::Trace& trace : streams[d].traces) {
         EXPECT_NE(per_trace.submit(ids[d], core::Trace{trace}),
                   SubmitResult::kRejected);
@@ -679,7 +680,7 @@ TEST(FleetMonitor, SubmitBatchMatchesPerTraceSubmitExactly) {
   }
 }
 
-TEST(FleetMonitor, SubmitBatchDropOldestEvictsExactlyLikePerTrace) {
+TEST(FleetMonitor, SubmitFramesDropOldestEvictsExactlyLikePerTrace) {
   const core::RuntimeMonitor::Options mon = small_options();
   FleetOptions opt;
   opt.shards = 1;
@@ -691,9 +692,11 @@ TEST(FleetMonitor, SubmitBatchDropOldestEvictsExactlyLikePerTrace) {
 
   const core::TraceSet batch = make_set(5, false, 51);
   fleet.pause();
-  // Bulk admission into a saturating queue: 2 fit, then each further trace
-  // evicts the oldest — every trace is "accepted", three are evicted.
-  EXPECT_EQ(fleet.submit_batch("dev", batch), 5u);
+  // Bulk admission into a saturating queue: 2 fit, then each further frame
+  // evicts the oldest — every frame is "accepted", three are evicted.
+  const FrameBatchOutcome outcome = fleet.submit_frames(frames_of("dev", batch));
+  EXPECT_EQ(outcome.accepted, 5u);
+  EXPECT_EQ(outcome.rejected_backpressure, 0u);
   const FleetStats saturated = fleet.stats();
   EXPECT_EQ(saturated.shards[0].submitted, 5u);
   EXPECT_EQ(saturated.shards[0].dropped_oldest, 3u);
@@ -732,9 +735,10 @@ TEST(FleetMonitor, SubmitFramesVetsGroupsAndPreservesPerDeviceOrder) {
   standalone.emplace_back(kFs, core::TrustEvaluator{fitted()}, mon);
   standalone.emplace_back(kFs, core::TrustEvaluator{fitted()}, mon);
 
-  // Interleave two devices' streams in one batch, with two bad frames mixed
-  // in: an unknown device and a sample-rate mismatch. The bad ones must be
-  // counted out without disturbing the good ones' ordering.
+  // Interleave two devices' streams in one batch, with three bad frames
+  // mixed in: an unknown device, a sample-rate mismatch and a NaN sample
+  // rate. The bad ones must be counted out without disturbing the good
+  // ones' ordering.
   std::vector<io::wire::TraceFrame> frames;
   emts::Rng rng{60};
   for (std::size_t i = 0; i < 10; ++i) {
@@ -752,6 +756,13 @@ TEST(FleetMonitor, SubmitFramesVetsGroupsAndPreservesPerDeviceOrder) {
       ghost.trace = golden_trace(rng);
       frames.push_back(std::move(ghost));
     }
+    if (i == 5) {
+      io::wire::TraceFrame nan_rate;
+      nan_rate.device_id = "chip-01";
+      nan_rate.sample_rate = std::numeric_limits<double>::quiet_NaN();
+      nan_rate.trace = golden_trace(rng);
+      frames.push_back(std::move(nan_rate));
+    }
     if (i == 7) {
       io::wire::TraceFrame wrong_rate;
       wrong_rate.device_id = "chip-00";
@@ -763,7 +774,7 @@ TEST(FleetMonitor, SubmitFramesVetsGroupsAndPreservesPerDeviceOrder) {
 
   const FrameBatchOutcome outcome = fleet.submit_frames(std::move(frames));
   EXPECT_EQ(outcome.accepted, 10u);
-  EXPECT_EQ(outcome.rejected_invalid, 2u);
+  EXPECT_EQ(outcome.rejected_invalid, 3u);
   EXPECT_EQ(outcome.rejected_backpressure, 0u);
   fleet.flush();
 
@@ -809,11 +820,11 @@ TEST(FleetMonitor, SubmitFramesCountsRejectBackpressure) {
 
 // ---------- producers vs flush on the lock-free queue (tsan target) ----------
 
-// Hammers the lock-free ring from four batch producers while the main thread
-// runs the whole control plane (flush/pause/resume/stats/drain) against it.
-// Under TSan this exercises the ring's acquire/release publication chain and
-// the park/wake fences; the exact totals prove nothing was lost, duplicated,
-// or scored out of order.
+// Hammers the lock-free ring from four multi-frame producers while the main
+// thread runs the whole control plane (flush/pause/resume/stats/drain)
+// against it. Under TSan this exercises the ring's acquire/release
+// publication chain and the park/wake fences; the exact totals prove
+// nothing was lost, duplicated, or scored out of order.
 TEST(FleetMonitor, ProducersVsFlushStressOnLockFreeQueue) {
   const core::RuntimeMonitor::Options mon = small_options();
   FleetOptions opt;
@@ -835,8 +846,9 @@ TEST(FleetMonitor, ProducersVsFlushStressOnLockFreeQueue) {
     producers.emplace_back([&fleet, p] {
       const std::string id = "chip-" + std::to_string(p);
       for (std::size_t c = 0; c < kChunks; ++c) {
-        const core::TraceSet chunk = make_set(kChunk, false, 700 + p * 100 + c);
-        EXPECT_EQ(fleet.submit_batch(id, chunk), kChunk);
+        const FrameBatchOutcome outcome =
+            fleet.submit_frames(frames_of(id, make_set(kChunk, false, 700 + p * 100 + c)));
+        EXPECT_EQ(outcome.accepted, kChunk);
       }
     });
   }
@@ -877,7 +889,9 @@ TEST(FleetMonitor, PinnedWorkersProcessNormally) {
   fleet.add_device("chip-00", core::TrustEvaluator{fitted()});
 
   const core::TraceSet batch = make_set(6, false, 80);
-  EXPECT_EQ(fleet.submit_batch("chip-00", batch), 6u);
+  for (const core::Trace& trace : batch.traces) {
+    EXPECT_EQ(fleet.submit("chip-00", trace), SubmitResult::kAccepted);
+  }
   fleet.flush();
   const FleetStats stats = fleet.stats();
   EXPECT_EQ(stats.traces_processed, 6u);

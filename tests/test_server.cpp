@@ -181,12 +181,12 @@ TEST_F(ServerTest, StreamsFramesIntoTheFleet) {
 
 TEST_F(ServerTest, ScoresMatchDirectSubmission) {
   // The socket hop must not perturb anything: a device streamed through the
-  // daemon scores bit-identically to one fed through submit_batch directly.
+  // daemon scores bit-identically to one fed through submit directly.
   const core::TraceSet batch = make_set(9, 4);
 
   FleetMonitor direct{fleet_options()};
   direct.add_device("chip-00", fitted());
-  direct.submit_batch("chip-00", batch);
+  for (const core::Trace& trace : batch.traces) direct.submit("chip-00", trace);
   direct.flush();
 
   FleetMonitor fleet{fleet_options()};

@@ -57,6 +57,12 @@ core::TraceSet make_set(std::size_t n, bool infected, std::uint64_t seed) {
   return set;
 }
 
+// Feeds `set` to one device trace by trace.
+void submit_all(fleet::FleetMonitor& fleet, const std::string& device_id,
+                const core::TraceSet& set) {
+  for (const core::Trace& trace : set.traces) fleet.submit(device_id, trace);
+}
+
 const core::TrustEvaluator& fitted() {
   static const core::TrustEvaluator evaluator =
       core::TrustEvaluator::calibrate(make_set(30, false, 1));
@@ -424,9 +430,9 @@ TEST_F(SnapshotFile, FleetRoundTripContinuesBitIdentically) {
   // Reference fleet: both halves, no interruption.
   fleet::FleetMonitor reference{options};
   for (const std::string& id : ids) reference.add_device(id, fitted());
-  for (const std::string& id : ids) reference.submit_batch(id, clean_a);
-  reference.submit_batch(ids[0], clean_b);
-  reference.submit_batch(ids[1], dirty);  // one device alarms
+  for (const std::string& id : ids) submit_all(reference, id, clean_a);
+  submit_all(reference, ids[0], clean_b);
+  submit_all(reference, ids[1], dirty);  // one device alarms
   reference.flush();
 
   // Interrupted fleet: first half, snapshot to disk, restore onto a fleet
@@ -435,7 +441,7 @@ TEST_F(SnapshotFile, FleetRoundTripContinuesBitIdentically) {
   {
     fleet::FleetMonitor first{options};
     for (const std::string& id : ids) first.add_device(id, fitted());
-    for (const std::string& id : ids) first.submit_batch(id, clean_a);
+    for (const std::string& id : ids) submit_all(first, id, clean_a);
     first.flush();
     cut = first.snapshot();
     save_fleet_snapshot(path_, cut);
@@ -446,8 +452,8 @@ TEST_F(SnapshotFile, FleetRoundTripContinuesBitIdentically) {
   fleet::FleetMonitor restored{reshaped};
   restored.restore(load_fleet_snapshot(path_));
   EXPECT_EQ(restored.device_count(), ids.size());
-  restored.submit_batch(ids[0], clean_b);
-  restored.submit_batch(ids[1], dirty);
+  submit_all(restored, ids[0], clean_b);
+  submit_all(restored, ids[1], dirty);
   restored.flush();
 
   // Per-device monitor state must match the uninterrupted world exactly.
@@ -531,7 +537,7 @@ TEST_F(SnapshotFile, IncrementalRewritesOnlyTheDirtyRecordAndMatchesFullBytes) {
     fleet.add_device(ids.back(), fitted());
   }
   const core::TraceSet warmup = make_set(3, false, 30);
-  for (const std::string& id : ids) fleet.submit_batch(id, warmup);
+  for (const std::string& id : ids) submit_all(fleet, id, warmup);
   fleet.flush();
 
   FleetSnapshotRecordCache cache;
@@ -542,7 +548,7 @@ TEST_F(SnapshotFile, IncrementalRewritesOnlyTheDirtyRecordAndMatchesFullBytes) {
   EXPECT_EQ(stats.records_reused, 0u);
 
   // Move exactly one device; the next incremental cut re-encodes only it.
-  fleet.submit_batch(ids[17], make_set(2, false, 31));
+  submit_all(fleet, ids[17], make_set(2, false, 31));
   fleet.flush();
   save_fleet_snapshot(path_, fleet.snapshot(fleet::SnapshotMode::kIncremental), cache,
                       &stats);
@@ -577,8 +583,8 @@ TEST_F(SnapshotFile, DrainAndAcknowledgeDirtyTheDeviceWithoutNewTraces) {
   options.monitor = small_options();
   fleet::FleetMonitor fleet{options};
   fleet.add_device("solo", fitted());
-  fleet.submit_batch("solo", make_set(4, false, 32));
-  fleet.submit_batch("solo", make_set(4, true, 33));  // anomalies + latched alarm
+  submit_all(fleet, "solo", make_set(4, false, 32));
+  submit_all(fleet, "solo", make_set(4, true, 33));  // anomalies + latched alarm
   fleet.flush();
 
   FleetSnapshotRecordCache cache;
@@ -615,7 +621,7 @@ TEST_F(SnapshotFile, PlaceholderRecordsDemandTheCachePath) {
   options.monitor = small_options();
   fleet::FleetMonitor fleet{options};
   fleet.add_device("solo", fitted());
-  fleet.submit_batch("solo", make_set(5, false, 34));
+  submit_all(fleet, "solo", make_set(5, false, 34));
   fleet.flush();
 
   FleetSnapshotRecordCache cache;

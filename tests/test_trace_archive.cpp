@@ -17,10 +17,10 @@
 namespace emts::io {
 namespace {
 
-// The two EMTA readers: the decoding loader and the zero-copy mapping the
-// replay client streams from. They share one header check
-// (decode_trace_archive_header); every load-side case below runs against
-// both, so they cannot drift apart.
+// The two EMTA readers: load_trace_archive and the zero-copy mapping the
+// replay client streams from. The loader copies out of that mapping, so
+// they share one read mechanism and one header check; every load-side case
+// below runs against both, so they cannot drift apart.
 core::TraceSet load_mapped(const std::string& path) {
   const MappedTraceArchive archive{path};
   core::TraceSet set;
