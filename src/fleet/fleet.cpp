@@ -70,7 +70,7 @@ FleetMonitor::FleetMonitor(const FleetOptions& options) : options_{options} {
 FleetMonitor::~FleetMonitor() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->stopping.store(true, std::memory_order_release);
+    shard->stopping = true;
     shard->work_ready.notify_all();
     shard->space_ready.notify_all();
   }
@@ -129,87 +129,40 @@ FleetMonitor::Session* FleetMonitor::find_session(const std::string& device_id) 
   return it == sessions_.end() ? nullptr : it->second.get();
 }
 
-void FleetMonitor::wake_worker(Shard& shard) {
-  // Store-fence-load handshake against the worker's park path: the worker
-  // sets worker_parked, fences, then rechecks the queue before sleeping; we
-  // published the enqueue, fence, then check worker_parked. At least one
-  // side observes the other, and the notify happens under the mutex, so a
-  // sleeping worker cannot miss new work.
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  if (shard.worker_parked.load(std::memory_order_relaxed)) {
-    std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.work_ready.notify_one();
-  }
-}
-
-void FleetMonitor::note_high_water(Shard& shard) {
-  const std::size_t depth = shard.queue.size();
-  std::size_t prev = shard.queue_high_water.load(std::memory_order_relaxed);
-  while (depth > prev &&
-         !shard.queue_high_water.compare_exchange_weak(
-             prev, depth, std::memory_order_relaxed, std::memory_order_relaxed)) {
-  }
-}
-
 FleetMonitor::EnqueueOutcome FleetMonitor::enqueue_work(Shard& shard, WorkItem* items,
                                                         std::size_t n) {
   EnqueueOutcome out;
-  std::size_t i = 0;
   bool counted_block = false;
-  while (i < n) {
-    const std::size_t took = shard.queue.try_enqueue(items + i, n - i);
-    if (took > 0) {
-      i += took;
-      out.accepted += took;
-      shard.submitted.fetch_add(took, std::memory_order_relaxed);
-      note_high_water(shard);
-      wake_worker(shard);
-      continue;
-    }
-    // Ring full: apply the policy, then retry (another producer may race us
-    // for any slot we free, so every pass re-attempts the enqueue).
-    switch (options_.backpressure) {
-      case BackpressurePolicy::kReject:
-        shard.rejected_full.fetch_add(n - i, std::memory_order_relaxed);
-        return out;
-      case BackpressurePolicy::kDropOldest: {
-        // The producer acts as a consumer for one slot: MPMC dequeue of the
-        // oldest queued capture, destroyed on scope exit.
-        WorkItem victim;
-        if (shard.queue.try_dequeue(&victim, 1) == 1) {
-          shard.dropped_oldest.fetch_add(1, std::memory_order_relaxed);
-          out.evicted = true;
-        }
-        continue;
-      }
-      case BackpressurePolicy::kBlock: {
+  std::unique_lock<std::mutex> lock(shard.mutex);
+  for (; out.accepted < n; ++out.accepted) {
+    if (shard.depth == shard.queue.size()) {
+      if (options_.backpressure == BackpressurePolicy::kReject) break;
+      if (options_.backpressure == BackpressurePolicy::kDropOldest) {
+        shard.pop();
+        ++shard.counts.dropped_oldest;
+        out.evicted = true;
+      } else {
         if (!counted_block) {
           // One wait episode per call: one per blocked submit(), one per
           // shard group of a submit_frames() batch that had to wait.
-          shard.blocked.fetch_add(1, std::memory_order_relaxed);
+          ++shard.counts.blocked;
           counted_block = true;
         }
-        std::unique_lock<std::mutex> lock(shard.mutex);
-        shard.block_waiters.fetch_add(1, std::memory_order_relaxed);
-        // Mirror of wake_worker's handshake: register as a waiter, fence,
-        // recheck occupancy; the worker advances cons_tail, fences, then
-        // checks block_waiters.
-        std::atomic_thread_fence(std::memory_order_seq_cst);
-        shard.space_ready.wait(lock, [&] {
-          return shard.stopping.load(std::memory_order_relaxed) ||
-                 shard.queue.size() < shard.queue.capacity();
-        });
-        shard.block_waiters.fetch_sub(1, std::memory_order_relaxed);
-        if (shard.stopping.load(std::memory_order_relaxed)) {
-          // Shutdown raced the wait; refuse rather than enqueue into a
-          // draining fleet.
-          shard.rejected_full.fetch_add(n - i, std::memory_order_relaxed);
-          return out;
-        }
-        continue;
+        // The items this call already queued may be all that can free a
+        // slot, so the worker must be awake before we wait on it.
+        shard.work_ready.notify_one();
+        shard.space_ready.wait(
+            lock, [&] { return shard.stopping || shard.depth < shard.queue.size(); });
+        // Shutdown raced the wait; refuse rather than enqueue into a
+        // draining fleet.
+        if (shard.stopping) break;
       }
     }
+    shard.push(std::move(items[out.accepted]));
   }
+  shard.counts.submitted += out.accepted;
+  shard.counts.rejected_full += n - out.accepted;
+  shard.work_ready.notify_one();
   return out;
 }
 
@@ -230,8 +183,8 @@ FrameBatchOutcome FleetMonitor::submit_frames(std::vector<io::wire::TraceFrame>&
   if (frames.empty()) return out;
 
   // Vet every frame up front, grouping the valid ones by shard in arrival
-  // order — one device's frames land in one group, still in order, so the
-  // bulk reservation preserves per-device FIFO.
+  // order — one device's frames land in one group, still in order, so
+  // queueing each group in order preserves per-device FIFO.
   std::vector<std::vector<WorkItem>> groups(shards_.size());
   for (io::wire::TraceFrame& frame : frames) {
     Session* session = find_session(frame.device_id);
@@ -315,92 +268,64 @@ io::FleetSnapshot FleetMonitor::snapshot(SnapshotMode mode) {
 }
 
 void FleetMonitor::restore(const io::FleetSnapshot& snapshot) {
-  EMTS_REQUIRE(device_count() == 0, "fleet restore requires a fleet with no devices");
+  // Build and restore every session before registering any, so a refused
+  // image leaves the fleet untouched. Sessions nobody can see yet need no
+  // exec_mutex.
+  std::unordered_map<std::string, std::unique_ptr<Session>> restored;
   for (const io::FleetSnapshot::Device& device : snapshot.devices) {
+    EMTS_REQUIRE(device.dirty && device.evaluator.has_value(),
+                 "fleet restore: device '" + device.device_id +
+                     "' is a clean placeholder — materialize it through the cache-aware"
+                     " save first");
+    EMTS_REQUIRE(!device.device_id.empty(), "device id must be non-empty");
     const core::MonitorStateImage& image = device.monitor;
     // Per-session options come from the image's mirrors — restore_state()
     // refuses a mismatch, so defaults on this fleet can never silently
-    // change a restored stream's debounce or window.
+    // change a restored stream's debounce, window or rebuild cadence.
     core::RuntimeMonitor::Options monitor_options = options_.monitor;
     monitor_options.calibration_traces = static_cast<std::size_t>(image.calibration_traces);
     monitor_options.alarm_debounce = static_cast<std::size_t>(image.alarm_debounce);
     monitor_options.spectral_window = static_cast<std::size_t>(image.spectral_window);
     monitor_options.event_log_capacity = static_cast<std::size_t>(image.event_log_capacity);
-    EMTS_REQUIRE(device.dirty && device.evaluator.has_value(),
-                 "fleet restore: device '" + device.device_id +
-                     "' is a clean placeholder — materialize it through the cache-aware"
-                     " save first");
-    add_device(device.device_id, *device.evaluator, monitor_options);
-    Session* session = find_session(device.device_id);
-    std::lock_guard<std::mutex> exec(shards_[session->shard]->exec_mutex);
+    monitor_options.spectral_rebuild_every =
+        static_cast<std::size_t>(image.spectral_rebuild_every);
+    auto session = std::make_unique<Session>(
+        device.device_id, shard_of(device.device_id),
+        core::RuntimeMonitor{device.evaluator->sample_rate(), *device.evaluator,
+                             monitor_options});
     session->monitor.restore_state(image);
+    EMTS_REQUIRE(restored.emplace(device.device_id, std::move(session)).second,
+                 "duplicate device '" + device.device_id + "'");
   }
+  std::lock_guard<std::mutex> lock(sessions_mutex_);
+  EMTS_REQUIRE(sessions_.empty(), "fleet restore requires a fleet with no devices");
+  sessions_ = std::move(restored);
 }
 
 void FleetMonitor::worker_loop(Shard& shard) {
   if (options_.pin_workers) pin_to_core(shard.index);
+  std::unique_lock<std::mutex> lock(shard.mutex);
   for (;;) {
-    WorkItem item;
-    if (!shard.stopping.load(std::memory_order_acquire) &&
-        shard.paused.load(std::memory_order_acquire)) {
-      std::unique_lock<std::mutex> lock(shard.mutex);
-      shard.worker_parked.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      // A stopping shard drains even while paused (the destructor's
-      // drain-then-stop semantics must not hang on a paused fleet).
-      shard.work_ready.wait(lock, [&] {
-        return shard.stopping.load(std::memory_order_relaxed) ||
-               !shard.paused.load(std::memory_order_relaxed);
-      });
-      shard.worker_parked.store(false, std::memory_order_relaxed);
-      continue;
-    }
+    // A stopping shard drains even while paused (the destructor's
+    // drain-then-stop semantics must not hang on a paused fleet).
+    shard.work_ready.wait(
+        lock, [&] { return shard.stopping || (!shard.paused && shard.depth > 0); });
+    if (shard.depth == 0) return;
 
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      // Claim busy only while allowed to run, rechecked under the mutex:
-      // pause() flips `paused` under this mutex and then waits on !busy, so
-      // it can never observe an idle worker and still watch it score.
-      if (!shard.stopping.load(std::memory_order_relaxed) &&
-          shard.paused.load(std::memory_order_relaxed)) {
-        continue;
-      }
-      shard.busy = true;
-    }
-
-    if (shard.queue.try_dequeue(&item, 1) == 0) {
-      std::unique_lock<std::mutex> lock(shard.mutex);
-      shard.busy = false;
-      shard.idle.notify_all();  // busy→false is what pause()/flush() wait on
-      if (shard.stopping.load(std::memory_order_relaxed) && shard.queue.empty()) {
-        return;
-      }
-      shard.worker_parked.store(true, std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_seq_cst);
-      shard.work_ready.wait(lock, [&] {
-        return shard.stopping.load(std::memory_order_relaxed) ||
-               (!shard.queue.empty() && !shard.paused.load(std::memory_order_relaxed));
-      });
-      shard.worker_parked.store(false, std::memory_order_relaxed);
-      continue;
-    }
-
-    // A slot just freed — wake kBlock producers if any are parked (the
-    // mirror of wake_worker's handshake; see enqueue_work).
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (shard.block_waiters.load(std::memory_order_relaxed) > 0) {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.space_ready.notify_all();
-    }
-
-    // Score outside any queue synchronization (producers keep flowing) but
-    // under the shard's exec lock (snapshot readers never observe a
-    // half-updated monitor). push() cannot throw here — empty traces are
-    // refused at submit() and malformed traces are rejected by the monitor's
-    // input gate — but a worker must outlive any detector bug, so swallow
-    // and count.
+    // Score outside the shard mutex (producers keep queueing) but under the
+    // shard's exec lock (snapshot readers never observe a half-updated
+    // monitor). push() cannot throw here — empty traces are refused at
+    // submit() and malformed traces are rejected by the monitor's input
+    // gate — but a worker must outlive any detector bug, so swallow and
+    // count.
     bool fault = false;
     {
+      const WorkItem item = shard.pop();
+      // Claimed under the mutex: pause() sets `paused` under it and then
+      // waits on !busy, so it never sees an idle worker that still scores.
+      shard.busy = true;
+      shard.space_ready.notify_one();
+      lock.unlock();
       std::lock_guard<std::mutex> exec(shard.exec_mutex);
       try {
         item.session->monitor.push(item.trace);
@@ -408,22 +333,18 @@ void FleetMonitor::worker_loop(Shard& shard) {
         fault = true;
       }
     }
-    shard.processed.fetch_add(1, std::memory_order_relaxed);
-    if (fault) shard.worker_faults.fetch_add(1, std::memory_order_relaxed);
-
-    {
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      shard.busy = false;
-      shard.idle.notify_all();
-    }
+    lock.lock();
+    ++shard.counts.processed;
+    if (fault) ++shard.counts.worker_faults;
+    shard.busy = false;
+    shard.idle.notify_all();
   }
 }
 
 void FleetMonitor::pause() {
   for (auto& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard->mutex);
-    shard->paused.store(true, std::memory_order_release);
-    shard->work_ready.notify_all();
+    shard->paused = true;
     shard->idle.wait(lock, [&] { return !shard->busy; });
   }
 }
@@ -431,7 +352,7 @@ void FleetMonitor::pause() {
 void FleetMonitor::resume() {
   for (auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mutex);
-    shard->paused.store(false, std::memory_order_release);
+    shard->paused = false;
     shard->work_ready.notify_all();
   }
 }
@@ -439,7 +360,7 @@ void FleetMonitor::resume() {
 void FleetMonitor::flush() {
   for (auto& shard : shards_) {
     std::unique_lock<std::mutex> lock(shard->mutex);
-    shard->idle.wait(lock, [&] { return shard->queue.empty() && !shard->busy; });
+    shard->idle.wait(lock, [&] { return shard->depth == 0 && !shard->busy; });
   }
 }
 
@@ -468,14 +389,11 @@ FleetStats FleetMonitor::stats() const {
   out.shards.reserve(shards_.size());
   for (const auto& shard : shards_) {
     ShardStats snapshot;
-    snapshot.submitted = shard->submitted.load(std::memory_order_relaxed);
-    snapshot.processed = shard->processed.load(std::memory_order_relaxed);
-    snapshot.dropped_oldest = shard->dropped_oldest.load(std::memory_order_relaxed);
-    snapshot.rejected_full = shard->rejected_full.load(std::memory_order_relaxed);
-    snapshot.blocked = shard->blocked.load(std::memory_order_relaxed);
-    snapshot.worker_faults = shard->worker_faults.load(std::memory_order_relaxed);
-    snapshot.queue_depth = shard->queue.size();
-    snapshot.queue_high_water = shard->queue_high_water.load(std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(shard->mutex);
+      snapshot = shard->counts;
+      snapshot.queue_depth = shard->depth;
+    }
     out.traces_submitted += snapshot.submitted;
     out.traces_processed += snapshot.processed;
     out.backpressure_dropped += snapshot.dropped_oldest;

@@ -11,10 +11,10 @@
 // Guarantees:
 //   * Per-device ordering — a device maps to one shard (stable FNV-1a hash,
 //     device_hash() % shards), each shard runs one worker draining a FIFO
-//     ring, so one device's captures are scored in submission order while
+//     queue, so one device's captures are scored in submission order while
 //     different devices run concurrently. Bulk wire-frame submission
-//     preserves this: a shard's frames occupy one contiguous ring
-//     reservation.
+//     preserves this: a shard's frames are queued in arrival order in one
+//     critical section.
 //   * Bit-identical scoring — a session's monitor sees exactly the trace
 //     sequence submitted for its device, so per-device results (scores,
 //     states, stats, events) are bit-identical to running that device
@@ -24,17 +24,13 @@
 //     traces; the backpressure policy decides what a full queue does to a
 //     submitter (block, evict the oldest queued capture, or refuse), with
 //     per-shard accounting for every outcome.
-//   * Lock-free hot path — the shard queue is a bounded MPMC ring
-//     (util::BoundedMpmcRing); producers and the worker touch a mutex only
-//     to park/wake (kBlock full, idle worker) and for the control plane
-//     (pause/resume/flush/snapshot). See DESIGN.md §4i.
 //   * Fault isolation — shape-mismatched or non-finite captures are rejected
 //     by the session monitor's input gate (a structured MonitorEvent plus a
 //     traces_rejected counter), never poisoning the detector stack or the
 //     shard worker.
 #pragma once
 
-#include <atomic>
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -51,7 +47,6 @@
 #include "core/trace.hpp"
 #include "io/snapshot.hpp"
 #include "io/wire.hpp"
-#include "util/mpmc_ring.hpp"
 
 namespace emts::fleet {
 
@@ -90,8 +85,8 @@ struct FleetOptions {
   core::RuntimeMonitor::Options monitor{};
 };
 
-/// One shard's lifetime accounting (a point-in-time copy of the shard's
-/// atomic counters; totals are exact, queue_depth/high_water are sampled).
+/// One shard's lifetime accounting: a point-in-time copy, taken under the
+/// shard mutex, so every field is exact.
 struct ShardStats {
   std::uint64_t submitted = 0;       // captures accepted into the queue
   std::uint64_t processed = 0;       // captures drained and scored
@@ -198,8 +193,8 @@ class FleetMonitor {
   SubmitResult submit(const std::string& device_id, core::Trace trace);
 
   /// The ingest daemon's entry point: a drained io::wire::FrameDecoder
-  /// buffer. Frames are vetted, grouped by shard in arrival order, and
-  /// bulk-enqueued (one reservation per contiguous run). A frame whose
+  /// buffer. Frames are vetted, grouped by shard in arrival order, and each
+  /// shard group is queued in one critical section. A frame whose
   /// device is unregistered, whose sample rate is not within 1e-6
   /// (relative) of the session's, NaN included, or whose trace is empty is
   /// counted out instead of thrown, without touching any session, so one
@@ -241,7 +236,7 @@ class FleetMonitor {
   /// exported monitor state; per-session monitor options come from the
   /// image's option mirrors, not this fleet's defaults. Throws
   /// precondition_error if the fleet already has devices or an image is
-  /// inconsistent.
+  /// inconsistent; a refused snapshot registers no session.
   void restore(const io::FleetSnapshot& snapshot);
 
   /// Current state of one device's session (safe while traffic flows).
@@ -278,42 +273,43 @@ class FleetMonitor {
     core::Trace trace;
   };
 
-  /// One worker shard. The hot path is the lock-free `queue` plus the atomic
-  /// counters; `mutex` exists only so threads can *sleep* (a parked worker,
-  /// kBlock producers waiting for space) and for the control plane
-  /// (pause/resume/flush/stop). The parked/waiter flags implement the
-  /// store-fence-load wakeup handshake described in DESIGN.md §4i; notifies
-  /// are issued while holding `mutex`, so a registered sleeper can never
-  /// miss its wakeup. exec_mutex guards the shard's session monitors (held
-  /// by the worker per capture, and by snapshot readers) so
-  /// stats()/drain_events() never race a score in flight and never block
-  /// producers.
+  /// One worker shard: a fixed-capacity FIFO of work items plus its control
+  /// flags and lifetime counters, all guarded by `mutex`. The worker holds
+  /// `mutex` only to pop an item and to count it, never while scoring.
+  /// exec_mutex guards the shard's session monitors (held by the worker per
+  /// capture, and by snapshot readers) so stats()/drain_events() never race
+  /// a score in flight and never block producers. See DESIGN.md §4i.
   struct Shard {
     Shard(std::size_t shard_index, std::size_t capacity)
-        : index{shard_index}, queue{capacity} {}
+        : index{shard_index}, queue(capacity) {}
+
+    /// Appends at the tail; the caller checks depth < queue.size().
+    void push(WorkItem&& item) {
+      queue[(head + depth) % queue.size()] = std::move(item);
+      ++depth;
+      counts.queue_high_water = std::max(counts.queue_high_water, depth);
+    }
+    /// Removes the head; the caller checks depth > 0.
+    WorkItem pop() {
+      WorkItem item = std::move(queue[head]);
+      head = (head + 1) % queue.size();
+      --depth;
+      return item;
+    }
 
     const std::size_t index;
-    util::BoundedMpmcRing<WorkItem> queue;
 
-    // Lifetime counters — exact totals, no lock on the increment path.
-    std::atomic<std::uint64_t> submitted{0};
-    std::atomic<std::uint64_t> processed{0};
-    std::atomic<std::uint64_t> dropped_oldest{0};
-    std::atomic<std::uint64_t> rejected_full{0};
-    std::atomic<std::uint64_t> blocked{0};
-    std::atomic<std::uint64_t> worker_faults{0};
-    std::atomic<std::size_t> queue_high_water{0};
-
-    // Park/wake + control plane.
     mutable std::mutex mutex;
-    std::condition_variable work_ready;   // worker: queue non-empty / stopping
-    std::condition_variable space_ready;  // kBlock producers: slot freed
-    std::condition_variable idle;         // flush(): queue empty and not busy
-    std::atomic<bool> paused{false};      // written under mutex
-    std::atomic<bool> stopping{false};    // written under mutex
-    std::atomic<bool> worker_parked{false};
-    std::atomic<std::size_t> block_waiters{0};
-    bool busy = false;  // worker is scoring a dequeued item (guarded by mutex)
+    std::condition_variable work_ready;   // worker: work queued / resumed / stopping
+    std::condition_variable space_ready;  // kBlock producers: slot freed / stopping
+    std::condition_variable idle;         // pause()/flush(): worker not busy
+    std::vector<WorkItem> queue;          // ring storage, never reallocated
+    std::size_t head = 0;                 // oldest queued item
+    std::size_t depth = 0;                // queued items
+    bool paused = false;
+    bool stopping = false;
+    bool busy = false;  // worker is scoring a popped item
+    ShardStats counts;  // every field but queue_depth, which stats() reads from `depth`
 
     mutable std::mutex exec_mutex;
     std::thread worker;
@@ -327,16 +323,11 @@ class FleetMonitor {
   Session* find_session(const std::string& device_id) const;
   void worker_loop(Shard& shard);
 
-  /// Moves items[0..n) into the shard ring under the fleet's backpressure
-  /// policy. Bulk: each pass reserves the longest contiguous run that fits.
-  /// Accepts fewer than n only under kReject (queue full) or when shutdown
-  /// races a kBlock wait.
+  /// Moves items[0..n) into the shard queue under the fleet's backpressure
+  /// policy, in one critical section (a kBlock wait releases the mutex
+  /// until a slot frees). Accepts fewer than n only under kReject (queue
+  /// full) or when shutdown races a kBlock wait.
   EnqueueOutcome enqueue_work(Shard& shard, WorkItem* items, std::size_t n);
-
-  /// Wakes the shard worker if it is parked (enqueue fast path stays
-  /// lock-free when the worker is running).
-  static void wake_worker(Shard& shard);
-  static void note_high_water(Shard& shard);
 
   FleetOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -276,8 +276,8 @@ bool IngestServer::service_client(Client& client) {
     try {
       client.decoder.feed(buffer, static_cast<std::size_t>(got));
       // Drain every frame this chunk completed, then hand the whole batch to
-      // the fleet in one call — one ring reservation per contiguous run per
-      // shard instead of one synchronization round per frame. Frames with
+      // the fleet in one call — one queue critical section per shard
+      // instead of one synchronization round per frame. Frames with
       // unacceptable content (unknown device, sample-rate mismatch) are
       // counted by the fleet instead of thrown — framing is intact, so the
       // connection survives.

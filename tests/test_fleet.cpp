@@ -215,39 +215,43 @@ TEST(FleetMonitor, PerDeviceResultsMatchStandaloneBitIdentically) {
 // ---------- backpressure (deterministic via pause()) ----------
 
 TEST(FleetMonitor, RejectPolicyRefusesWhenSaturated) {
-  FleetOptions opt;
-  opt.shards = 1;
-  opt.queue_capacity = 4;
-  opt.backpressure = BackpressurePolicy::kReject;
-  opt.monitor = small_options();
-  FleetMonitor fleet{opt};
-  fleet.add_device("dev", core::TrustEvaluator{fitted()});
+  // Capacity is exact whether or not it is a power of two.
+  for (const std::size_t capacity : {std::size_t{3}, std::size_t{4}}) {
+    SCOPED_TRACE(capacity);
+    FleetOptions opt;
+    opt.shards = 1;
+    opt.queue_capacity = capacity;
+    opt.backpressure = BackpressurePolicy::kReject;
+    opt.monitor = small_options();
+    FleetMonitor fleet{opt};
+    fleet.add_device("dev", core::TrustEvaluator{fitted()});
 
-  emts::Rng rng{7};
-  std::vector<core::Trace> traces;
-  for (std::size_t i = 0; i < 7; ++i) traces.push_back(golden_trace(rng));
+    emts::Rng rng{7};
+    std::vector<core::Trace> traces;
+    for (std::size_t i = 0; i < 7; ++i) traces.push_back(golden_trace(rng));
 
-  fleet.pause();
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(fleet.submit("dev", core::Trace{traces[i]}), SubmitResult::kAccepted);
+    fleet.pause();
+    for (std::size_t i = 0; i < capacity; ++i) {
+      EXPECT_EQ(fleet.submit("dev", core::Trace{traces[i]}), SubmitResult::kAccepted);
+    }
+    for (std::size_t i = capacity; i < 7; ++i) {
+      EXPECT_EQ(fleet.submit("dev", core::Trace{traces[i]}), SubmitResult::kRejected);
+    }
+
+    const FleetStats saturated = fleet.stats();
+    EXPECT_EQ(saturated.shards[0].queue_depth, capacity);
+    EXPECT_EQ(saturated.shards[0].queue_high_water, capacity);
+    EXPECT_EQ(saturated.shards[0].submitted, capacity);
+    EXPECT_EQ(saturated.shards[0].rejected_full, 7 - capacity);
+    EXPECT_EQ(saturated.backpressure_rejected, 7 - capacity);
+
+    fleet.resume();
+    fleet.flush();
+    const FleetStats drained = fleet.stats();
+    EXPECT_EQ(drained.traces_processed, capacity);
+    EXPECT_EQ(drained.shards[0].queue_depth, 0u);
+    EXPECT_EQ(drained.sessions[0].monitor.traces_ingested, capacity);
   }
-  for (std::size_t i = 4; i < 7; ++i) {
-    EXPECT_EQ(fleet.submit("dev", core::Trace{traces[i]}), SubmitResult::kRejected);
-  }
-
-  const FleetStats saturated = fleet.stats();
-  EXPECT_EQ(saturated.shards[0].queue_depth, 4u);
-  EXPECT_EQ(saturated.shards[0].queue_high_water, 4u);
-  EXPECT_EQ(saturated.shards[0].submitted, 4u);
-  EXPECT_EQ(saturated.shards[0].rejected_full, 3u);
-  EXPECT_EQ(saturated.backpressure_rejected, 3u);
-
-  fleet.resume();
-  fleet.flush();
-  const FleetStats drained = fleet.stats();
-  EXPECT_EQ(drained.traces_processed, 4u);
-  EXPECT_EQ(drained.shards[0].queue_depth, 0u);
-  EXPECT_EQ(drained.sessions[0].monitor.traces_ingested, 4u);
 }
 
 TEST(FleetMonitor, DropOldestPolicyEvictsButStaysBounded) {
@@ -596,7 +600,7 @@ TEST(FleetMonitor, FlushOnIdleFleetReturnsImmediately) {
 
 // The exact-EQ guarantee extends to submit_frames under every backpressure
 // policy: with capacity >= traffic no policy loses traces, and a shard
-// group's single contiguous ring reservation preserves order, so the
+// group is queued in order in one critical section, so the
 // batched fleet, the per-trace fleet, and a standalone monitor must all
 // agree bit for bit.
 TEST(FleetMonitor, SubmitFramesMatchesPerTraceSubmitExactly) {
@@ -818,15 +822,16 @@ TEST(FleetMonitor, SubmitFramesCountsRejectBackpressure) {
   EXPECT_EQ(fleet.stats().traces_processed, 2u);
 }
 
-// ---------- producers vs flush on the lock-free queue (tsan target) ----------
+// ---------- producers vs flush on the shard queues (tsan target) ----------
 
-// Hammers the lock-free ring from four multi-frame producers while the main
+// Hammers the shard queues from four multi-frame producers while the main
 // thread runs the whole control plane (flush/pause/resume/stats/drain)
-// against it. Under TSan this exercises the ring's acquire/release
-// publication chain and the park/wake fences; the exact totals prove
-// nothing was lost, duplicated, or scored out of order.
-TEST(FleetMonitor, ProducersVsFlushStressOnLockFreeQueue) {
-  const core::RuntimeMonitor::Options mon = small_options();
+// against them. Capacity 4 under 8-frame batches keeps kBlock waiting and
+// wraps the queue storage. The exact totals prove nothing was lost or
+// duplicated; the per-device images prove nothing was scored out of order.
+TEST(FleetMonitor, ProducersVsFlushStress) {
+  core::RuntimeMonitor::Options mon = small_options();
+  mon.spectral_window = 5;  // 48 pushes leave 3 traces in the last window
   FleetOptions opt;
   opt.shards = 2;
   opt.queue_capacity = 4;  // tiny on purpose: constant kBlock contention
@@ -842,12 +847,14 @@ TEST(FleetMonitor, ProducersVsFlushStressOnLockFreeQueue) {
   }
 
   std::vector<std::thread> producers;
+  const auto chunk = [](std::size_t p, std::size_t c) {
+    return make_set(kChunk, false, 700 + p * 100 + c);
+  };
   for (std::size_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&fleet, p] {
+    producers.emplace_back([&fleet, &chunk, p] {
       const std::string id = "chip-" + std::to_string(p);
       for (std::size_t c = 0; c < kChunks; ++c) {
-        const FrameBatchOutcome outcome =
-            fleet.submit_frames(frames_of(id, make_set(kChunk, false, 700 + p * 100 + c)));
+        const FrameBatchOutcome outcome = fleet.submit_frames(frames_of(id, chunk(p, c)));
         EXPECT_EQ(outcome.accepted, kChunk);
       }
     });
@@ -875,6 +882,22 @@ TEST(FleetMonitor, ProducersVsFlushStressOnLockFreeQueue) {
   for (const ShardStats& shard : stats.shards) {
     EXPECT_EQ(shard.worker_faults, 0u);
     EXPECT_LE(shard.queue_high_water, opt.queue_capacity);
+  }
+
+  // Per-device FIFO under contention: each device's state equals a
+  // standalone monitor fed the same chunks in order (devices sort by id).
+  const io::FleetSnapshot cut = fleet.snapshot();
+  ASSERT_EQ(cut.devices.size(), kProducers);
+  for (std::size_t p = 0; p < kProducers; ++p) {
+    core::RuntimeMonitor standalone{kFs, fitted(), mon};
+    for (std::size_t c = 0; c < kChunks; ++c) standalone.push_batch(chunk(p, c));
+    const core::MonitorStateImage expect = standalone.export_state();
+    const core::MonitorStateImage& got = cut.devices[p].monitor;
+    EXPECT_EQ(cut.devices[p].device_id, "chip-" + std::to_string(p));
+    EXPECT_FALSE(got.window.empty());
+    EXPECT_EQ(got.window, expect.window);
+    EXPECT_EQ(got.spectral_sum, expect.spectral_sum);
+    EXPECT_EQ(got.last_score, expect.last_score);
   }
 }
 

@@ -495,6 +495,46 @@ TEST(FleetRestore, RefusesNonEmptyFleet) {
   EXPECT_THROW(occupied.restore(snapshot), emts::precondition_error);
 }
 
+TEST(FleetRestore, TakesEveryOptionFromTheImage) {
+  // A non-default rebuild cadence must travel with the image, like the
+  // debounce and window do, into a fleet built with default options.
+  fleet::FleetOptions options;
+  options.monitor = small_options();
+  options.monitor.spectral_rebuild_every = 7;
+  fleet::FleetMonitor source{options};
+  source.add_device("chip-00", fitted());
+  submit_all(source, "chip-00", make_set(11, false, 30));
+  const io::FleetSnapshot cut = source.snapshot();
+
+  fleet::FleetMonitor restored;
+  restored.restore(cut);
+  const io::FleetSnapshot again = restored.snapshot();
+  ASSERT_EQ(again.devices.size(), 1u);
+  EXPECT_EQ(again.devices[0].monitor.spectral_rebuild_every, 7u);
+  expect_image_eq(again.devices[0].monitor, cut.devices[0].monitor);
+}
+
+TEST(FleetRestore, RefusedImageRegistersNothing) {
+  fleet::FleetOptions options;
+  options.monitor = small_options();
+  fleet::FleetMonitor source{options};
+  source.add_device("chip-00", fitted());
+  source.add_device("chip-01", fitted());
+  submit_all(source, "chip-00", make_set(3, false, 31));
+  submit_all(source, "chip-01", make_set(3, false, 32));
+  const io::FleetSnapshot cut = source.snapshot();
+
+  io::FleetSnapshot bad = cut;
+  bad.devices[1].monitor.window_total_pushed = 0;  // fewer than its window holds
+  fleet::FleetMonitor target{options};
+  EXPECT_THROW(target.restore(bad), emts::precondition_error);
+  EXPECT_EQ(target.device_count(), 0u);
+
+  // Nothing half-registered: the same fleet still takes a good image.
+  target.restore(cut);
+  EXPECT_EQ(target.device_ids(), (std::vector<std::string>{"chip-00", "chip-01"}));
+}
+
 TEST(FleetSnapshot, CapturesLayoutAndSortsDevices) {
   fleet::FleetOptions options;
   options.shards = 3;
