@@ -17,50 +17,7 @@ std::size_t next_power_of_two(std::size_t n) {
   return p;
 }
 
-namespace {
-
-void bit_reverse_permute(std::vector<cplx>& data) {
-  const std::size_t n = data.size();
-  std::size_t j = 0;
-  for (std::size_t i = 1; i < n; ++i) {
-    std::size_t bit = n >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    if (i < j) std::swap(data[i], data[j]);
-  }
-}
-
-void transform(std::vector<cplx>& data, bool inverse) {
-  const std::size_t n = data.size();
-  EMTS_REQUIRE(is_power_of_two(n), "FFT requires a power-of-two length");
-  bit_reverse_permute(data);
-
-  for (std::size_t len = 2; len <= n; len <<= 1) {
-    const double angle = (inverse ? 2.0 : -2.0) * units::pi / static_cast<double>(len);
-    const cplx wlen{std::cos(angle), std::sin(angle)};
-    for (std::size_t i = 0; i < n; i += len) {
-      cplx w{1.0, 0.0};
-      for (std::size_t k = 0; k < len / 2; ++k) {
-        const cplx u = data[i + k];
-        const cplx v = data[i + k + len / 2] * w;
-        data[i + k] = u + v;
-        data[i + k + len / 2] = u - v;
-        w *= wlen;
-      }
-    }
-  }
-
-  if (inverse) {
-    const double scale = 1.0 / static_cast<double>(n);
-    for (cplx& x : data) x *= scale;
-  }
-}
-
-}  // namespace
-
-void fft_in_place(std::vector<cplx>& data) { transform(data, /*inverse=*/false); }
-
-void ifft_in_place(std::vector<cplx>& data) { transform(data, /*inverse=*/true); }
+void fft_in_place(std::vector<cplx>& data) { FftPlan{data.size()}.forward(data); }
 
 std::vector<cplx> fft_real(const std::vector<double>& signal) {
   EMTS_REQUIRE(!signal.empty(), "fft_real requires a non-empty signal");
@@ -70,17 +27,9 @@ std::vector<cplx> fft_real(const std::vector<double>& signal) {
   return data;
 }
 
-std::vector<double> ifft_real(std::vector<cplx> spectrum) {
-  ifft_in_place(spectrum);
-  std::vector<double> out(spectrum.size());
-  for (std::size_t i = 0; i < spectrum.size(); ++i) out[i] = spectrum[i].real();
-  return out;
-}
-
 FftPlan::FftPlan(std::size_t n) : n_{n} {
   EMTS_REQUIRE(is_power_of_two(n), "FftPlan requires a power-of-two length");
 
-  // Same index walk as bit_reverse_permute, recorded instead of applied.
   reverse_.assign(n_, 0);
   std::size_t j = 0;
   for (std::size_t i = 1; i < n_; ++i) {
@@ -90,18 +39,10 @@ FftPlan::FftPlan(std::size_t n) : n_{n} {
     reverse_[i] = j;
   }
 
-  // Each stage's butterfly restarts w = 1 and steps w *= wlen; every group
-  // inside a stage replays the identical sequence, so one table per stage
-  // reproduces the one-shot transform's arithmetic exactly.
-  twiddles_.reserve(n_ > 1 ? n_ - 1 : 0);
-  for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const double angle = -2.0 * units::pi / static_cast<double>(len);
-    const cplx wlen{std::cos(angle), std::sin(angle)};
-    cplx w{1.0, 0.0};
-    for (std::size_t k = 0; k < len / 2; ++k) {
-      twiddles_.push_back(w);
-      w *= wlen;
-    }
+  twiddles_.resize(n_ / 2);
+  for (std::size_t k = 0; k < twiddles_.size(); ++k) {
+    const double angle = -2.0 * units::pi * static_cast<double>(k) / static_cast<double>(n_);
+    twiddles_[k] = cplx{std::cos(angle), std::sin(angle)};
   }
 }
 
@@ -110,19 +51,33 @@ void FftPlan::forward(std::vector<cplx>& data) const {
   for (std::size_t i = 1; i < n_; ++i) {
     if (i < reverse_[i]) std::swap(data[i], data[reverse_[i]]);
   }
-  std::size_t offset = 0;
+  // [complex.numbers] lays a std::complex<double> array out as interleaved
+  // (re, im) doubles. The butterflies spell the complex multiply out in
+  // real arithmetic: without -ffast-math, GCC guards every std::complex
+  // multiply with a NaN check and a __muldc3 call.
+  double* x = reinterpret_cast<double*>(data.data());
+  const double* tw = reinterpret_cast<const double*>(twiddles_.data());
   for (std::size_t len = 2; len <= n_; len <<= 1) {
-    const cplx* w = twiddles_.data() + offset;
     const std::size_t half = len / 2;
+    const std::size_t stride = 2 * (n_ / len);  // doubles between this stage's twiddles
     for (std::size_t i = 0; i < n_; i += len) {
+      double* a = x + 2 * i;
+      double* b = a + 2 * half;
       for (std::size_t k = 0; k < half; ++k) {
-        const cplx u = data[i + k];
-        const cplx v = data[i + k + half] * w[k];
-        data[i + k] = u + v;
-        data[i + k + half] = u - v;
+        const double wr = tw[k * stride];
+        const double wi = tw[k * stride + 1];
+        const double br = b[2 * k];
+        const double bi = b[2 * k + 1];
+        const double vr = br * wr - bi * wi;
+        const double vi = br * wi + bi * wr;
+        const double ar = a[2 * k];
+        const double ai = a[2 * k + 1];
+        a[2 * k] = ar + vr;
+        a[2 * k + 1] = ai + vi;
+        b[2 * k] = ar - vr;
+        b[2 * k + 1] = ai - vi;
       }
     }
-    offset += half;
   }
 }
 

@@ -121,7 +121,7 @@ void SpectrumAnalyzer::transform_into_amp(const std::vector<double>& signal) {
 
   if (padded_ < 2) {
     // A 1-point transform is the sample itself; bin 0 is not interior.
-    amp_[0] = std::abs(work_[0]) / gain_;
+    amp_[0] = std::fabs(work_[0]) / gain_;
     return;
   }
   // Real-split: even samples ride the real lane, odd samples the imaginary
@@ -141,8 +141,8 @@ void SpectrumAnalyzer::transform_into_amp(const std::vector<double>& signal) {
 
   const std::size_t bins = half + 1;
   for (std::size_t k = 0; k < bins; ++k) {
-    const std::size_t kk = k % half;            // k = half wraps to bin 0
-    const std::size_t mm = (half - k) % half;   // mirror bin; k=0 -> 0
+    const std::size_t kk = k < half ? k : 0;     // k = half wraps to bin 0
+    const std::size_t mm = k == 0 ? 0 : half - k;  // mirror bin; k = 0 and half -> 0
     const double zr = data_half_[kk].real();
     const double zi = data_half_[kk].imag();
     const double mr = data_half_[mm].real();
@@ -155,7 +155,7 @@ void SpectrumAnalyzer::transform_into_amp(const std::vector<double>& signal) {
     const double ti = stream_tw_[k].imag();
     const double xr = er + tr * odd_r - ti * odd_i;
     const double xi = ei + tr * odd_i + ti * odd_r;
-    const double mag = std::abs(cplx{xr, xi});
+    const double mag = std::sqrt(xr * xr + xi * xi);  // no hypot: amplitudes cannot overflow
     const bool interior = (k != 0) && (k != half);
     amp_[k] = (interior ? 2.0 : 1.0) * mag / gain_;
   }

@@ -50,6 +50,7 @@ Spectrogram stft(const std::vector<double>& signal, double sample_rate,
   spec.window_length = options.window_length;
   spec.hop = options.hop;
 
+  const FftPlan plan{options.window_length};
   for (std::size_t start = 0; start + options.window_length <= signal.size();
        start += options.hop) {
     std::vector<cplx> frame(options.window_length);
@@ -61,7 +62,7 @@ Spectrogram stft(const std::vector<double>& signal, double sample_rate,
     for (std::size_t i = 0; i < options.window_length; ++i) {
       frame[i] = cplx{(signal[start + i] - mean) * window[i], 0.0};
     }
-    fft_in_place(frame);
+    plan.forward(frame);
 
     std::vector<double> mags(bins);
     for (std::size_t b = 0; b < bins; ++b) {

@@ -533,8 +533,12 @@ void IngestServer::run(const std::atomic<bool>& stop, std::atomic<bool>& snapsho
     }
   }
 
-  // Clean shutdown: no more accepts, ingest what's already in flight, score
-  // it all, then persist the terminal state.
+  // Clean shutdown: accept the connections still in the listen backlog (a
+  // client may have connected and written before the stop), then no more
+  // accepts; ingest what's already in flight, score it all, then persist the
+  // terminal state.
+  if (listen_fd_ >= 0) accept_unix_clients();
+  if (tcp_listen_fd_ >= 0) accept_tcp_clients();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     ::unlink(options_.socket_path.c_str());

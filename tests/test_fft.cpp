@@ -110,25 +110,6 @@ TEST(Fft, ParsevalEnergyConserved) {
   EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy, 1e-6 * time_energy);
 }
 
-class FftRoundTrip : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FftRoundTrip, InverseRecoversInput) {
-  const std::size_t n = GetParam();
-  emts::Rng rng{emts::mix64(n)};
-  std::vector<cplx> original(n);
-  for (auto& x : original) x = cplx{rng.gaussian(), rng.gaussian()};
-  auto data = original;
-  fft_in_place(data);
-  ifft_in_place(data);
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(data[i].real(), original[i].real(), 1e-9);
-    EXPECT_NEAR(data[i].imag(), original[i].imag(), 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTrip,
-                         ::testing::Values<std::size_t>(1, 2, 4, 8, 64, 1024, 4096));
-
 TEST(FftReal, ZeroPadsToPowerOfTwo) {
   const std::vector<double> sig(100, 1.0);
   const auto spec = fft_real(sig);
@@ -152,37 +133,6 @@ TEST(FftReal, RejectsEmptyInput) {
   EXPECT_THROW(fft_real({}), emts::precondition_error);
 }
 
-TEST(IfftReal, RoundTripsRealSignal) {
-  emts::Rng rng{321};
-  std::vector<double> sig(256);
-  for (double& v : sig) v = rng.gaussian();
-  const auto back = ifft_real(fft_real(sig));
-  ASSERT_EQ(back.size(), 256u);
-  for (std::size_t i = 0; i < sig.size(); ++i) EXPECT_NEAR(back[i], sig[i], 1e-9);
-}
-
-// The plan caches twiddles generated with the exact recurrence fft_in_place
-// uses, so the two paths must agree to the last bit — the monitor swaps
-// between them and scores may not move by even one ULP.
-TEST(FftPlan, ForwardMatchesOneShotFftBitwise) {
-  emts::Rng rng{314};
-  for (std::size_t n : {1u, 2u, 8u, 64u, 1024u}) {
-    std::vector<cplx> reference(n);
-    for (auto& x : reference) x = cplx{rng.gaussian(), rng.gaussian()};
-    std::vector<cplx> planned = reference;
-
-    fft_in_place(reference);
-    const FftPlan plan{n};
-    EXPECT_EQ(plan.size(), n);
-    plan.forward(planned);
-
-    for (std::size_t k = 0; k < n; ++k) {
-      EXPECT_EQ(planned[k].real(), reference[k].real()) << "n=" << n << " bin " << k;
-      EXPECT_EQ(planned[k].imag(), reference[k].imag()) << "n=" << n << " bin " << k;
-    }
-  }
-}
-
 TEST(FftPlan, RejectsBadSizes) {
   EXPECT_THROW(FftPlan{0}, emts::precondition_error);
   EXPECT_THROW(FftPlan{3}, emts::precondition_error);
@@ -193,6 +143,7 @@ TEST(FftPlan, RejectsBadSizes) {
 
 TEST(FftPlan, IsReusableAcrossTransforms) {
   const FftPlan plan{16};
+  EXPECT_EQ(plan.size(), 16u);
   std::vector<cplx> first(16, cplx{1.0, 0.0});
   std::vector<cplx> second = first;
   plan.forward(first);

@@ -333,6 +333,31 @@ TEST_F(ServerTest, ShutdownWritesSnapshotAndStats) {
   EXPECT_NE(stats.str().find("\"chip-01\""), std::string::npos);
 }
 
+TEST_F(ServerTest, StopAcceptsAndDrainsBackloggedConnections) {
+  // A client that connected and wrote before the stop, but was never
+  // accepted, still sits in the listen backlog: shutdown must accept it and
+  // ingest its frames before closing the listener.
+  FleetMonitor fleet{fleet_options()};
+  fleet.add_device("chip-00", fitted());
+  ServerOptions options;
+  options.socket_path = socket_path_;
+  IngestServer server{fleet, options};
+
+  const core::TraceSet batch = make_set(5, 15);
+  const int fd = connect_to(socket_path_);
+  const std::string bytes = encode_frames("chip-00", batch);
+  send_all(fd, bytes.data(), bytes.size());
+  ::close(fd);
+
+  const std::atomic<bool> stop{true};
+  std::atomic<bool> snapshot_request{false};
+  server.run(stop, snapshot_request);
+
+  EXPECT_EQ(server.counters().connections_accepted, 1u);
+  EXPECT_EQ(server.counters().frames_accepted, 5u);
+  EXPECT_EQ(fleet.stats().traces_processed, 5u);
+}
+
 TEST_F(ServerTest, SnapshotRequestHonoredOnIdleRound) {
   FleetMonitor fleet{fleet_options()};
   fleet.add_device("chip-00", fitted());

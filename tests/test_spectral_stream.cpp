@@ -52,7 +52,7 @@ double peak_amplitude(const std::vector<double>& amplitude) {
 // ULPs per bin), not bitwise.
 TEST(SpectrumStream, TransformMatchesAmplitudeSpectrumToRounding) {
   emts::Rng rng{901};
-  for (std::size_t n : {64u, 512u, 1000u}) {  // 1000: exercises zero-padding
+  for (std::size_t n : {64u, 512u, 1000u, 4096u}) {  // 1000: zero-padding; 4096: a capture
     std::vector<double> sig(n);
     for (double& v : sig) v = rng.gaussian();
     const Spectrum copied = amplitude_spectrum(sig, 1000.0);
