@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "util/assert.hpp"
-#include "util/fnv.hpp"
 
 #if defined(__linux__)
 #include <pthread.h>
@@ -26,11 +25,16 @@ const char* backpressure_label(BackpressurePolicy policy) {
 }
 
 std::uint64_t device_hash(const std::string& device_id) {
-  // FNV-1a, 64-bit (util::fnv1a64 — the same function the wire frames and
-  // snapshot records use for checksums). std::hash<std::string> is
-  // implementation-defined, which would let the same manifest land on
-  // different shards across toolchains.
-  return util::fnv1a64(device_id.data(), device_id.size());
+  // FNV-1a, 64-bit: a published algorithm, so the same manifest lands on the
+  // same shards on every platform and toolchain (std::hash<std::string> is
+  // implementation-defined). Ids are a few bytes, so its byte-serial speed
+  // does not matter; the bulk payload checksums use util::xxh64 instead.
+  std::uint64_t hash = 14695981039346656037ull;  // offset basis
+  for (const char c : device_id) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ull;  // FNV prime
+  }
+  return hash;
 }
 
 namespace {

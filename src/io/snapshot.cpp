@@ -9,7 +9,7 @@
 #include "io/calibration.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
-#include "util/fnv.hpp"
+#include "util/xxh64.hpp"
 
 namespace emts::io {
 
@@ -19,8 +19,9 @@ constexpr char kMagic[4] = {'E', 'M', 'F', 'S'};
 // v2 added the spectral accumulator (sum + count + drift counter), the
 // rebuild-cadence mirror and two MonitorStats counters to monitor states; v3
 // drops v2's incremental-spectral flag byte, because the incremental path is
-// the only one left. Older containers are refused rather than guessed at.
-constexpr std::uint32_t kVersion = 3;
+// the only one left; v4 replaces the byte-serial FNV-1a record checksum with
+// XXH64. Older containers are refused rather than guessed at.
+constexpr std::uint32_t kVersion = 4;
 // A fleet snapshot is an operational artifact, not a data lake: caps sized
 // generously above any believable deployment, tight enough that a corrupt
 // count is refused before it turns into an allocation.
@@ -232,7 +233,7 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
 namespace {
 
 // Full on-disk record for one device: id framing + length-framed payload +
-// FNV-1a checksum. Deterministic for a given device state, which is what
+// XXH64 checksum. Deterministic for a given device state, which is what
 // makes the incremental record cache sound — and keeps incremental and full
 // containers of identical fleets byte-identical.
 std::string encode_device_record(const FleetSnapshot::Device& device) {
@@ -254,7 +255,7 @@ std::string encode_device_record(const FleetSnapshot::Device& device) {
   util::write_string(record, device.device_id);
   util::write_u64(record, payload.size());
   record.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  util::write_u64(record, util::fnv1a64(payload.data(), payload.size()));
+  util::write_u64(record, util::xxh64(payload.data(), payload.size()));
   EMTS_REQUIRE(record.good(), "save_fleet_snapshot: record staging failed");
   return record.str();
 }
@@ -343,7 +344,7 @@ FleetSnapshot load_fleet_snapshot(const std::string& path) {
   const std::uint32_t version = util::read_u32(in);
   EMTS_REQUIRE(version == kVersion,
                "load_fleet_snapshot: unsupported version " + std::to_string(version) +
-                   " (expected 3; v1 and v2 snapshots predate the single spectral path)");
+                   " (expected 4; v1-v3 snapshots carry the FNV-1a record checksum)");
 
   FleetSnapshot snapshot;
   snapshot.shards = util::read_u32(in);
@@ -372,7 +373,7 @@ FleetSnapshot load_fleet_snapshot(const std::string& path) {
     EMTS_REQUIRE(in.gcount() == static_cast<std::streamsize>(payload_size),
                  "load_fleet_snapshot: truncated record for '" + device_id + "'");
     const std::uint64_t declared_sum = util::read_u64(in);
-    EMTS_REQUIRE(declared_sum == util::fnv1a64(payload.data(), payload.size()),
+    EMTS_REQUIRE(declared_sum == util::xxh64(payload.data(), payload.size()),
                  "load_fleet_snapshot: checksum mismatch for '" + device_id + "'");
 
     std::istringstream record{payload, std::ios::binary};

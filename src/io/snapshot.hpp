@@ -4,10 +4,10 @@
 // core::MonitorStateImage), so a restarted daemon resumes monitoring every
 // device — window contents, debounce runs, latched alarms, lifetime stats —
 // without recalibration, and continues each stream bit-identically to a
-// process that never died. Format "EMFS" v3 (docs/FORMATS.md):
+// process that never died. Format "EMFS" v4 (docs/FORMATS.md):
 //
 //   magic   'E' 'M' 'F' 'S'
-//   u32     version (3)
+//   u32     version (4)
 //   u32     shard count        (the fleet's layout at snapshot time —
 //   u32     queue capacity      restart defaults; a restored fleet may
 //   u8      backpressure policy re-shard freely, device_hash is stable)
@@ -18,12 +18,14 @@
 //     bytes   payload:
 //               u64   EMCA byte count, then the EMCA artifact
 //               bytes monitor state image (read_monitor_state's format)
-//     u64     FNV-1a 64 checksum of the payload bytes
+//     u64     XXH64 (seed 0) checksum of the payload bytes
 //
 // Every record is length-framed and checksummed: the loader verifies the
 // checksum, bounds every declared length against the bytes actually
 // remaining (a corrupt header is rejected before it can allocate), and
-// requires the file to end exactly after the last record.
+// requires the file to end exactly after the last record. v1-v3 containers,
+// whose records carry the byte-serial FNV-1a checksum, are refused with
+// their version named.
 //
 // Incremental saves: because serialization is deterministic (devices sorted,
 // no timestamps), a device whose state has not moved since the last snapshot
@@ -32,7 +34,7 @@
 // (Device::dirty == false) are streamed verbatim from a
 // FleetSnapshotRecordCache instead of being re-copied and re-encoded, so the
 // cost of a snapshot cut scales with the number of *moved* devices, not the
-// fleet size. The output is always a complete, self-contained EMFS v3
+// fleet size. The output is always a complete, self-contained EMFS v4
 // container, byte-identical to a full rewrite of the same state; there is no
 // delta file format and load_fleet_snapshot needs no changes.
 #pragma once

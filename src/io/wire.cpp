@@ -2,9 +2,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 
 #include "util/assert.hpp"
-#include "util/fnv.hpp"
+#include "util/xxh64.hpp"
 
 namespace emts::io::wire {
 
@@ -62,7 +63,7 @@ void encode_trace_frame(const std::string& device_id, double sample_rate,
   append_scalar(out, static_cast<std::uint32_t>(count));
   append_raw(out, samples, count * sizeof(double));
 
-  append_scalar(out, util::fnv1a64(out.data() + payload_start, payload_size));
+  append_scalar(out, util::xxh64(out.data() + payload_start, payload_size));
 }
 
 void encode_hello_frame(const std::string& auth_token, std::string& out) {
@@ -80,7 +81,7 @@ void encode_hello_frame(const std::string& auth_token, std::string& out) {
   append_scalar(out, static_cast<std::uint32_t>(auth_token.size()));
   append_raw(out, auth_token.data(), auth_token.size());
 
-  append_scalar(out, util::fnv1a64(out.data() + payload_start, payload_size));
+  append_scalar(out, util::xxh64(out.data() + payload_start, payload_size));
 }
 
 void FrameDecoder::feed(const char* data, std::size_t size) {
@@ -140,8 +141,10 @@ bool FrameDecoder::next(Frame& out) {
   const char* head = buffer_.data() + consumed_;
 
   EMTS_REQUIRE(read_scalar<std::uint32_t>(head) == kMagic, "wire: bad frame magic");
-  EMTS_REQUIRE(read_scalar<std::uint8_t>(head + 4) == kVersion,
-               "wire: unsupported frame version");
+  const std::uint8_t version = read_scalar<std::uint8_t>(head + 4);
+  EMTS_REQUIRE(version == kVersion,
+               "wire: unsupported frame version " + std::to_string(version) +
+                   " (expected 2; v1 frames carry the FNV-1a checksum)");
   const std::uint8_t frame_type = read_scalar<std::uint8_t>(head + 5);
   EMTS_REQUIRE(frame_type == kFrameTrace || frame_type == kFrameHello,
                "wire: unknown frame type");
@@ -151,7 +154,7 @@ bool FrameDecoder::next(Frame& out) {
   if (available < 12 + static_cast<std::size_t>(payload_size) + 8) return false;
   const char* payload = head + 12;
   const std::uint64_t declared_sum = read_scalar<std::uint64_t>(payload + payload_size);
-  EMTS_REQUIRE(util::fnv1a64(payload, payload_size) == declared_sum,
+  EMTS_REQUIRE(util::xxh64(payload, payload_size) == declared_sum,
                "wire: frame checksum mismatch");
 
   if (frame_type == kFrameTrace) {

@@ -2,15 +2,15 @@
 // checksummed binary frame carrying one (device_id, trace) capture. This is
 // the trace-archive sample format (little-endian float64) re-hosted behind a
 // framing header so captures can stream over a byte pipe (unix/TCP socket)
-// instead of arriving as a whole file. Format "EMWF" v1:
+// instead of arriving as a whole file. Format "EMWF" v2 (docs/FORMATS.md):
 //
 //   u32   magic 'E''M''W''F' (little-endian 0x46574d45)
-//   u8    version (1)
+//   u8    version (2)
 //   u8    frame type (1 = trace, 2 = hello)
 //   u16   reserved (0)
 //   u32   payload byte count
 //   bytes payload
-//   u64   FNV-1a 64 checksum of the payload bytes
+//   u64   XXH64 (seed 0) checksum of the payload bytes
 //
 // Trace payload (type 1):
 //   string device_id (u32 byte count + bytes)
@@ -29,7 +29,8 @@
 // must agree exactly with the sample count), so a corrupt or adversarial
 // stream is rejected with a clear error instead of triggering a pathological
 // allocation. The checksum catches torn writes: a daemon restarting mid-frame
-// must never score half a capture.
+// must never score half a capture. v1 frames, whose checksum was the
+// byte-serial FNV-1a, are refused with their version named.
 #pragma once
 
 #include <cstddef>
@@ -42,7 +43,7 @@
 namespace emts::io::wire {
 
 inline constexpr std::uint32_t kMagic = 0x46574d45u;  // 'EMWF' little-endian
-inline constexpr std::uint8_t kVersion = 1;
+inline constexpr std::uint8_t kVersion = 2;
 inline constexpr std::uint8_t kFrameTrace = 1;
 inline constexpr std::uint8_t kFrameHello = 2;
 

@@ -6,11 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +24,8 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+#include "util/xxh64.hpp"
+#include "mutation.hpp"
 #include "temp_path.hpp"
 
 namespace emts::io {
@@ -155,6 +160,18 @@ void expect_image_eq(const core::MonitorStateImage& a, const core::MonitorStateI
   expect_stats_eq(a.stats, b.stats, compare_latency);
   expect_events_eq(a.events, b.events);
 }
+
+std::string read_bytes(const std::string& path) {
+  std::ifstream in{path, std::ios::binary};
+  return {std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out{path, std::ios::binary | std::ios::trunc};
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+using mutation::read_le;
 
 class SnapshotFile : public ::testing::Test {
  protected:
@@ -370,6 +387,26 @@ TEST_F(SnapshotFile, CorruptPayloadFailsItsChecksum) {
   file.write(&byte, 1);
   file.close();
   EXPECT_THROW(load_fleet_snapshot(path_), emts::precondition_error);
+
+  // Two adjacent, distinct 8-byte words swapped mid-payload: they sit in
+  // different checksum lanes, and the checksum, verified before any payload
+  // field is parsed, must refuse the record.
+  save_fleet_snapshot(path_, sample_snapshot());
+  std::string bytes = read_bytes(path_);
+  const std::size_t payload = 21 + 4 + 7 + 8;  // header, "chip-00", payload size
+  const std::size_t word = payload + (read_le(bytes, payload - 8, 8) / 2 & ~std::size_t{7});
+  ASSERT_NE(bytes.compare(word, 8, bytes, word + 8, 8), 0);
+  std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(word),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(word + 8),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(word + 8));
+  write_bytes(path_, bytes);
+  try {
+    load_fleet_snapshot(path_);
+    FAIL() << "swapped words were accepted";
+  } catch (const emts::precondition_error& error) {
+    EXPECT_NE(std::string{error.what()}.find("checksum mismatch"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST_F(SnapshotFile, AbsurdDeclaredRecordSizeRejectedBeforeAllocating) {
@@ -386,10 +423,10 @@ TEST_F(SnapshotFile, AbsurdDeclaredRecordSizeRejectedBeforeAllocating) {
 }
 
 TEST_F(SnapshotFile, RefusesV1Container) {
-  // v1 predates the spectral accumulator and v2 still carries the removed
-  // incremental-spectral flag byte; the loader must name the version instead
-  // of misparsing the record bytes.
-  for (const std::uint32_t old_version : {1u, 2u}) {
+  // v1 predates the spectral accumulator, v2 still carries the removed
+  // incremental-spectral flag byte, and v1-v3 checksum records with FNV-1a;
+  // the loader must name the version instead of misparsing the record bytes.
+  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
     save_fleet_snapshot(path_, sample_snapshot());
     std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
     file.seekp(4);  // version u32 right after the 4-byte magic
@@ -705,6 +742,101 @@ TEST_F(SnapshotFile, CacheAwareSavePrunesDepartedDevices) {
   EXPECT_EQ(cache.records.size(), 2u);
   EXPECT_EQ(cache.records.count("chip-01"), 0u);
   EXPECT_EQ(load_fleet_snapshot(path_).devices.size(), 2u);
+}
+
+// ---------- seeded structural mutation ----------
+
+using mutation::Field;
+
+/// Locates the fields a corrupt container is most likely to lie in: the
+/// device count and, per record, the id length, payload size, EMCA size,
+/// detector count, each detector's name length and payload size, and the
+/// monitor state's event count.
+std::vector<Field> length_fields(const std::string& bytes, const FleetSnapshot& snapshot) {
+  std::vector<Field> fields{{17, 4}};  // after magic, version, shards, queue, policy
+  std::size_t at = 21;
+  for (const FleetSnapshot::Device& device : snapshot.devices) {
+    fields.push_back({at, 4});
+    at += 4 + read_le(bytes, at, 4);
+    fields.push_back({at, 8});
+    const std::size_t payload = at + 8;
+    const std::size_t payload_end = payload + read_le(bytes, at, 8);
+    fields.push_back({payload, 8});
+    const std::size_t emca_end = payload + 8 + read_le(bytes, payload, 8);
+    std::size_t cursor = payload + 8 + 4 + 4 + 8 + 8;  // magic, version, rate, alarm fraction
+    fields.push_back({cursor, 4});
+    const std::uint64_t detectors = read_le(bytes, cursor, 4);
+    cursor += 4;
+    for (std::uint64_t d = 0; d < detectors; ++d) {
+      fields.push_back({cursor, 4});
+      cursor += 4 + read_le(bytes, cursor, 4);
+      fields.push_back({cursor, 8});
+      cursor += 8 + read_le(bytes, cursor, 8);
+    }
+    EXPECT_EQ(cursor, emca_end);
+    fields.push_back({payload_end - 4 - 17 * device.monitor.events.size(), 4});
+    at = payload_end + 8;  // past the checksum
+  }
+  EXPECT_EQ(at, bytes.size());
+  return fields;
+}
+
+/// Recomputes the checksum of every record whose framing still fits the
+/// file, so a mutant reaches the structural checks behind the checksum.
+void reseal_records(std::string& bytes) {
+  if (bytes.size() < 21) return;
+  const std::uint64_t devices = read_le(bytes, 17, 4);
+  std::size_t at = 21;
+  for (std::uint64_t d = 0; d < devices; ++d) {
+    if (bytes.size() - at < 4 || bytes.size() - at - 4 < read_le(bytes, at, 4) + 8) return;
+    at += 4 + read_le(bytes, at, 4);
+    const std::uint64_t payload_size = read_le(bytes, at, 8);
+    at += 8;
+    if (bytes.size() - at < 8 || bytes.size() - at - 8 < payload_size) return;
+    const std::uint64_t sum = util::xxh64(bytes.data() + at, payload_size);
+    std::memcpy(bytes.data() + at + payload_size, &sum, sizeof sum);
+    at += payload_size + 8;
+  }
+}
+
+TEST_F(SnapshotFile, SeededMutantsLoadOrThrowPreconditionError) {
+  // Two devices, one of them alarmed, so the event log is not empty.
+  FleetSnapshot snapshot;
+  snapshot.shards = 2;
+  snapshot.queue_capacity = 16;
+  snapshot.backpressure = 1;
+  for (const bool infected : {false, true}) {
+    core::RuntimeMonitor monitor{kFs, fitted(), small_options()};
+    monitor.push_batch(make_set(4, infected, 40));
+    snapshot.devices.push_back(FleetSnapshot::Device{infected ? "chip-b" : "chip-a", fitted(),
+                                                     monitor.export_state()});
+  }
+  ASSERT_FALSE(snapshot.devices[1].monitor.events.empty());
+  save_fleet_snapshot(path_, snapshot);
+  const std::string clean = read_bytes(path_);
+  const std::vector<Field> fields = length_fields(clean, snapshot);
+
+  constexpr int kMutants = 1000;
+  emts::Rng rng{0x454d4653};  // 'EMFS'
+  int loaded = 0;
+  int refused_by_structure = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string mutant = clean;
+    mutation::mutate(mutant, fields, rng);
+    if (rng.uniform_below(8) != 0) reseal_records(mutant);
+    write_bytes(path_, mutant);
+    try {
+      EXPECT_LE(load_fleet_snapshot(path_).devices.size(), snapshot.devices.size());
+      ++loaded;
+    } catch (const emts::precondition_error& error) {
+      if (std::string{error.what()}.find("checksum") == std::string::npos) ++refused_by_structure;
+    } catch (const std::exception& error) {
+      FAIL() << "mutant " << m << " threw a non-precondition error: " << error.what();
+    }
+  }
+  // Aimed splices must mostly reach, and trip, the length checks.
+  EXPECT_GT(refused_by_structure, kMutants / 2);
+  EXPECT_LT(loaded, kMutants / 4);
 }
 
 }  // namespace

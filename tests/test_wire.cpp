@@ -2,12 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "util/assert.hpp"
-#include "util/fnv.hpp"
+#include "util/rng.hpp"
+#include "util/xxh64.hpp"
+#include "mutation.hpp"
 
 namespace emts::io::wire {
 namespace {
@@ -25,12 +29,45 @@ std::string encode(const std::string& id, double rate, const core::Trace& trace)
 }
 
 /// Recomputes and patches the payload checksum after a corruption, so the
-/// test exercises the *structural* validation, not the checksum.
+/// test exercises the *structural* validation, not the checksum. A frame too
+/// short for the payload size its header declares is left as it is.
 void fix_checksum(std::string& frame) {
+  if (frame.size() < kFrameOverhead) return;
   std::uint32_t payload_size = 0;
   std::memcpy(&payload_size, frame.data() + 8, sizeof payload_size);
-  const std::uint64_t sum = util::fnv1a64(frame.data() + 12, payload_size);
+  if (frame.size() - kFrameOverhead < payload_size) return;
+  const std::uint64_t sum = util::xxh64(frame.data() + 12, payload_size);
   std::memcpy(frame.data() + 12 + payload_size, &sum, sizeof sum);
+}
+
+/// Decodes `bytes` with one feed; true when the decoder refuses them.
+bool refused(const std::string& bytes) {
+  FrameDecoder decoder;
+  decoder.feed(bytes.data(), bytes.size());
+  Frame frame;
+  try {
+    decoder.next(frame);
+  } catch (const emts::precondition_error&) {
+    return true;
+  }
+  return false;
+}
+
+TEST(Xxh64, MatchesPublishedVectors) {
+  const auto hash = [](const std::string& bytes) {
+    return util::xxh64(bytes.data(), bytes.size());
+  };
+  EXPECT_EQ(hash(""), 0xEF46DB3751D8E999ull);
+  EXPECT_EQ(hash("a"), 0xD24EC4F1A98C6E5Bull);
+  EXPECT_EQ(hash("abc"), 0x44BC2CF5AD770999ull);
+  // 39 bytes: one 32-byte stripe, then the 4-byte and 1-byte tails.
+  EXPECT_EQ(hash("Nobody inspects the spammish repetition"), 0xFBCEA83C8A378BF1ull);
+  // Bytes 0..46: one stripe, then the 8-, 4- and 1-byte tails. Not a
+  // published vector: it comes from an independent reference model that
+  // reproduces the four above.
+  std::string ramp(47, '\0');
+  for (std::size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<char>(i);
+  EXPECT_EQ(hash(ramp), 0x0D9883A03E7BFBB8ull);
 }
 
 TEST(WireFrame, RoundTripsBitIdentically) {
@@ -141,12 +178,24 @@ TEST(WireFrame, BadMagicThrows) {
 }
 
 TEST(WireFrame, UnsupportedVersionThrows) {
-  std::string bytes = encode("dev", 1e6, ramp_trace(8));
-  bytes[4] = 2;
-  FrameDecoder decoder;
-  decoder.feed(bytes.data(), bytes.size());
-  TraceFrame frame;
-  EXPECT_THROW(decoder.next(frame), emts::precondition_error);
+  // v1 frames carry the FNV-1a checksum and v3 does not exist yet; neither
+  // may be misread, and the error must name the version it saw.
+  for (const int version : {1, 3}) {
+    std::string bytes = encode("dev", 1e6, ramp_trace(8));
+    bytes[4] = static_cast<char>(version);
+    FrameDecoder decoder;
+    decoder.feed(bytes.data(), bytes.size());
+    TraceFrame frame;
+    try {
+      decoder.next(frame);
+      FAIL() << "v" << version << " frame was accepted";
+    } catch (const emts::precondition_error& error) {
+      EXPECT_NE(std::string{error.what()}.find("unsupported frame version " +
+                                               std::to_string(version)),
+                std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(WireFrame, UnknownTypeThrows) {
@@ -177,6 +226,33 @@ TEST(WireFrame, ChecksumMismatchThrows) {
   decoder.feed(bytes.data(), bytes.size());
   TraceFrame frame;
   EXPECT_THROW(decoder.next(frame), emts::precondition_error);
+
+  // Every single-bit flip of the payload and of the checksum, one at a time.
+  const std::string clean = encode("dev", 1e6, ramp_trace(8));
+  for (std::size_t at = 12; at < clean.size(); ++at) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::string flipped = clean;
+      flipped[at] = static_cast<char>(flipped[at] ^ (1 << bit));
+      EXPECT_TRUE(refused(flipped)) << "byte " << at << " bit " << bit;
+    }
+  }
+
+  // Samples fill payload bytes 19..146 of this frame, so the edits below
+  // leave it structurally valid: only the checksum can refuse them.
+  const std::string wide = encode("dev", 1e6, ramp_trace(16));
+  const std::size_t payload = 12;
+  // Bit 63 of two words 32 bytes apart, both in lane 0. A word-wise FNV lane,
+  // (h ^ w) * p, only carries a flip upward, so these two flips cancel there.
+  std::string high_bits = wide;
+  high_bits[payload + 32 + 7] = static_cast<char>(high_bits[payload + 32 + 7] ^ 0x80);
+  high_bits[payload + 64 + 7] = static_cast<char>(high_bits[payload + 64 + 7] ^ 0x80);
+  EXPECT_TRUE(refused(high_bits));
+  // Two adjacent (distinct) words swapped: they sit in different lanes.
+  std::string swapped = wide;
+  ASSERT_NE(swapped.compare(payload + 40, 8, swapped, payload + 48, 8), 0);
+  std::swap_ranges(swapped.begin() + payload + 40, swapped.begin() + payload + 48,
+                   swapped.begin() + payload + 48);
+  EXPECT_TRUE(refused(swapped));
 }
 
 TEST(WireFrame, SampleCountDisagreeingWithPayloadThrows) {
@@ -278,6 +354,85 @@ TEST(WireFrame, DeviceIdLengthBeyondPayloadThrows) {
   decoder.feed(bytes.data(), bytes.size());
   TraceFrame frame;
   EXPECT_THROW(decoder.next(frame), emts::precondition_error);
+}
+
+// ---------- seeded structural mutation ----------
+
+using mutation::Field;
+
+struct Seed {
+  std::string bytes;
+  std::vector<Field> fields;
+};
+
+Seed trace_seed(const std::string& id, std::size_t samples) {
+  Seed seed{encode(id, 48e6, ramp_trace(samples, 0.5)), {}};
+  const std::size_t rate = 12 + 4 + id.size();
+  // payload size, id length, sample rate, sample count, checksum
+  seed.fields = {{8, 4}, {12, 4}, {rate, 8}, {rate + 8, 4}, {seed.bytes.size() - 8, 8}};
+  return seed;
+}
+
+Seed hello_seed(const std::string& token) {
+  Seed seed;
+  encode_hello_frame(token, seed.bytes);
+  // payload size, token length, checksum
+  seed.fields = {{8, 4}, {12, 4}, {seed.bytes.size() - 8, 8}};
+  return seed;
+}
+
+TEST(WireFrame, SeededMutantsDecodeOrThrowPreconditionError) {
+  const std::vector<Seed> seeds = {trace_seed("dev", 8), trace_seed("chip-07", 33),
+                                   trace_seed("x", 1), hello_seed("token"),
+                                   hello_seed(std::string(40, 's'))};
+  constexpr int kMutants = 20000;
+  emts::Rng rng{0x454d5746};  // 'EMWF'
+  const auto pick = [&]() -> const Seed& {
+    return seeds[rng.uniform_below(static_cast<std::uint32_t>(seeds.size()))];
+  };
+  int refused_by_checksum = 0;
+  int refused_by_structure = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    // The mutant rides between optional valid frames, so it is also decoded
+    // from a non-zero buffer offset and followed by more bytes.
+    std::string stream = rng.coin() ? pick().bytes : std::string{};
+    const Seed& seed = pick();
+    std::string mutant = seed.bytes;
+    mutation::mutate(mutant, seed.fields, rng);
+    if (rng.uniform_below(8) != 0) fix_checksum(mutant);
+    stream += mutant;
+    if (rng.coin()) stream += pick().bytes;
+
+    FrameDecoder decoder;
+    Frame frame;
+    try {
+      for (std::size_t fed = 0; fed < stream.size();) {
+        const std::size_t piece =
+            std::min<std::size_t>(stream.size() - fed, 1 + rng.uniform_below(64));
+        decoder.feed(stream.data() + fed, piece);
+        fed += piece;
+        while (decoder.next(frame)) {
+          if (frame.kind == FrameKind::kTrace) {
+            ASSERT_FALSE(frame.trace.device_id.empty());
+            ASSERT_FALSE(frame.trace.trace.empty());
+            ASSERT_TRUE(std::isfinite(frame.trace.sample_rate) &&
+                        frame.trace.sample_rate > 0.0);
+          } else {
+            ASSERT_FALSE(frame.auth_token.empty());
+          }
+        }
+      }
+    } catch (const emts::precondition_error& error) {
+      const bool checksum = std::string{error.what()}.find("checksum") != std::string::npos;
+      ++(checksum ? refused_by_checksum : refused_by_structure);
+    } catch (const std::exception& error) {
+      FAIL() << "mutant " << m << " threw a non-precondition error: " << error.what();
+    }
+  }
+  // Both layers must see traffic: stale checksums, and re-sealed frames whose
+  // header or payload lies about its shape.
+  EXPECT_GT(refused_by_checksum, kMutants / 20);
+  EXPECT_GT(refused_by_structure, kMutants / 5);
 }
 
 }  // namespace
