@@ -80,7 +80,8 @@ ArrayCalibration load_array_calibration(std::istream& in) {
   const std::uint32_t count = util::read_u32(in);
   EMTS_REQUIRE(count == nx * ny,
                "load_array_calibration: sensor count does not match the grid shape");
-  calibration.sensors.reserve(count);
+  // No reserve: the count is only as good as the bytes behind it, so the
+  // vector grows with the sensors that decode.
   for (std::uint32_t s = 0; s < count; ++s) {
     core::Trace golden_mean = util::read_f64_vec(in);
     EMTS_REQUIRE(!golden_mean.empty(), "load_array_calibration: empty golden mean trace");

@@ -34,8 +34,7 @@ namespace emts::array {
 void save_array_calibration(const std::string& path, const ArrayCalibration& calibration);
 void save_array_calibration(std::ostream& out, const ArrayCalibration& calibration);
 
-/// Reads an artifact written by save_array_calibration. Every detector named
-/// by an embedded EMCA must be present in the DetectorRegistry. Throws
+/// Reads an artifact written by save_array_calibration. Throws
 /// precondition_error on bad magic, version, shape, or payload. The stream
 /// form stops exactly after the last sensor's EMCA; the path form requires
 /// the file to end there.

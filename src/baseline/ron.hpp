@@ -14,16 +14,13 @@
 //
 // The model computes each RO's average voltage droop from the per-module
 // mean currents and a distance kernel over the floorplan, then quantizes
-// to a cycle count — faithful to how a real RON reads out.
+// to a cycle count — faithful to how a real RON reads out. The same z-test
+// over EM trace features is the evaluator's "ron" stage (core/ron.hpp).
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
-#include <string>
 #include <vector>
 
-#include "core/detector.hpp"
-#include "core/preprocess.hpp"
 #include "sim/chip.hpp"
 
 namespace emts::baseline {
@@ -79,51 +76,5 @@ class RonDetector {
   std::vector<double> stddev_;
   double sigma_threshold_;
 };
-
-/// The classic RON statistical test rehosted onto EM trace features, as a
-/// pluggable stage for the trust evaluator (registry name "ron"): golden
-/// traces are mean-pooled into coarse feature vectors (the trace-domain
-/// analogue of per-RO cycle counts), per-coordinate mean/std are fitted, and
-/// a suspect trace scores as its largest |z| over the coordinates. Shares
-/// RON's blind spot by construction — signatures that barely move local
-/// means (sparse bursts, tiny fast tones) stay invisible — which is exactly
-/// why it earns its keep as a low-cost extra vote next to the paper's
-/// detectors rather than a replacement for them.
-class RonTraceDetector : public core::Detector {
- public:
-  struct Options {
-    std::size_t decimation = 64;    // samples per pooled feature
-    double sigma_threshold = 4.0;   // classic RON z-test gate
-  };
-
-  /// Fits per-feature moments on golden traces. Requires >= 3 traces.
-  static RonTraceDetector calibrate(const core::TraceSet& golden);
-  static RonTraceDetector calibrate(const core::TraceSet& golden, const Options& options);
-
-  std::string name() const override { return "ron"; }
-  std::string describe() const override;
-  double threshold() const override { return options_.sigma_threshold; }
-
-  /// Largest |z| of the pooled features against the golden moments.
-  double score(const core::Trace& trace) const override;
-
-  void save(std::ostream& out) const override;
-  static RonTraceDetector load(std::istream& in);
-
- private:
-  RonTraceDetector(const Options& options, std::vector<double> mean,
-                   std::vector<double> stddev);
-
-  std::vector<double> feature(const core::Trace& trace) const;
-
-  Options options_;
-  std::vector<double> mean_;
-  std::vector<double> stddev_;
-};
-
-/// Registers "ron" (RonTraceDetector) in the core detector registry so
-/// TrustEvaluator::Options::detectors and EMCA artifacts can name it.
-/// Idempotent; call before calibrating or loading a stack that uses it.
-void register_ron_detector();
 
 }  // namespace emts::baseline

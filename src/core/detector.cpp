@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "core/euclidean.hpp"
+#include "core/ron.hpp"
 #include "core/spectral.hpp"
 #include "util/assert.hpp"
 
@@ -44,74 +45,24 @@ std::vector<double> Detector::score_all(const TraceSet& set) const {
   return out;
 }
 
-DetectorRegistry& DetectorRegistry::instance() {
-  static DetectorRegistry registry;
-  return registry;
-}
-
-DetectorRegistry::DetectorRegistry() {
-  entries_["euclidean"] = Entry{
-      [](const TraceSet& golden) {
-        return std::make_shared<const EuclideanDetector>(EuclideanDetector::calibrate(golden));
-      },
-      [](std::istream& in) {
-        return std::make_shared<const EuclideanDetector>(EuclideanDetector::load(in));
-      }};
-  entries_["spectral"] = Entry{
-      [](const TraceSet& golden) {
-        return std::make_shared<const SpectralDetector>(SpectralDetector::calibrate(golden));
-      },
-      [](std::istream& in) {
-        return std::make_shared<const SpectralDetector>(SpectralDetector::load(in));
-      }};
-}
-
-void DetectorRegistry::add(const std::string& name, CalibrateFn calibrate, LoadFn load) {
-  EMTS_REQUIRE(!name.empty(), "detector name must be non-empty");
-  EMTS_REQUIRE(calibrate != nullptr && load != nullptr, "detector factories must be callable");
-  const std::lock_guard<std::mutex> lock{mutex_};
-  entries_[name] = Entry{std::move(calibrate), std::move(load)};
-}
-
-bool DetectorRegistry::contains(const std::string& name) const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  return entries_.count(name) != 0;
-}
-
-std::vector<std::string> DetectorRegistry::names() const {
-  const std::lock_guard<std::mutex> lock{mutex_};
-  std::vector<std::string> out;
-  out.reserve(entries_.size());
-  for (const auto& [name, entry] : entries_) out.push_back(name);
-  return out;  // std::map iteration is already sorted
-}
-
-std::shared_ptr<const Detector> DetectorRegistry::calibrate(const std::string& name,
-                                                            const TraceSet& golden) const {
-  CalibrateFn fn;
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    const auto it = entries_.find(name);
-    EMTS_REQUIRE(it != entries_.end(), "unknown detector '" + name + "' (not registered)");
-    fn = it->second.calibrate;
+DetectorKind detector_kind(const std::string& name) {
+  for (std::size_t k = 0; k < kDetectorNames.size(); ++k) {
+    if (name == kDetectorNames[k]) return static_cast<DetectorKind>(k);
   }
-  auto detector = fn(golden);
-  EMTS_REQUIRE(detector != nullptr, "detector factory for '" + name + "' returned null");
-  return detector;
+  throw precondition_error("unknown detector '" + name + "'");
 }
 
-std::shared_ptr<const Detector> DetectorRegistry::load(const std::string& name,
-                                                       std::istream& in) const {
-  LoadFn fn;
-  {
-    const std::lock_guard<std::mutex> lock{mutex_};
-    const auto it = entries_.find(name);
-    EMTS_REQUIRE(it != entries_.end(), "unknown detector '" + name + "' (not registered)");
-    fn = it->second.load;
+std::shared_ptr<const Detector> load_detector(const std::string& name, std::istream& in) {
+  switch (detector_kind(name)) {
+    case DetectorKind::kEuclidean:
+      return std::make_shared<const EuclideanDetector>(EuclideanDetector::load(in));
+    case DetectorKind::kSpectral:
+      return std::make_shared<const SpectralDetector>(SpectralDetector::load(in));
+    case DetectorKind::kRon:
+      return std::make_shared<const RonTraceDetector>(RonTraceDetector::load(in));
   }
-  auto detector = fn(in);
-  EMTS_REQUIRE(detector != nullptr, "detector loader for '" + name + "' returned null");
-  return detector;
+  EMTS_ASSERT(false);
+  return nullptr;
 }
 
 }  // namespace emts::core

@@ -1,19 +1,16 @@
-// Pluggable detector plug-point of the data-analysis module. The paper wires
-// exactly two detectors (PCA/Euclidean, Sec. III-D; spectral, Sec. III-E)
-// into its analysis pipeline; follow-up work swaps in golden-model-free and
-// reference-free stages, so the evaluator composes an arbitrary list of
-// `Detector`s instead. A string-keyed registry maps stable detector names to
-// calibrate-from-golden and load-from-artifact factories — the latter is how
-// the EMCA calibration format (io/calibration.hpp) rehydrates a fitted stack
-// without re-capturing golden traces.
+// Detector interface of the data-analysis module. The paper wires two
+// detectors into its analysis pipeline (PCA/Euclidean, Sec. III-D; spectral,
+// Sec. III-E); EMSentry adds the RON z-test as a third stage. The set is
+// closed: `kDetectorNames` lists every stage name an evaluator or an EMCA
+// calibration artifact (io/calibration.hpp) may use, and `detector_kind` is
+// the one place a name is matched, shared by TrustEvaluator::calibrate and
+// `load_detector`.
 #pragma once
 
+#include <array>
 #include <cstddef>
-#include <functional>
 #include <iosfwd>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -52,7 +49,7 @@ class Detector {
  public:
   virtual ~Detector() = default;
 
-  /// Stable registry name ("euclidean", "spectral", "ron", ...).
+  /// Stage name, one of kDetectorNames.
   virtual std::string name() const = 0;
 
   /// Human-readable calibration summary (model shape, thresholds).
@@ -81,10 +78,10 @@ class Detector {
   /// spectrum); per-trace score() still works but is not the natural grain.
   virtual bool windowed() const { return false; }
 
-  /// Set-level verdict. The default scores every trace and alarms when the
-  /// over-threshold fraction exceeds `alarm_fraction`; windowed detectors
-  /// override with their own population rule.
-  virtual DetectorReport evaluate_set(const TraceSet& suspect, double alarm_fraction) const;
+  /// Set-level verdict of a per-trace stage: scores every trace and alarms
+  /// when the over-threshold fraction exceeds `alarm_fraction`. (The
+  /// evaluator runs the windowed spectral stage through its mean spectrum.)
+  DetectorReport evaluate_set(const TraceSet& suspect, double alarm_fraction) const;
 
   /// Serializes the fitted state (payload only — the EMCA container frames
   /// it with the detector name and payload size).
@@ -94,40 +91,18 @@ class Detector {
   std::vector<double> score_all(const TraceSet& set) const;
 };
 
-/// String-keyed factory registry. Built-in detectors ("euclidean",
-/// "spectral") are registered on first access; extension modules register
-/// theirs explicitly (e.g. baseline::register_ron_detector()). Thread-safe;
-/// re-registering a name replaces the previous entry, so repeated
-/// registration calls are harmless.
-class DetectorRegistry {
- public:
-  using CalibrateFn =
-      std::function<std::shared_ptr<const Detector>(const TraceSet& golden)>;
-  using LoadFn = std::function<std::shared_ptr<const Detector>(std::istream& in)>;
+/// The closed set of detector stages.
+enum class DetectorKind { kEuclidean, kSpectral, kRon };
 
-  static DetectorRegistry& instance();
+/// Stage names, indexed by DetectorKind.
+inline constexpr std::array<const char*, 3> kDetectorNames{"euclidean", "spectral", "ron"};
 
-  void add(const std::string& name, CalibrateFn calibrate, LoadFn load);
-  bool contains(const std::string& name) const;
-  std::vector<std::string> names() const;  // sorted
+/// Maps a stage name onto the closed set. Throws precondition_error
+/// "unknown detector '<name>'" for any other name.
+DetectorKind detector_kind(const std::string& name);
 
-  /// Calibrates the named detector on golden traces with default options.
-  std::shared_ptr<const Detector> calibrate(const std::string& name,
-                                            const TraceSet& golden) const;
-
-  /// Rehydrates the named detector from a serialized payload.
-  std::shared_ptr<const Detector> load(const std::string& name, std::istream& in) const;
-
- private:
-  DetectorRegistry();
-
-  struct Entry {
-    CalibrateFn calibrate;
-    LoadFn load;
-  };
-
-  mutable std::mutex mutex_;
-  std::map<std::string, Entry> entries_;
-};
+/// Rehydrates the named detector from its EMCA payload (Detector::save
+/// output). Throws precondition_error on an unknown name or a corrupt payload.
+std::shared_ptr<const Detector> load_detector(const std::string& name, std::istream& in);
 
 }  // namespace emts::core

@@ -121,6 +121,9 @@ EuclideanDetector EuclideanDetector::load(std::istream& in) {
   const std::size_t expected_dim =
       detector.pca_.components() + (include_residual ? 1u : 0u);
   EMTS_REQUIRE(dim == expected_dim, "euclidean load: projection dim disagrees with PCA model");
+  // count * dim < 2^56 by the caps above, so the byte count cannot wrap.
+  EMTS_REQUIRE(count * dim * sizeof(double) <= util::stream_remaining(in),
+               "euclidean load: projections exceed remaining bytes");
 
   detector.golden_projections_.reserve(count);
   for (std::uint64_t p = 0; p < count; ++p) {

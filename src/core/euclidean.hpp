@@ -9,7 +9,7 @@
 // traces, stores their projections, and sets EDth by Eq. 1. Scoring projects
 // a suspect trace and measures its distance to the golden centroid; the
 // Eq. 1 threshold then separates "within golden spread" from "anomalous".
-// Registered in the DetectorRegistry as "euclidean"; the fitted model
+// The "euclidean" stage; the fitted model
 // (preprocessor params + PCA + golden projections + EDth) serializes into
 // the EMCA calibration artifact and reloads bit-identically.
 #pragma once

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <sstream>
 
+#include "core/ron.hpp"
 #include "util/assert.hpp"
 
 namespace emts::core {
@@ -62,14 +63,19 @@ TrustEvaluator TrustEvaluator::calibrate(const TraceSet& golden, const Options& 
     for (const auto& existing : detectors) {
       EMTS_REQUIRE(existing->name() != name, "duplicate detector '" + name + "'");
     }
-    if (name == "euclidean") {
-      detectors.push_back(std::make_shared<const EuclideanDetector>(
-          EuclideanDetector::calibrate(golden, options.euclidean)));
-    } else if (name == "spectral") {
-      detectors.push_back(std::make_shared<const SpectralDetector>(
-          SpectralDetector::calibrate(golden, options.spectral)));
-    } else {
-      detectors.push_back(DetectorRegistry::instance().calibrate(name, golden));
+    switch (detector_kind(name)) {
+      case DetectorKind::kEuclidean:
+        detectors.push_back(std::make_shared<const EuclideanDetector>(
+            EuclideanDetector::calibrate(golden, options.euclidean)));
+        break;
+      case DetectorKind::kSpectral:
+        detectors.push_back(std::make_shared<const SpectralDetector>(
+            SpectralDetector::calibrate(golden, options.spectral)));
+        break;
+      case DetectorKind::kRon:
+        detectors.push_back(
+            std::make_shared<const RonTraceDetector>(RonTraceDetector::calibrate(golden)));
+        break;
     }
   }
   return TrustEvaluator{std::move(detectors), options, golden.sample_rate};
@@ -137,20 +143,6 @@ bool TrustEvaluator::accepts_trace_length(std::size_t trace_length) const {
     if (dsp::next_power_of_two(trace_length) != 2 * (golden_bins - 1)) return false;
   }
   return true;
-}
-
-void TrustEvaluator::score_batch(const TraceSet& batch, ScoreScratch& scratch,
-                                 std::vector<std::vector<double>>& scores) const {
-  EMTS_REQUIRE(!batch.empty(), "score_batch needs traces");
-  scores.resize(detectors_.size());
-  for (std::size_t d = 0; d < detectors_.size(); ++d) {
-    scores[d].clear();
-    if (detectors_[d]->windowed()) continue;
-    scores[d].reserve(batch.size());
-    for (const Trace& trace : batch.traces) {
-      scores[d].push_back(detectors_[d]->score_buffered(trace, scratch));
-    }
-  }
 }
 
 TrustReport TrustEvaluator::evaluate(const TraceSet& suspect) const {

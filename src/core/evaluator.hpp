@@ -1,7 +1,8 @@
 // Combined trust evaluator: the "data analysis module" of Fig. 1. Composes
-// an arbitrary, pluggable list of calibrated detectors (by default the
-// paper's pair: Euclidean-distance for digital Trojans, spectral for
-// A2-style / fast-toggling Trojans) behind one calibrate-then-evaluate API
+// an ordered stack of calibrated detectors drawn from the closed set in
+// core/detector.hpp (by default the paper's pair: Euclidean-distance for
+// digital Trojans, spectral for A2-style / fast-toggling Trojans; "ron" is
+// the optional third stage) behind one calibrate-then-evaluate API
 // and merges their per-stage verdicts into a trust report. A fitted
 // evaluator serializes into an EMCA calibration artifact
 // (io/save_calibration) so deployments calibrate once and monitor many.
@@ -43,9 +44,9 @@ struct TrustReport {
 class TrustEvaluator {
  public:
   struct Options {
-    // Detector stack, by registry name, in evaluation order. "euclidean" and
-    // "spectral" get the typed options below; any other name is calibrated
-    // through the DetectorRegistry with its registered defaults.
+    // Detector stack, by name (kDetectorNames), in evaluation order.
+    // "euclidean" and "spectral" get the typed options below; "ron" is
+    // calibrated with its defaults.
     std::vector<std::string> detectors{"euclidean", "spectral"};
     EuclideanDetector::Options euclidean{};
     SpectralDetector::Options spectral{};
@@ -67,15 +68,6 @@ class TrustEvaluator {
   /// Evaluates a batch of runtime traces. Verdict: no stage alarmed =
   /// trusted, one = suspicious, two or more = compromised.
   TrustReport evaluate(const TraceSet& suspect) const;
-
-  /// Per-trace scores of a whole batch through the buffered scoring path.
-  /// `scores` is aligned with detectors(): scores[d][t] is detector d's
-  /// score of trace t, bit-identical to detectors()[d]->score(trace); rows
-  /// of windowed detectors are left empty (their grain is the whole window,
-  /// not a trace). Reuses `scratch` and the rows of `scores`, so a steady
-  /// stream of equal-shaped batches scores with zero heap allocations.
-  void score_batch(const TraceSet& batch, ScoreScratch& scratch,
-                   std::vector<std::vector<double>>& scores) const;
 
   const std::vector<std::shared_ptr<const Detector>>& detectors() const { return detectors_; }
   const Detector* find(const std::string& name) const;

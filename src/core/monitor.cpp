@@ -96,7 +96,6 @@ void RuntimeMonitor::bind_evaluator() {
   if (spectral_ != nullptr) {
     spectral_scratch_.emplace(spectral_->options().spectrum);
   }
-  window_set_.sample_rate = sample_rate_;
 }
 
 void RuntimeMonitor::record_event(MonitorEventKind kind, double value) {
@@ -218,8 +217,7 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
     record_event(MonitorEventKind::kPerTraceAnomaly, anomaly_score);
   }
 
-  // Windowed stages re-run over a rolling window of recent captures.
-  bool windowed_anomaly = false;
+  // The spectral stage re-runs over a tumbling window of recent captures.
   window_.push(trace);
   if (spectral_ != nullptr) {
     // Pay this trace's FFT now (flat per-push cost) and fold its amplitudes
@@ -227,9 +225,8 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
     spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
     ++stats_.spectral_incremental_updates;
   }
-  if (window_.size() >= options_.spectral_window) {
-    run_windowed_pass(windowed_anomaly);
-  }
+  const bool windowed_anomaly =
+      window_.size() >= options_.spectral_window && run_windowed_pass();
 
   if (per_trace_anomaly || windowed_anomaly) {
     ++consecutive_anomalies_;
@@ -263,43 +260,27 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
   return state_;
 }
 
-void RuntimeMonitor::run_windowed_pass(bool& windowed_anomaly) {
+bool RuntimeMonitor::run_windowed_pass() {
   const std::uint64_t t0 = util::monotonic_ns();
-  for (const auto& detector : evaluator_->detectors()) {
-    if (!detector->windowed()) continue;
-    if (const auto* sd = dynamic_cast<const SpectralDetector*>(detector.get())) {
-      bool rebuilt = false;
-      last_spectral_ = sd->stream_finish(window_, sample_rate_, *spectral_scratch_,
-                                         options_.spectral_rebuild_every, rebuilt);
-      if (rebuilt) ++stats_.spectral_recomputes;
-      windowed_anomaly |= last_spectral_->anomalous();
-    } else {
-      // Generic windowed detectors take a TraceSet; snapshot the ring into a
-      // reused set (per-slot assign keeps the storage warm).
-      window_set_.traces.resize(window_.size());
-      for (std::size_t i = 0; i < window_.size(); ++i) {
-        const Trace& src = window_.oldest(i);
-        window_set_.traces[i].assign(src.begin(), src.end());
-      }
-      const DetectorReport stage = detector->evaluate_set(
-          window_set_, evaluator_->options().anomalous_fraction_alarm);
-      windowed_anomaly |= stage.alarm;
-    }
+  bool anomaly = false;
+  if (spectral_ != nullptr) {
+    bool rebuilt = false;
+    last_spectral_ = spectral_->stream_finish(window_, sample_rate_, *spectral_scratch_,
+                                              options_.spectral_rebuild_every, rebuilt);
+    if (rebuilt) ++stats_.spectral_recomputes;
+    spectral_scratch_->analyzer.stream_reset();
+    anomaly = last_spectral_->anomalous();
   }
   const std::size_t analyzed = window_.size();
   window_.clear();
-  if (spectral_ != nullptr) spectral_scratch_->analyzer.stream_reset();
   ++stats_.spectral_passes;
   record_event(MonitorEventKind::kSpectralPass, static_cast<double>(analyzed));
-  if (windowed_anomaly) {
+  if (anomaly) {
     ++stats_.windowed_anomalies;
-    const double strongest =
-        (last_spectral_.has_value() && !last_spectral_->anomalies.empty())
-            ? last_spectral_->anomalies.front().ratio
-            : 0.0;
-    record_event(MonitorEventKind::kWindowedAnomaly, strongest);
+    record_event(MonitorEventKind::kWindowedAnomaly, last_spectral_->anomalies.front().ratio);
   }
   stats_.spectral_latency.record(util::monotonic_ns() - t0);
+  return anomaly;
 }
 
 MonitorStateImage RuntimeMonitor::export_state() const {

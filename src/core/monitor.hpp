@@ -46,7 +46,7 @@ enum class MonitorEventKind : std::uint8_t {
   kCalibrated,             // value = calibration traces consumed
   kPerTraceAnomaly,        // value = offending per-trace score
   kSpectralPass,           // value = window size analyzed
-  kWindowedAnomaly,        // value = strongest spectral ratio (0 if non-spectral)
+  kWindowedAnomaly,        // value = strongest spectral ratio
   kAlarmLatched,           // value = consecutive anomalies at latch time
   kAlarmAcknowledged,      // value = traces seen while latched
   kTraceRejectedShape,     // value = offending sample count
@@ -245,7 +245,9 @@ class RuntimeMonitor {
   /// Builds the per-stream scratches once an evaluator exists.
   void bind_evaluator();
   MonitorState ingest(const Trace& trace);
-  void run_windowed_pass(bool& windowed_anomaly);
+  /// Classifies the full window with the spectral stage (if any) and
+  /// starts the next one; returns whether the window was anomalous.
+  bool run_windowed_pass();
   void record_event(MonitorEventKind kind, double value);
 
   Options options_;
@@ -253,7 +255,6 @@ class RuntimeMonitor {
   MonitorState state_ = MonitorState::kCalibrating;
   TraceSet calibration_;
   TraceRing window_;
-  TraceSet window_set_;  // reused snapshot for generic windowed detectors
   std::optional<TrustEvaluator> evaluator_;
   // Cached spectral stage of the bound evaluator (nullptr when the stack has
   // none). Points at the evaluator's heap-owned detector, so it stays valid

@@ -179,11 +179,6 @@ DetectorReport SpectralDetector::to_stage(const SpectralReport& report) const {
   return stage;
 }
 
-DetectorReport SpectralDetector::evaluate_set(const TraceSet& suspect,
-                                              double /*alarm_fraction*/) const {
-  return to_stage(analyze(suspect));
-}
-
 std::string SpectralDetector::describe() const {
   std::ostringstream out;
   out << "spectral: " << golden_spots_.size() << " golden spots over "
@@ -233,6 +228,9 @@ SpectralDetector SpectralDetector::load(std::istream& in) {
   EMTS_REQUIRE(detector.noise_floor_ > 0.0, "spectral load: bad noise floor");
   const std::uint64_t spots = util::read_u64(in);
   EMTS_REQUIRE(spots < (1ull << 20), "spectral load: implausible spot count");
+  // Each spot is a u64 bin and two f64s.
+  EMTS_REQUIRE(spots * 24 <= util::stream_remaining(in),
+               "spectral load: spots exceed remaining bytes");
   detector.golden_spots_.clear();
   detector.golden_spots_.reserve(spots);
   for (std::uint64_t s = 0; s < spots; ++s) {

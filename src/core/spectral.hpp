@@ -12,10 +12,11 @@
 //   kNewSpot        — a peak at a frequency the golden spectrum is quiet at;
 //   kAmplifiedSpot  — a known spot whose magnitude grew beyond tolerance.
 //
-// Registered in the DetectorRegistry as "spectral". As a Detector it is
-// *windowed*: its natural grain is a whole capture window (mean spectrum),
-// so evaluate_set() analyzes the set at once; score(trace) is the strongest
-// anomaly ratio of that single trace (0 when clean) against a threshold of 0.
+// The "spectral" stage. As a Detector it is *windowed*: its natural grain is
+// a whole capture window (mean spectrum), which analyze(TraceSet) and the
+// monitor's stream_observe/stream_finish pair classify at once;
+// score(trace) is the strongest anomaly ratio of that single trace (0 when
+// clean) against a threshold of 0.
 #pragma once
 
 #include <cstddef>
@@ -75,9 +76,6 @@ class SpectralDetector : public Detector {
   /// positive score against the 0 threshold means "anomalous".
   double score(const Trace& trace) const override;
   double threshold() const override { return 0.0; }
-
-  /// Whole-window verdict from one mean-spectrum analysis.
-  DetectorReport evaluate_set(const TraceSet& suspect, double alarm_fraction) const override;
 
   /// Analyzes a set of suspect traces (averaged spectrum).
   SpectralReport analyze(const TraceSet& suspect) const;

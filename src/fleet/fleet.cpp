@@ -133,6 +133,18 @@ FleetMonitor::Session* FleetMonitor::find_session(const std::string& device_id) 
   return it == sessions_.end() ? nullptr : it->second.get();
 }
 
+std::vector<FleetMonitor::Session*> FleetMonitor::sorted_sessions() const {
+  std::vector<Session*> sessions;
+  {
+    std::lock_guard<std::mutex> lock(sessions_mutex_);
+    sessions.reserve(sessions_.size());
+    for (const auto& [id, session] : sessions_) sessions.push_back(session.get());
+  }
+  std::sort(sessions.begin(), sessions.end(),
+            [](const Session* a, const Session* b) { return a->device_id < b->device_id; });
+  return sessions;
+}
+
 FleetMonitor::EnqueueOutcome FleetMonitor::enqueue_work(Shard& shard, WorkItem* items,
                                                         std::size_t n) {
   EnqueueOutcome out;
@@ -229,14 +241,7 @@ io::FleetSnapshot FleetMonitor::snapshot(SnapshotMode mode) {
   out.queue_capacity = static_cast<std::uint32_t>(options_.queue_capacity);
   out.backpressure = static_cast<std::uint8_t>(options_.backpressure);
 
-  std::vector<const Session*> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session.get());
-  }
-  std::sort(sessions.begin(), sessions.end(),
-            [](const Session* a, const Session* b) { return a->device_id < b->device_id; });
+  const std::vector<Session*> sessions = sorted_sessions();
 
   // The workers are quiesced, so per-session traces_ingested is stable for
   // the whole cut; the marks mutex only orders us against concurrent
@@ -405,14 +410,7 @@ FleetStats FleetMonitor::stats() const {
     out.shards.push_back(snapshot);
   }
 
-  std::vector<Session*> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session.get());
-  }
-  std::sort(sessions.begin(), sessions.end(),
-            [](const Session* a, const Session* b) { return a->device_id < b->device_id; });
+  const std::vector<Session*> sessions = sorted_sessions();
 
   out.devices = sessions.size();
   out.sessions.reserve(sessions.size());
@@ -443,14 +441,7 @@ FleetStats FleetMonitor::stats() const {
 }
 
 std::size_t FleetMonitor::drain_events(std::vector<FleetEvent>& out) {
-  std::vector<Session*> sessions;
-  {
-    std::lock_guard<std::mutex> lock(sessions_mutex_);
-    sessions.reserve(sessions_.size());
-    for (const auto& [id, session] : sessions_) sessions.push_back(session.get());
-  }
-  std::sort(sessions.begin(), sessions.end(),
-            [](const Session* a, const Session* b) { return a->device_id < b->device_id; });
+  const std::vector<Session*> sessions = sorted_sessions();
 
   std::size_t drained = 0;
   std::vector<core::MonitorEvent> scratch;

@@ -321,6 +321,9 @@ class FleetMonitor {
   };
 
   Session* find_session(const std::string& device_id) const;
+  /// Every session, sorted by device id: the one order snapshot(), stats()
+  /// and drain_events() report in. Holds sessions_mutex_ only to copy.
+  std::vector<Session*> sorted_sessions() const;
   void worker_loop(Shard& shard);
 
   /// Moves items[0..n) into the shard queue under the fleet's backpressure

@@ -70,8 +70,6 @@ core::TrustEvaluator load_calibration(std::istream& in) {
   detectors.reserve(count);
   for (std::uint32_t d = 0; d < count; ++d) {
     const std::string name = util::read_string(in);
-    EMTS_REQUIRE(core::DetectorRegistry::instance().contains(name),
-                 "load_calibration: unknown detector '" + name + "' (not registered)");
     const std::uint64_t payload_size = util::read_u64(in);
     // A declared payload the stream cannot possibly hold is a corrupt
     // header; refuse it before the allocation it would otherwise trigger.
@@ -85,7 +83,7 @@ core::TrustEvaluator load_calibration(std::istream& in) {
                  "load_calibration: truncated payload for '" + name + "'");
 
     std::istringstream payload{bytes, std::ios::binary};
-    auto detector = core::DetectorRegistry::instance().load(name, payload);
+    auto detector = core::load_detector(name, payload);
     EMTS_REQUIRE(payload.peek() == std::istringstream::traits_type::eof(),
                  "load_calibration: unconsumed payload bytes for '" + name + "'");
     detectors.push_back(std::move(detector));

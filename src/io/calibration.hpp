@@ -8,7 +8,7 @@
 //   f64     anomalous-fraction alarm gate
 //   u32     detector count
 //   then per detector:
-//     string  registry name (u32 byte count + bytes)
+//     string  detector name: euclidean, spectral or ron (u32 byte count + bytes)
 //     u64     payload size in bytes
 //     bytes   detector payload (Detector::save output)
 //
@@ -34,9 +34,8 @@ void save_calibration(const std::string& path, const core::TrustEvaluator& evalu
 void save_calibration(std::ostream& out, const core::TrustEvaluator& evaluator);
 
 /// Reads an artifact written by save_calibration and reassembles the
-/// evaluator. Every named detector must be present in the DetectorRegistry
-/// (call baseline::register_ron_detector() first for "ron" stacks). Throws
-/// precondition_error on bad magic, version, sizes, unknown detectors,
+/// evaluator. Throws precondition_error on bad magic, version, sizes,
+/// detector names outside core::kDetectorNames, corrupt or
 /// under/over-consumed payloads, or trailing bytes. The stream form stops
 /// exactly after the last detector payload (no trailing-byte check), so an
 /// artifact can be embedded in a larger container; the path form requires

@@ -56,6 +56,9 @@ void write_traces(std::ostream& out, const std::vector<core::Trace>& traces) {
 std::vector<core::Trace> read_traces(std::istream& in) {
   const std::uint32_t count = util::read_u32(in);
   EMTS_REQUIRE(count <= kMaxBufferedTraces, "monitor state: implausible trace count");
+  // Each trace carries at least its u64 length.
+  EMTS_REQUIRE(count * 8ull <= util::stream_remaining(in),
+               "monitor state: trace count exceeds remaining bytes");
   std::vector<core::Trace> traces;
   traces.reserve(count);
   for (std::uint32_t t = 0; t < count; ++t) traces.push_back(util::read_f64_vec(in));
@@ -352,8 +355,8 @@ FleetSnapshot load_fleet_snapshot(const std::string& path) {
   snapshot.backpressure = util::read_u8(in);
   const std::uint32_t device_count = util::read_u32(in);
   EMTS_REQUIRE(device_count <= kMaxDevices, "load_fleet_snapshot: implausible device count");
-
-  snapshot.devices.reserve(device_count);
+  // No reserve: a Device is ~1.6 KB in memory but its record can be a few
+  // dozen bytes on disk, so the vector grows with the records that decode.
   for (std::uint32_t d = 0; d < device_count; ++d) {
     std::string device_id = util::read_string(in);
     EMTS_REQUIRE(!device_id.empty(), "load_fleet_snapshot: empty device id");

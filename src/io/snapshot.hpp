@@ -93,11 +93,9 @@ struct SnapshotSaveStats {
   std::uint64_t records_rewritten = 0;
 };
 
-/// Writes/reads a whole container. Loading needs every detector named by the
-/// embedded EMCA artifacts registered (baseline::register_ron_detector() for
-/// "ron" stacks). Throws precondition_error on I/O failure, bad magic or
-/// version, absurd or inconsistent lengths, checksum mismatches, unsorted or
-/// duplicate device records, or trailing bytes.
+/// Writes/reads a whole container. Throws precondition_error on I/O
+/// failure, bad magic or version, absurd or inconsistent lengths, checksum
+/// mismatches, unsorted or duplicate device records, or trailing bytes.
 ///
 /// The plain save requires every device record to be populated
 /// (Device::dirty == true — it has no cache to fall back on). The

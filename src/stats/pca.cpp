@@ -172,6 +172,10 @@ PcaModel PcaModel::load(std::istream& in) {
   model.eigenvalues_ = util::read_f64_vec(in);
   EMTS_REQUIRE(model.mean_.size() == d, "PCA load: mean size mismatch");
   EMTS_REQUIRE(model.eigenvalues_.size() == k, "PCA load: eigenvalue count mismatch");
+  // d matches a vector read_f64_vec accepted (< 2^26) and k <= d, so the
+  // basis byte count cannot wrap.
+  EMTS_REQUIRE(d * k * sizeof(double) <= util::stream_remaining(in),
+               "PCA load: basis exceeds remaining bytes");
   model.basis_ = linalg::Matrix{d, k};
   for (std::size_t j = 0; j < d; ++j) {
     for (std::size_t c = 0; c < k; ++c) model.basis_(j, c) = util::read_f64(in);

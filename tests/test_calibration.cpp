@@ -1,6 +1,7 @@
 // EMCA calibration artifact tests: the contract is bit-identical round-trip
 // (a loaded evaluator scores every trace exactly as the one that was saved)
-// plus hard rejection of corrupt or incompatible artifacts.
+// plus hard rejection of corrupt or incompatible artifacts. The seeded
+// mutation runs cover EMCA and the EMAA array artifact that embeds it.
 #include "io/calibration.hpp"
 
 #include <gtest/gtest.h>
@@ -9,12 +10,17 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
 
-#include "baseline/ron.hpp"
+#include "array/artifact.hpp"
 #include "core/monitor.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+#include "mutation.hpp"
 #include "temp_path.hpp"
 
 namespace emts::io {
@@ -53,7 +59,6 @@ core::TraceSet make_set(std::size_t n, bool infected, std::uint64_t seed) {
 
 class CalibrationArtifactTest : public ::testing::Test {
  protected:
-  void SetUp() override { baseline::register_ron_detector(); }
   void TearDown() override { std::filesystem::remove(path_); }
 
   std::string path_ = temp_path("emts_calibration_test", ".emca");
@@ -216,6 +221,130 @@ TEST_F(CalibrationArtifactTest, RejectsUnknownDetectorName) {
   file.write("euclidoon", 9);
   file.close();
   EXPECT_THROW(load_calibration(path_), emts::precondition_error);
+}
+
+// ---------- seeded mutants of EMCA and EMAA ----------
+
+using mutation::Field;
+using mutation::read_le;
+
+/// Records the u64 vector length at `at`; returns the offset past the vector.
+std::size_t vector_field(const std::string& bytes, std::size_t at, std::vector<Field>& fields) {
+  fields.push_back({at, 8});
+  return at + 8 + 8 * read_le(bytes, at, 8);
+}
+
+/// Records the counts a detector payload at `at` is sized from.
+void payload_fields(const std::string& bytes, const std::string& name, std::size_t at,
+                    std::vector<Field>& fields) {
+  if (name == "euclidean") {
+    const std::size_t pca = at + 19;  // preprocessor options, residual flag
+    const std::uint64_t d = read_le(bytes, pca, 8);
+    const std::uint64_t k = read_le(bytes, pca + 8, 8);
+    fields.push_back({pca, 8});
+    fields.push_back({pca + 8, 8});
+    const std::size_t eigenvalues = vector_field(bytes, pca + 24, fields);  // mean
+    const std::size_t projections = vector_field(bytes, eigenvalues, fields) + 8 * d * k;
+    const std::uint64_t count = read_le(bytes, projections, 8);
+    const std::uint64_t dim = read_le(bytes, projections + 8, 8);
+    fields.push_back({projections, 8});
+    fields.push_back({projections + 8, 8});
+    vector_field(bytes, projections + 16 + 8 * count * dim, fields);  // centroid
+  } else if (name == "spectral") {
+    const std::size_t amplitude = vector_field(bytes, at + 45, fields);  // frequencies
+    fields.push_back({vector_field(bytes, amplitude, fields) + 8, 8});  // spots, past the floor
+  } else {
+    ASSERT_EQ(name, "ron");
+    vector_field(bytes, vector_field(bytes, at + 16, fields), fields);  // mean, stddev
+  }
+}
+
+/// Records the detector count, each detector's name length and payload size,
+/// and each payload's counts of the EMCA artifact at `at`; returns the
+/// offset just past it.
+std::size_t emca_fields(const std::string& bytes, std::size_t at, std::vector<Field>& fields) {
+  std::size_t cursor = at + 24;  // magic, version, sample rate, alarm fraction
+  fields.push_back({cursor, 4});
+  const std::uint64_t detectors = read_le(bytes, cursor, 4);
+  cursor += 4;
+  for (std::uint64_t d = 0; d < detectors; ++d) {
+    fields.push_back({cursor, 4});
+    const std::string name = bytes.substr(cursor + 4, read_le(bytes, cursor, 4));
+    cursor += 4 + name.size();
+    fields.push_back({cursor, 8});
+    payload_fields(bytes, name, cursor + 8, fields);
+    cursor += 8 + read_le(bytes, cursor, 8);
+  }
+  return cursor;
+}
+
+core::TrustEvaluator three_stage_stack() {
+  core::TrustEvaluator::Options options;
+  options.detectors = {"euclidean", "spectral", "ron"};
+  return core::TrustEvaluator::calibrate(make_set(20, false, 30), options);
+}
+
+/// Loads `mutants` seeded mutants of `clean`: each must load or throw
+/// precondition_error and, where the allocation hooks are live, request
+/// less heap than a small multiple of its own size.
+template <class Load>
+void expect_mutants_load_or_refuse(const std::string& clean, const std::vector<Field>& fields,
+                                   std::uint64_t seed, int mutants, Load load) {
+  emts::Rng rng{seed};
+  int refused = 0;
+  for (int m = 0; m < mutants; ++m) {
+    std::string mutant = clean;
+    mutation::mutate(mutant, fields, rng);
+    std::istringstream in{mutant, std::ios::binary};
+    const std::uint64_t before = util::alloc::thread_counts().bytes;
+    try {
+      load(in);
+    } catch (const emts::precondition_error&) {
+      ++refused;
+    } catch (const std::exception& error) {
+      FAIL() << "mutant " << m << " threw a non-precondition error: " << error.what();
+    }
+    if (util::alloc::counting_active()) {
+      EXPECT_LT(util::alloc::thread_counts().bytes - before, 8 * mutant.size() + 65536)
+          << "mutant " << m;
+    }
+  }
+  // Aimed splices must mostly reach, and trip, the length checks.
+  EXPECT_GT(refused, mutants / 2);
+}
+
+TEST_F(CalibrationArtifactTest, SeededMutantsLoadOrThrowPreconditionError) {
+  std::ostringstream out{std::ios::binary};
+  save_calibration(out, three_stage_stack());
+  const std::string clean = out.str();
+  std::vector<Field> fields;
+  ASSERT_EQ(emca_fields(clean, 0, fields), clean.size());
+  expect_mutants_load_or_refuse(clean, fields, 0x454d4341 /* 'EMCA' */, 2000,
+                                [](std::istream& in) { load_calibration(in); });
+}
+
+TEST(ArrayArtifact, SeededMutantsLoadOrThrowPreconditionError) {
+  array::ArrayCalibration calibration;
+  calibration.grid.nx = 2;
+  calibration.grid.ny = 2;
+  calibration.sample_rate = kFs;
+  const core::TrustEvaluator evaluator = three_stage_stack();
+  for (std::size_t s = 0; s < 4; ++s) {
+    calibration.sensors.push_back(
+        array::SensorCalibration{evaluator, make_set(1, false, 40 + s).traces[0], 0.5});
+  }
+  std::ostringstream out{std::ios::binary};
+  array::save_array_calibration(out, calibration);
+  const std::string clean = out.str();
+  std::vector<Field> fields{{8, 4}, {12, 4}, {44, 4}};  // nx, ny, sensor count
+  std::size_t cursor = 48;
+  for (std::size_t s = 0; s < 4; ++s) {
+    cursor = vector_field(clean, cursor, fields) + 8;  // golden mean, baseline residual
+    cursor = emca_fields(clean, cursor, fields);
+  }
+  ASSERT_EQ(cursor, clean.size());
+  expect_mutants_load_or_refuse(clean, fields, 0x454d4141 /* 'EMAA' */, 1000,
+                                [](std::istream& in) { array::load_array_calibration(in); });
 }
 
 }  // namespace

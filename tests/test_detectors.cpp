@@ -4,14 +4,18 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <sstream>
 
 #include "core/detector.hpp"
 #include "core/euclidean.hpp"
+#include "core/evaluator.hpp"
 #include "core/ring.hpp"
+#include "core/ron.hpp"
 #include "core/spectral.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
 #include "util/rng.hpp"
@@ -317,33 +321,111 @@ TEST(SpectralDetector, LoadRejectsCorruptSampleRate) {
   EXPECT_EQ(restored.sample_rate(), det.sample_rate());
 }
 
-// ---------- Detector interface & registry ----------
+// ---------- Payload decoders refuse counts their bytes cannot back ----------
 
-TEST(DetectorInterface, BuiltInsAreRegistered) {
-  auto& registry = DetectorRegistry::instance();
-  EXPECT_TRUE(registry.contains("euclidean"));
-  EXPECT_TRUE(registry.contains("spectral"));
-  EXPECT_FALSE(registry.contains("no-such-detector"));
-  const auto names = registry.names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "euclidean"), names.end());
-  EXPECT_NE(std::find(names.begin(), names.end(), "spectral"), names.end());
+/// Loads `payload` with a count field overwritten by `count`; expects a
+/// precondition_error, and (where the allocation hooks are live) that the
+/// load requested no more heap than a few times the payload's own size.
+template <class Load>
+void expect_refused_without_allocating(std::string payload, std::size_t count_at,
+                                       std::uint64_t count, Load load) {
+  std::memcpy(payload.data() + count_at, &count, sizeof count);
+  std::istringstream in{payload};
+  const std::uint64_t before = util::alloc::thread_counts().bytes;
+  EXPECT_THROW(load(in), emts::precondition_error) << "count " << count;
+  if (util::alloc::counting_active()) {
+    EXPECT_LT(util::alloc::thread_counts().bytes - before, 4 * payload.size())
+        << "count " << count;
+  }
 }
 
-TEST(DetectorInterface, RegistryCalibrateMatchesDirectCalibrate) {
+// The projection count is checked against the bytes left before anything is
+// reserved for it; reserving first, a count of 2^24 requests 402 MB from a
+// few-KB payload and 2^31 throws std::bad_alloc, not precondition_error.
+TEST(EuclideanDetector, LoadRefusesAProjectionCountTheBytesCannotBack) {
+  const auto det = EuclideanDetector::calibrate(golden_set(20));
+  std::ostringstream out;
+  det.save(out);
+  const std::size_t d = det.pca().input_dim();
+  const std::size_t k = det.pca().components();
+  // Preprocessor options (18) + residual flag (1) + PCA d, k and total
+  // variance (24) + mean and eigenvalue vectors + the d x k basis.
+  const std::size_t count_at = 19 + 24 + (8 + 8 * d) + (8 + 8 * k) + 8 * d * k;
+  std::uint64_t own = 0;
+  std::memcpy(&own, out.str().data() + count_at, sizeof own);
+  ASSERT_EQ(own, 20u);
+  for (const std::uint64_t count : {1ull << 24, 1ull << 31, 0xFFFFFFFFull}) {
+    expect_refused_without_allocating(out.str(), count_at, count,
+                                      [](std::istream& in) { EuclideanDetector::load(in); });
+  }
+}
+
+TEST(SpectralDetector, LoadRefusesASpotCountTheBytesCannotBack) {
+  const auto det = SpectralDetector::calibrate(golden_set(4));
+  std::ostringstream out;
+  det.save(out);
+  // Options and sample rate (45) + the two spectrum vectors + noise floor.
+  const std::size_t bins = det.golden_spectrum().size();
+  const std::size_t spots_at = 45 + 2 * (8 + 8 * bins) + 8;
+  std::uint64_t own = 0;
+  std::memcpy(&own, out.str().data() + spots_at, sizeof own);
+  ASSERT_EQ(own, det.golden_spots().size());
+  expect_refused_without_allocating(out.str(), spots_at, (1u << 20) - 1,
+                                    [](std::istream& in) { SpectralDetector::load(in); });
+}
+
+// ---------- Detector interface & the closed name set ----------
+
+TEST(DetectorInterface, NameSwitchCoversTheClosedSet) {
+  EXPECT_EQ(detector_kind("euclidean"), DetectorKind::kEuclidean);
+  EXPECT_EQ(detector_kind("spectral"), DetectorKind::kSpectral);
+  EXPECT_EQ(detector_kind("ron"), DetectorKind::kRon);
+  for (const char* name : kDetectorNames) {
+    EXPECT_STREQ(kDetectorNames[static_cast<std::size_t>(detector_kind(name))], name);
+  }
+}
+
+// Each name, through TrustEvaluator::calibrate and through load_detector,
+// scores exactly like the detector's own calibrate.
+TEST(DetectorInterface, NameSwitchMatchesEachDetectorsOwnCalibrate) {
   const auto golden = golden_set(20);
-  const auto via_registry = DetectorRegistry::instance().calibrate("euclidean", golden);
-  const auto direct = EuclideanDetector::calibrate(golden);
-  ASSERT_NE(via_registry, nullptr);
-  EXPECT_EQ(via_registry->name(), "euclidean");
+  const std::shared_ptr<const Detector> own[] = {
+      std::make_shared<const EuclideanDetector>(EuclideanDetector::calibrate(golden)),
+      std::make_shared<const SpectralDetector>(SpectralDetector::calibrate(golden)),
+      std::make_shared<const RonTraceDetector>(RonTraceDetector::calibrate(golden))};
   emts::Rng rng{42};
-  const Trace probe = golden_trace(rng);
-  EXPECT_DOUBLE_EQ(via_registry->score(probe), direct.score(probe));
-  EXPECT_DOUBLE_EQ(via_registry->threshold(), direct.threshold());
+  const Trace clean = golden_trace(rng);
+  const Trace bad = infected_trace(rng, 0.8, 72e6);
+  for (const auto& direct : own) {
+    TrustEvaluator::Options options;
+    options.detectors = {direct->name()};
+    const auto evaluator = TrustEvaluator::calibrate(golden, options);
+    ASSERT_EQ(evaluator.detectors().size(), 1u);
+    std::ostringstream payload;
+    direct->save(payload);
+    std::istringstream in{payload.str()};
+    const auto loaded = load_detector(direct->name(), in);
+    for (const Detector* via : {evaluator.detectors().front().get(), loaded.get()}) {
+      EXPECT_EQ(via->name(), direct->name());
+      EXPECT_EQ(via->threshold(), direct->threshold()) << direct->name();
+      EXPECT_EQ(via->score(clean), direct->score(clean)) << direct->name();
+      EXPECT_EQ(via->score(bad), direct->score(bad)) << direct->name();
+    }
+  }
 }
 
 TEST(DetectorInterface, UnknownNameThrows) {
-  EXPECT_THROW(DetectorRegistry::instance().calibrate("no-such-detector", golden_set(4)),
-               emts::precondition_error);
+  TrustEvaluator::Options options;
+  options.detectors = {"euclidean", "no-such-detector"};
+  EXPECT_THROW(TrustEvaluator::calibrate(golden_set(4), options), emts::precondition_error);
+  std::istringstream payload;
+  EXPECT_THROW(load_detector("no-such-detector", payload), emts::precondition_error);
+  try {
+    detector_kind("bogus");
+    ADD_FAILURE() << "detector_kind accepted an unknown name";
+  } catch (const emts::precondition_error& error) {
+    EXPECT_NE(std::string{error.what()}.find("unknown detector 'bogus'"), std::string::npos);
+  }
 }
 
 TEST(DetectorInterface, PolymorphicScoringThroughBasePointer) {

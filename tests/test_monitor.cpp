@@ -340,32 +340,29 @@ TEST(RuntimeMonitor, PushBatchRejectsSampleRateMismatch) {
   EXPECT_THROW(monitor.push_batch(TraceSet{}), emts::precondition_error);
 }
 
-TEST(TrustEvaluator, ScoreBatchMatchesPlainScoresBitwise) {
-  const auto eval = TrustEvaluator::calibrate(make_set(30, false, 40));
+TEST(TrustEvaluator, ScoreBufferedMatchesPlainScoresBitwise) {
+  TrustEvaluator::Options options;
+  options.detectors = {"euclidean", "spectral", "ron"};
+  const auto eval = TrustEvaluator::calibrate(make_set(30, false, 40), options);
   TraceSet batch = make_set(6, false, 41);
   for (auto& t : make_set(6, true, 42).traces) batch.add(std::move(t));
 
+  // One scratch serves every per-trace stage and every trace, as in the
+  // monitor; the second pass reuses the warm buffers.
   ScoreScratch scratch;
-  std::vector<std::vector<double>> scores;
-  eval.score_batch(batch, scratch, scores);
-  ASSERT_EQ(scores.size(), eval.detectors().size());
-  for (std::size_t d = 0; d < scores.size(); ++d) {
-    const auto& detector = *eval.detectors()[d];
-    if (detector.windowed()) {
-      EXPECT_TRUE(scores[d].empty()) << detector.name();
-      continue;
+  for (int pass = 0; pass < 2; ++pass) {
+    std::size_t per_trace_stages = 0;
+    for (const auto& detector : eval.detectors()) {
+      if (detector->windowed()) continue;
+      ++per_trace_stages;
+      for (std::size_t t = 0; t < batch.size(); ++t) {
+        EXPECT_EQ(detector->score_buffered(batch.traces[t], scratch),
+                  detector->score(batch.traces[t]))
+            << detector->name() << " trace " << t << " pass " << pass;
+      }
     }
-    ASSERT_EQ(scores[d].size(), batch.size()) << detector.name();
-    for (std::size_t t = 0; t < batch.size(); ++t) {
-      EXPECT_EQ(scores[d][t], detector.score(batch.traces[t]))
-          << detector.name() << " trace " << t;
-    }
+    EXPECT_EQ(per_trace_stages, 2u);  // euclidean and ron
   }
-
-  // Reusing the scratch and score rows must reproduce the same values.
-  const auto first = scores;
-  eval.score_batch(batch, scratch, scores);
-  EXPECT_EQ(scores, first);
 }
 
 TEST(RuntimeMonitor, SteadyStatePushIsAllocationFree) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <sstream>
+#include <vector>
 
 #include "linalg/matrix.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/assert.hpp"
+#include "util/binio.hpp"
 #include "util/rng.hpp"
 
 namespace emts::stats {
@@ -161,6 +165,25 @@ TEST_P(PcaVarianceSweep, ExplainedVarianceMonotoneInComponents) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PcaVarianceSweep, ::testing::Values<std::size_t>(1, 2, 3, 4));
+
+// A 65,576-byte payload declaring a 4096 x 4096 basis it does not carry must
+// be refused before the basis is sized: allocating first requests (and
+// zeroes) 134 MB before the first basis read fails.
+TEST(Pca, LoadRefusesABasisTheBytesCannotBack) {
+  std::ostringstream out;
+  util::write_u64(out, 4096);  // input dimension
+  util::write_u64(out, 4096);  // components
+  util::write_f64(out, 1.0);   // total variance
+  util::write_f64_vec(out, std::vector<double>(4096, 0.0));  // mean
+  util::write_f64_vec(out, std::vector<double>(4096, 1.0));  // eigenvalues
+  const std::string payload = out.str();
+  std::istringstream in{payload};
+  const std::uint64_t before = util::alloc::thread_counts().bytes;
+  EXPECT_THROW(PcaModel::load(in), emts::precondition_error);
+  if (util::alloc::counting_active()) {
+    EXPECT_LT(util::alloc::thread_counts().bytes - before, 4 * payload.size());
+  }
+}
 
 }  // namespace
 }  // namespace emts::stats

@@ -21,6 +21,7 @@
 #include "core/evaluator.hpp"
 #include "core/monitor.hpp"
 #include "fleet/fleet.hpp"
+#include "util/alloc_counter.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -235,6 +236,27 @@ TEST(MonitorStateSerialization, TruncatedStreamThrows) {
   EXPECT_THROW(read_monitor_state(truncated), emts::precondition_error);
 }
 
+// Each buffered trace needs at least its u64 length, so a trace count is
+// checked against the bytes left before the list is reserved; reserving
+// first, a count of 2^20 requests 25 MB from a 5-KB image.
+TEST(MonitorStateSerialization, TraceCountTheBytesCannotBackIsRefusedBeforeAllocating) {
+  core::RuntimeMonitor monitor{kFs, fitted(), small_options()};
+  std::stringstream stream{std::ios::binary | std::ios::in | std::ios::out};
+  write_monitor_state(stream, monitor.export_state());
+  std::string bytes = stream.str();
+  // With no spectral report, the calibration trace count follows the 95
+  // bytes of option mirrors, loop state, last score and anomaly count.
+  ASSERT_EQ(read_le(bytes, 95, 4), 0u);
+  const std::uint32_t count = 1u << 20;
+  std::memcpy(bytes.data() + 95, &count, sizeof count);
+  std::istringstream corrupt{bytes, std::ios::binary};
+  const std::uint64_t before = util::alloc::thread_counts().bytes;
+  EXPECT_THROW(read_monitor_state(corrupt), emts::precondition_error);
+  if (util::alloc::counting_active()) {
+    EXPECT_LT(util::alloc::thread_counts().bytes - before, 4 * bytes.size());
+  }
+}
+
 // ---------- restored monitor = uninterrupted monitor ----------
 
 TEST(MonitorRestore, ContinuationIsBitIdentical) {
@@ -420,6 +442,23 @@ TEST_F(SnapshotFile, AbsurdDeclaredRecordSizeRejectedBeforeAllocating) {
   file.write(reinterpret_cast<const char*>(&absurd), sizeof absurd);
   file.close();
   EXPECT_THROW(load_fleet_snapshot(path_), emts::precondition_error);
+}
+
+// A device count sizes nothing: reserving 2^16 Device slots (1.6 KB each in
+// memory) from one 4-byte field requests 107 MB, so the loader grows its
+// list with the records that actually decode.
+TEST_F(SnapshotFile, DeviceCountTheBytesCannotBackIsRefusedBeforeAllocating) {
+  save_fleet_snapshot(path_, sample_snapshot());
+  std::string bytes = read_bytes(path_);
+  ASSERT_EQ(read_le(bytes, 17, 4), 3u);
+  const std::uint32_t count = 1u << 16;
+  std::memcpy(bytes.data() + 17, &count, sizeof count);
+  write_bytes(path_, bytes);
+  const std::uint64_t before = util::alloc::thread_counts().bytes;
+  EXPECT_THROW(load_fleet_snapshot(path_), emts::precondition_error);
+  if (util::alloc::counting_active()) {
+    EXPECT_LT(util::alloc::thread_counts().bytes - before, 16 * bytes.size());
+  }
 }
 
 TEST_F(SnapshotFile, RefusesV1Container) {

@@ -15,6 +15,7 @@
 //
 // Exit codes: 0 success / trusted, 1 verdict not trusted or alarm raised,
 // 2 malformed arguments (usage on stderr), 3 runtime error.
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <charconv>
@@ -46,7 +47,6 @@
 #include "array/grid.hpp"
 #include "array/localizer.hpp"
 #include "array/monitor.hpp"
-#include "baseline/ron.hpp"
 #include "core/evaluator.hpp"
 #include "core/monitor.hpp"
 #include "fleet/fleet.hpp"
@@ -220,7 +220,9 @@ fleet::BackpressurePolicy flag_policy(const std::vector<std::string>& args, std:
   throw UsageError("--policy takes block|drop-oldest|reject, got '" + p + "'");
 }
 
-std::vector<std::string> split_csv(const std::string& csv) {
+/// --detectors: a comma list of stage names, each one of core::kDetectorNames.
+std::vector<std::string> flag_detectors(const std::vector<std::string>& args, std::size_t* i) {
+  const std::string& csv = flag_value(args, i);
   std::vector<std::string> out;
   std::size_t start = 0;
   while (start <= csv.size()) {
@@ -229,6 +231,13 @@ std::vector<std::string> split_csv(const std::string& csv) {
     if (end > start) out.push_back(csv.substr(start, end - start));
     if (comma == std::string::npos) break;
     start = comma + 1;
+  }
+  if (out.empty()) throw UsageError("--detectors needs at least one name");
+  for (const std::string& name : out) {
+    if (std::find(core::kDetectorNames.begin(), core::kDetectorNames.end(), name) ==
+        core::kDetectorNames.end()) {
+      throw UsageError("--detectors takes euclidean|spectral|ron, got '" + name + "'");
+    }
   }
   return out;
 }
@@ -363,8 +372,7 @@ int cmd_calibrate(const std::vector<std::string>& args) {
   for (std::size_t i = 2; i < args.size(); ++i) {
     const std::string& a = args[i];
     if (a == "--detectors") {
-      options.detectors = split_csv(flag_value(args, &i));
-      if (options.detectors.empty()) throw UsageError("--detectors needs at least one name");
+      options.detectors = flag_detectors(args, &i);
     } else {
       throw UsageError("unknown option " + a);
     }
@@ -1180,8 +1188,6 @@ int cmd_info(const std::vector<std::string>& args) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  baseline::register_ron_detector();
-
   if (argc < 2) return usage_error();
   const std::string command = argv[1];
   std::vector<std::string> args;
