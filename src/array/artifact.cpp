@@ -1,14 +1,12 @@
 #include "array/artifact.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
-#include <istream>
 #include <ostream>
 
 #include "io/calibration.hpp"
+#include "io/mapped_file.hpp"
 #include "util/assert.hpp"
-#include "util/binio.hpp"
 
 namespace emts::array {
 
@@ -49,47 +47,43 @@ void save_array_calibration(const std::string& path, const ArrayCalibration& cal
   EMTS_REQUIRE(out.good(), "save_array_calibration: write failed for " + path);
 }
 
-ArrayCalibration load_array_calibration(std::istream& in) {
-  char magic[4] = {};
-  in.read(magic, sizeof magic);
-  EMTS_REQUIRE(in.gcount() == sizeof magic, "load_array_calibration: truncated header");
-  EMTS_REQUIRE(std::memcmp(magic, kMagic, sizeof magic) == 0,
-               "load_array_calibration: bad magic");
-  const std::uint32_t version = util::read_u32(in);
+ArrayCalibration load_array_calibration(util::ByteReader& in) {
+  in.expect_magic(kMagic, "load_array_calibration");
+  const std::uint32_t version = in.u32();
   EMTS_REQUIRE(version == kVersion, "load_array_calibration: unsupported version");
 
   ArrayCalibration calibration;
-  const std::uint32_t nx = util::read_u32(in);
-  const std::uint32_t ny = util::read_u32(in);
+  const std::uint32_t nx = in.u32();
+  const std::uint32_t ny = in.u32();
   EMTS_REQUIRE(nx >= 2 && nx <= kMaxAxis && ny >= 2 && ny <= kMaxAxis,
                "load_array_calibration: implausible grid shape");
   calibration.grid.nx = nx;
   calibration.grid.ny = ny;
-  calibration.grid.coil_radius = util::read_f64(in);
+  calibration.grid.coil_radius = in.f64();
   EMTS_REQUIRE(std::isfinite(calibration.grid.coil_radius) && calibration.grid.coil_radius >= 0.0,
                "load_array_calibration: bad coil radius");
-  calibration.grid.turns = util::read_u32(in);
+  calibration.grid.turns = in.u32();
   EMTS_REQUIRE(calibration.grid.turns >= 1, "load_array_calibration: bad turn count");
-  calibration.grid.z_clearance = util::read_f64(in);
+  calibration.grid.z_clearance = in.f64();
   EMTS_REQUIRE(std::isfinite(calibration.grid.z_clearance) && calibration.grid.z_clearance >= 0.0,
                "load_array_calibration: bad z clearance");
-  calibration.sample_rate = util::read_f64(in);
+  calibration.sample_rate = in.f64();
   EMTS_REQUIRE(std::isfinite(calibration.sample_rate) && calibration.sample_rate > 0.0,
                "load_array_calibration: bad sample rate");
 
-  const std::uint32_t count = util::read_u32(in);
+  const std::uint32_t count = in.u32();
   EMTS_REQUIRE(count == nx * ny,
                "load_array_calibration: sensor count does not match the grid shape");
   // No reserve: the count is only as good as the bytes behind it, so the
   // vector grows with the sensors that decode.
   for (std::uint32_t s = 0; s < count; ++s) {
-    core::Trace golden_mean = util::read_f64_vec(in);
+    core::Trace golden_mean = in.f64_vec();
     EMTS_REQUIRE(!golden_mean.empty(), "load_array_calibration: empty golden mean trace");
-    const double baseline = util::read_f64(in);
+    const double baseline = in.f64();
     EMTS_REQUIRE(std::isfinite(baseline) && baseline >= 0.0,
                  "load_array_calibration: bad baseline residual");
     // The embedded EMCA is self-delimiting: its loader consumes exactly one
-    // artifact and leaves the stream at the next sensor's golden mean.
+    // artifact and leaves the reader at the next sensor's golden mean.
     core::TrustEvaluator evaluator = io::load_calibration(in);
     calibration.sensors.push_back(
         SensorCalibration{std::move(evaluator), std::move(golden_mean), baseline});
@@ -98,11 +92,10 @@ ArrayCalibration load_array_calibration(std::istream& in) {
 }
 
 ArrayCalibration load_array_calibration(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  EMTS_REQUIRE(in.good(), "load_array_calibration: cannot open " + path);
+  const io::MappedFile file{path, "load_array_calibration"};
+  util::ByteReader in{file.bytes()};
   ArrayCalibration calibration = load_array_calibration(in);
-  EMTS_REQUIRE(in.peek() == std::ifstream::traits_type::eof(),
-               "load_array_calibration: trailing bytes in " + path);
+  in.expect_end("load_array_calibration: " + path);
   return calibration;
 }
 

@@ -13,8 +13,8 @@
 //     f64_vec  golden mean trace (volts per sample)
 //     f64      baseline residual energy, V^2
 //     bytes    embedded EMCA calibration artifact (io::save_calibration
-//              stream form; self-delimiting — the EMCA loader stops exactly
-//              after its last detector payload)
+//              stream form; self-delimiting — the EMCA reader form stops
+//              exactly after its last detector payload)
 //
 // The grid spec travels with the calibrations so a monitor can rebuild the
 // identical SensorGrid (grid geometry is pure + deterministic) and refuse an
@@ -26,6 +26,7 @@
 #include <string>
 
 #include "array/calibration.hpp"
+#include "util/binio.hpp"
 
 namespace emts::array {
 
@@ -35,10 +36,10 @@ void save_array_calibration(const std::string& path, const ArrayCalibration& cal
 void save_array_calibration(std::ostream& out, const ArrayCalibration& calibration);
 
 /// Reads an artifact written by save_array_calibration. Throws
-/// precondition_error on bad magic, version, shape, or payload. The stream
-/// form stops exactly after the last sensor's EMCA; the path form requires
-/// the file to end there.
+/// precondition_error on bad magic, version, shape, or payload. The reader
+/// form stops exactly after the last sensor's EMCA; the path form parses the
+/// mapped file and requires it to end there.
 ArrayCalibration load_array_calibration(const std::string& path);
-ArrayCalibration load_array_calibration(std::istream& in);
+ArrayCalibration load_array_calibration(util::ByteReader& in);
 
 }  // namespace emts::array

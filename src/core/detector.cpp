@@ -52,7 +52,7 @@ DetectorKind detector_kind(const std::string& name) {
   throw precondition_error("unknown detector '" + name + "'");
 }
 
-std::shared_ptr<const Detector> load_detector(const std::string& name, std::istream& in) {
+std::shared_ptr<const Detector> load_detector(const std::string& name, util::ByteReader& in) {
   switch (detector_kind(name)) {
     case DetectorKind::kEuclidean:
       return std::make_shared<const EuclideanDetector>(EuclideanDetector::load(in));

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/trace.hpp"
+#include "util/binio.hpp"
 
 namespace emts::core {
 
@@ -103,6 +104,6 @@ DetectorKind detector_kind(const std::string& name);
 
 /// Rehydrates the named detector from its EMCA payload (Detector::save
 /// output). Throws precondition_error on an unknown name or a corrupt payload.
-std::shared_ptr<const Detector> load_detector(const std::string& name, std::istream& in);
+std::shared_ptr<const Detector> load_detector(const std::string& name, util::ByteReader& in);
 
 }  // namespace emts::core

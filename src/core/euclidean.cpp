@@ -107,14 +107,14 @@ void EuclideanDetector::save(std::ostream& out) const {
   util::write_f64(out, threshold_);
 }
 
-EuclideanDetector EuclideanDetector::load(std::istream& in) {
+EuclideanDetector EuclideanDetector::load(util::ByteReader& in) {
   const Preprocessor::Options preprocess = load_preprocessor_options(in);
-  const bool include_residual = util::read_u8(in) != 0;
+  const bool include_residual = in.u8() != 0;
   stats::PcaModel pca = stats::PcaModel::load(in);
 
   EuclideanDetector detector{Preprocessor{preprocess}, std::move(pca), include_residual};
-  const std::uint64_t count = util::read_u64(in);
-  const std::uint64_t dim = util::read_u64(in);
+  const std::uint64_t count = in.u64();
+  const std::uint64_t dim = in.u64();
   EMTS_REQUIRE(count >= 3, "euclidean load: needs >= 3 golden projections");
   EMTS_REQUIRE(count < (1ull << 32) && dim >= 1 && dim < (1ull << 24),
                "euclidean load: implausible projection shape");
@@ -122,19 +122,19 @@ EuclideanDetector EuclideanDetector::load(std::istream& in) {
       detector.pca_.components() + (include_residual ? 1u : 0u);
   EMTS_REQUIRE(dim == expected_dim, "euclidean load: projection dim disagrees with PCA model");
   // count * dim < 2^56 by the caps above, so the byte count cannot wrap.
-  EMTS_REQUIRE(count * dim * sizeof(double) <= util::stream_remaining(in),
+  EMTS_REQUIRE(count * dim * sizeof(double) <= in.remaining(),
                "euclidean load: projections exceed remaining bytes");
 
   detector.golden_projections_.reserve(count);
   for (std::uint64_t p = 0; p < count; ++p) {
     std::vector<double> projection(dim);
-    for (double& v : projection) v = util::read_f64(in);
+    for (double& v : projection) v = in.f64();
     detector.golden_projections_.push_back(std::move(projection));
   }
-  detector.golden_centroid_ = util::read_f64_vec(in);
+  detector.golden_centroid_ = in.f64_vec();
   EMTS_REQUIRE(detector.golden_centroid_.size() == dim,
                "euclidean load: centroid dim mismatch");
-  detector.threshold_ = util::read_f64(in);
+  detector.threshold_ = in.f64();
   EMTS_REQUIRE(detector.threshold_ >= 0.0, "euclidean load: negative threshold");
   return detector;
 }

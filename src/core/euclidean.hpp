@@ -59,7 +59,7 @@ class EuclideanDetector : public Detector {
   /// Serializes the full fitted model; load() restores a detector whose
   /// score()/threshold() are bit-identical to this one.
   void save(std::ostream& out) const override;
-  static EuclideanDetector load(std::istream& in);
+  static EuclideanDetector load(util::ByteReader& in);
 
   /// Distance between the golden centroid and the centroid of `suspect`
   /// traces — the per-Trojan "Euclidean distance" numbers the paper reports

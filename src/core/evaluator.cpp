@@ -57,12 +57,17 @@ TrustEvaluator TrustEvaluator::calibrate(const TraceSet& golden, const Options& 
                "alarm fraction must be in (0, 1]");
   EMTS_REQUIRE(!options.detectors.empty(), "evaluator needs at least one detector");
 
+  // Check the whole list before fitting any stage: a bad name refuses the
+  // stack without paying for the stages before it.
+  for (auto name = options.detectors.begin(); name != options.detectors.end(); ++name) {
+    detector_kind(*name);
+    EMTS_REQUIRE(std::find(options.detectors.begin(), name, *name) == name,
+                 "duplicate detector '" + *name + "'");
+  }
+
   std::vector<std::shared_ptr<const Detector>> detectors;
   detectors.reserve(options.detectors.size());
   for (const std::string& name : options.detectors) {
-    for (const auto& existing : detectors) {
-      EMTS_REQUIRE(existing->name() != name, "duplicate detector '" + name + "'");
-    }
     switch (detector_kind(name)) {
       case DetectorKind::kEuclidean:
         detectors.push_back(std::make_shared<const EuclideanDetector>(

@@ -86,12 +86,12 @@ void save_preprocessor_options(std::ostream& out, const Preprocessor::Options& o
   util::write_u64(out, options.decimation);
 }
 
-Preprocessor::Options load_preprocessor_options(std::istream& in) {
+Preprocessor::Options load_preprocessor_options(util::ByteReader& in) {
   Preprocessor::Options options;
-  options.remove_mean = util::read_u8(in) != 0;
-  options.smooth_window = util::read_u64(in);
-  options.normalize_rms = util::read_u8(in) != 0;
-  options.decimation = util::read_u64(in);
+  options.remove_mean = in.u8() != 0;
+  options.smooth_window = in.u64();
+  options.normalize_rms = in.u8() != 0;
+  options.decimation = in.u64();
   EMTS_REQUIRE(options.smooth_window % 2 == 1, "preprocessor options: smooth window must be odd");
   EMTS_REQUIRE(options.decimation >= 1 && options.decimation < (1ull << 20),
                "preprocessor options: implausible decimation");

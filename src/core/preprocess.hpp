@@ -11,6 +11,7 @@
 
 #include "core/trace.hpp"
 #include "linalg/matrix.hpp"
+#include "util/binio.hpp"
 
 namespace emts::core {
 
@@ -54,6 +55,6 @@ class Preprocessor {
 /// Binary round-trip of preprocessing parameters inside an EMCA calibration
 /// artifact: a deployed detector must preprocess exactly as it was fitted.
 void save_preprocessor_options(std::ostream& out, const Preprocessor::Options& options);
-Preprocessor::Options load_preprocessor_options(std::istream& in);
+Preprocessor::Options load_preprocessor_options(util::ByteReader& in);
 
 }  // namespace emts::core

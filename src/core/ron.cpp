@@ -81,16 +81,16 @@ void RonTraceDetector::save(std::ostream& out) const {
   util::write_f64_vec(out, stddev_);
 }
 
-RonTraceDetector RonTraceDetector::load(std::istream& in) {
+RonTraceDetector RonTraceDetector::load(util::ByteReader& in) {
   Options options;
-  options.decimation = static_cast<std::size_t>(util::read_u64(in));
-  options.sigma_threshold = util::read_f64(in);
+  options.decimation = static_cast<std::size_t>(in.u64());
+  options.sigma_threshold = in.f64();
   EMTS_REQUIRE(options.decimation >= 1 && options.decimation < (1u << 20),
                "ron artifact: bad decimation");
   EMTS_REQUIRE(std::isfinite(options.sigma_threshold) && options.sigma_threshold > 0.0,
                "ron artifact: bad sigma threshold");
-  std::vector<double> mean = util::read_f64_vec(in);
-  std::vector<double> stddev = util::read_f64_vec(in);
+  std::vector<double> mean = in.f64_vec();
+  std::vector<double> stddev = in.f64_vec();
   EMTS_REQUIRE(!mean.empty(), "ron artifact: empty model");
   EMTS_REQUIRE(mean.size() == stddev.size(), "ron artifact: mean/stddev size mismatch");
   for (double s : stddev) {

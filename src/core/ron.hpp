@@ -39,7 +39,7 @@ class RonTraceDetector : public Detector {
   double score(const Trace& trace) const override;
 
   void save(std::ostream& out) const override;
-  static RonTraceDetector load(std::istream& in);
+  static RonTraceDetector load(util::ByteReader& in);
 
  private:
   RonTraceDetector(const Options& options, std::vector<double> mean,

@@ -205,18 +205,18 @@ void SpectralDetector::save(std::ostream& out) const {
   }
 }
 
-SpectralDetector SpectralDetector::load(std::istream& in) {
+SpectralDetector SpectralDetector::load(util::ByteReader& in) {
   Options options;
-  const std::uint32_t window = util::read_u32(in);
+  const std::uint32_t window = in.u32();
   EMTS_REQUIRE(window <= static_cast<std::uint32_t>(dsp::WindowKind::kBlackman),
                "spectral load: unknown window kind");
   options.spectrum.window = static_cast<dsp::WindowKind>(window);
-  options.spectrum.remove_mean = util::read_u8(in) != 0;
-  options.noise_floor_factor = util::read_f64(in);
-  options.new_spot_factor = util::read_f64(in);
-  options.amplification_ratio = util::read_f64(in);
-  options.match_bins = util::read_u64(in);
-  const double sample_rate = util::read_f64(in);
+  options.spectrum.remove_mean = in.u8() != 0;
+  options.noise_floor_factor = in.f64();
+  options.new_spot_factor = in.f64();
+  options.amplification_ratio = in.f64();
+  options.match_bins = in.u64();
+  const double sample_rate = in.f64();
   EMTS_REQUIRE(std::isfinite(sample_rate) && sample_rate > 0.0,
                "spectral load: sample rate must be finite and positive");
 
@@ -224,20 +224,17 @@ SpectralDetector SpectralDetector::load(std::istream& in) {
   // The constructor re-derives noise floor and spots from the spectrum; the
   // serialized values are authoritative, so restore them exactly afterwards.
   SpectralDetector detector{options, std::move(golden), sample_rate};
-  detector.noise_floor_ = util::read_f64(in);
+  detector.noise_floor_ = in.f64();
   EMTS_REQUIRE(detector.noise_floor_ > 0.0, "spectral load: bad noise floor");
-  const std::uint64_t spots = util::read_u64(in);
-  EMTS_REQUIRE(spots < (1ull << 20), "spectral load: implausible spot count");
   // Each spot is a u64 bin and two f64s.
-  EMTS_REQUIRE(spots * 24 <= util::stream_remaining(in),
-               "spectral load: spots exceed remaining bytes");
+  const std::size_t spots = in.count_u64((1ull << 20) - 1, 24, "spectral load: spot count");
   detector.golden_spots_.clear();
   detector.golden_spots_.reserve(spots);
-  for (std::uint64_t s = 0; s < spots; ++s) {
+  for (std::size_t s = 0; s < spots; ++s) {
     dsp::SpectralPeak spot;
-    spot.bin = util::read_u64(in);
-    spot.frequency = util::read_f64(in);
-    spot.amplitude = util::read_f64(in);
+    spot.bin = in.u64();
+    spot.frequency = in.f64();
+    spot.amplitude = in.f64();
     EMTS_REQUIRE(spot.bin < detector.golden_.size(), "spectral load: spot bin out of range");
     detector.golden_spots_.push_back(spot);
   }

@@ -124,7 +124,7 @@ class SpectralDetector : public Detector {
   /// Serializes the golden spectrum, spots, noise floor and options; load()
   /// restores a detector whose analyze() reports are bit-identical.
   void save(std::ostream& out) const override;
-  static SpectralDetector load(std::istream& in);
+  static SpectralDetector load(util::ByteReader& in);
 
   const dsp::Spectrum& golden_spectrum() const { return golden_; }
   const std::vector<dsp::SpectralPeak>& golden_spots() const { return golden_spots_; }

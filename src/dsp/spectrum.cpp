@@ -262,10 +262,10 @@ void save_spectrum(std::ostream& out, const Spectrum& spectrum) {
   util::write_f64_vec(out, spectrum.amplitude);
 }
 
-Spectrum load_spectrum(std::istream& in) {
+Spectrum load_spectrum(util::ByteReader& in) {
   Spectrum spectrum;
-  spectrum.frequency = util::read_f64_vec(in);
-  spectrum.amplitude = util::read_f64_vec(in);
+  spectrum.frequency = in.f64_vec();
+  spectrum.amplitude = in.f64_vec();
   EMTS_REQUIRE(spectrum.frequency.size() == spectrum.amplitude.size(),
                "load_spectrum: ragged spectrum");
   EMTS_REQUIRE(!spectrum.amplitude.empty(), "load_spectrum: empty spectrum");

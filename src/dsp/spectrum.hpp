@@ -12,6 +12,7 @@
 
 #include "dsp/fft.hpp"
 #include "dsp/window.hpp"
+#include "util/binio.hpp"
 
 namespace emts::dsp {
 
@@ -147,6 +148,6 @@ class SpectrumAnalyzer {
 /// model in an EMCA calibration artifact). load_spectrum restores the bins
 /// bit-identically and throws precondition_error on truncation or mismatch.
 void save_spectrum(std::ostream& out, const Spectrum& spectrum);
-Spectrum load_spectrum(std::istream& in);
+Spectrum load_spectrum(util::ByteReader& in);
 
 }  // namespace emts::dsp

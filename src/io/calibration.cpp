@@ -2,14 +2,13 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <vector>
 
 #include "core/detector.hpp"
+#include "io/mapped_file.hpp"
 #include "util/assert.hpp"
-#include "util/binio.hpp"
 
 namespace emts::io {
 
@@ -48,55 +47,39 @@ void save_calibration(const std::string& path, const core::TrustEvaluator& evalu
   EMTS_REQUIRE(out.good(), "save_calibration: write failed for " + path);
 }
 
-core::TrustEvaluator load_calibration(std::istream& in) {
-  char magic[4] = {};
-  in.read(magic, sizeof magic);
-  EMTS_REQUIRE(in.gcount() == sizeof magic, "load_calibration: truncated header");
-  EMTS_REQUIRE(std::memcmp(magic, kMagic, sizeof magic) == 0,
-               "load_calibration: bad magic");
-  const std::uint32_t version = util::read_u32(in);
+core::TrustEvaluator load_calibration(util::ByteReader& in) {
+  in.expect_magic(kMagic, "load_calibration");
+  const std::uint32_t version = in.u32();
   EMTS_REQUIRE(version == kVersion, "load_calibration: unsupported version");
 
-  const double sample_rate = util::read_f64(in);
+  const double sample_rate = in.f64();
   EMTS_REQUIRE(std::isfinite(sample_rate) && sample_rate > 0.0,
                "load_calibration: bad sample rate");
-  const double alarm_fraction = util::read_f64(in);
+  const double alarm_fraction = in.f64();
   EMTS_REQUIRE(std::isfinite(alarm_fraction) && alarm_fraction > 0.0 && alarm_fraction <= 1.0,
                "load_calibration: bad alarm fraction");
-  const std::uint32_t count = util::read_u32(in);
-  EMTS_REQUIRE(count >= 1 && count <= kMaxDetectors, "load_calibration: bad detector count");
+  // Each detector carries at least its name length and payload size.
+  const std::size_t count = in.count_u32(kMaxDetectors, 4 + 8, "load_calibration: detector count");
+  EMTS_REQUIRE(count >= 1, "load_calibration: bad detector count");
 
   std::vector<std::shared_ptr<const core::Detector>> detectors;
   detectors.reserve(count);
-  for (std::uint32_t d = 0; d < count; ++d) {
-    const std::string name = util::read_string(in);
-    const std::uint64_t payload_size = util::read_u64(in);
-    // A declared payload the stream cannot possibly hold is a corrupt
-    // header; refuse it before the allocation it would otherwise trigger.
-    EMTS_REQUIRE(payload_size <= util::stream_remaining(in),
-                 "load_calibration: payload size for '" + name +
-                     "' exceeds remaining bytes");
-
-    std::string bytes(static_cast<std::size_t>(payload_size), '\0');
-    in.read(bytes.data(), static_cast<std::streamsize>(payload_size));
-    EMTS_REQUIRE(in.gcount() == static_cast<std::streamsize>(payload_size),
-                 "load_calibration: truncated payload for '" + name + "'");
-
-    std::istringstream payload{bytes, std::ios::binary};
-    auto detector = core::load_detector(name, payload);
-    EMTS_REQUIRE(payload.peek() == std::istringstream::traits_type::eof(),
-                 "load_calibration: unconsumed payload bytes for '" + name + "'");
-    detectors.push_back(std::move(detector));
+  for (std::size_t d = 0; d < count; ++d) {
+    const std::string name = in.string();
+    // The payload is parsed in place through a reader that ends with it, so
+    // a detector loader can neither copy it nor read into the next frame.
+    util::ByteReader payload = in.take(in.u64());
+    detectors.push_back(core::load_detector(name, payload));
+    payload.expect_end("load_calibration: payload for '" + name + "'");
   }
   return core::TrustEvaluator::assemble(std::move(detectors), alarm_fraction, sample_rate);
 }
 
 core::TrustEvaluator load_calibration(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  EMTS_REQUIRE(in.good(), "load_calibration: cannot open " + path);
+  const MappedFile file{path, "load_calibration"};
+  util::ByteReader in{file.bytes()};
   core::TrustEvaluator evaluator = load_calibration(in);
-  EMTS_REQUIRE(in.peek() == std::ifstream::traits_type::eof(),
-               "load_calibration: trailing bytes in " + path);
+  in.expect_end("load_calibration: " + path);
   return evaluator;
 }
 

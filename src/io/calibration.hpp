@@ -23,6 +23,7 @@
 #include <string>
 
 #include "core/evaluator.hpp"
+#include "util/binio.hpp"
 
 namespace emts::io {
 
@@ -36,11 +37,12 @@ void save_calibration(std::ostream& out, const core::TrustEvaluator& evaluator);
 /// Reads an artifact written by save_calibration and reassembles the
 /// evaluator. Throws precondition_error on bad magic, version, sizes,
 /// detector names outside core::kDetectorNames, corrupt or
-/// under/over-consumed payloads, or trailing bytes. The stream form stops
-/// exactly after the last detector payload (no trailing-byte check), so an
-/// artifact can be embedded in a larger container; the path form requires
-/// the file to end there.
+/// under/over-consumed payloads, or trailing bytes. The reader form parses
+/// one artifact from `in` and leaves it just past the last detector payload
+/// (no trailing-byte check), so an artifact can be embedded in a larger
+/// container; the path form parses the mapped file and requires it to end
+/// there.
 core::TrustEvaluator load_calibration(const std::string& path);
-core::TrustEvaluator load_calibration(std::istream& in);
+core::TrustEvaluator load_calibration(util::ByteReader& in);
 
 }  // namespace emts::io

@@ -1,18 +1,19 @@
-// The one EMTA read mechanism. MappedTraceArchive mmap()s the archive,
-// validates its header (decode_trace_archive_header), then hands out
-// pointers straight into the mapping: the EMTA payload is little-endian
-// float64 starting at a double-aligned offset, so a trace is readable in
-// place with no copy and no per-trace heap traffic. The kernel pages samples
-// in on demand, which is what lets a replay client stream archives much
-// larger than RAM at line rate. load_trace_archive() is this mapping plus
-// one trace_copy() per trace, for analysis code that wants an owned
-// TraceSet.
+// The one EMTA read mechanism. MappedTraceArchive maps the archive
+// (io::MappedFile), validates its header (decode_trace_archive_header), then
+// hands out pointers straight into the mapping: the EMTA payload is
+// little-endian float64 starting at a double-aligned offset, so a trace is
+// readable in place with no copy and no per-trace heap traffic. The kernel
+// pages samples in on demand, which is what lets a replay client stream
+// archives much larger than RAM at line rate. load_trace_archive() is this
+// mapping plus one trace_copy() per trace, for analysis code that wants an
+// owned TraceSet.
 #pragma once
 
 #include <cstddef>
 #include <string>
 
 #include "core/trace.hpp"
+#include "io/mapped_file.hpp"
 #include "io/trace_archive.hpp"
 
 namespace emts::io {
@@ -24,12 +25,6 @@ class MappedTraceArchive {
   /// byte). Throws precondition_error on open/map failure or any header
   /// mismatch (decode_trace_archive_header).
   explicit MappedTraceArchive(const std::string& path);
-  ~MappedTraceArchive();
-
-  MappedTraceArchive(MappedTraceArchive&& other) noexcept;
-  MappedTraceArchive& operator=(MappedTraceArchive&& other) noexcept;
-  MappedTraceArchive(const MappedTraceArchive&) = delete;
-  MappedTraceArchive& operator=(const MappedTraceArchive&) = delete;
 
   std::size_t size() const { return shape_.trace_count; }
   std::size_t trace_length() const { return shape_.trace_length; }
@@ -43,11 +38,7 @@ class MappedTraceArchive {
   core::Trace trace_copy(std::size_t i) const;
 
  private:
-  void unmap() noexcept;
-
-  void* mapping_ = nullptr;
-  std::size_t mapping_bytes_ = 0;
-  const double* samples_ = nullptr;  // payload start inside the mapping
+  MappedFile file_;
   TraceArchiveShape shape_;
 };
 

@@ -1,12 +1,12 @@
 #include "io/snapshot.hpp"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
 
 #include "io/calibration.hpp"
+#include "io/mapped_file.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
 #include "util/xxh64.hpp"
@@ -38,13 +38,13 @@ void write_histogram(std::ostream& out, const util::LatencyHistogram& h) {
   util::write_u64(out, h.max_ns());
 }
 
-void read_histogram(std::istream& in, util::LatencyHistogram& h) {
+void read_histogram(util::ByteReader& in, util::LatencyHistogram& h) {
   std::array<std::uint64_t, util::LatencyHistogram::kBuckets> buckets{};
-  for (std::uint64_t& b : buckets) b = util::read_u64(in);
-  const std::uint64_t count = util::read_u64(in);
-  const std::uint64_t total = util::read_u64(in);
-  const std::uint64_t raw_min = util::read_u64(in);
-  const std::uint64_t max = util::read_u64(in);
+  for (std::uint64_t& b : buckets) b = in.u64();
+  const std::uint64_t count = in.u64();
+  const std::uint64_t total = in.u64();
+  const std::uint64_t raw_min = in.u64();
+  const std::uint64_t max = in.u64();
   h.restore(buckets, count, total, raw_min, max);  // validates consistency
 }
 
@@ -53,15 +53,12 @@ void write_traces(std::ostream& out, const std::vector<core::Trace>& traces) {
   for (const core::Trace& trace : traces) util::write_f64_vec(out, trace);
 }
 
-std::vector<core::Trace> read_traces(std::istream& in) {
-  const std::uint32_t count = util::read_u32(in);
-  EMTS_REQUIRE(count <= kMaxBufferedTraces, "monitor state: implausible trace count");
+std::vector<core::Trace> read_traces(util::ByteReader& in) {
   // Each trace carries at least its u64 length.
-  EMTS_REQUIRE(count * 8ull <= util::stream_remaining(in),
-               "monitor state: trace count exceeds remaining bytes");
+  const std::size_t count = in.count_u32(kMaxBufferedTraces, 8, "monitor state: trace count");
   std::vector<core::Trace> traces;
   traces.reserve(count);
-  for (std::uint32_t t = 0; t < count; ++t) traces.push_back(util::read_f64_vec(in));
+  for (std::size_t t = 0; t < count; ++t) traces.push_back(in.f64_vec());
   return traces;
 }
 
@@ -130,56 +127,53 @@ void write_monitor_state(std::ostream& out, const core::MonitorStateImage& image
   EMTS_REQUIRE(out.good(), "write_monitor_state: write failed");
 }
 
-core::MonitorStateImage read_monitor_state(std::istream& in) {
+core::MonitorStateImage read_monitor_state(util::ByteReader& in) {
   core::MonitorStateImage image;
-  image.sample_rate = util::read_f64(in);
+  image.sample_rate = in.f64();
   EMTS_REQUIRE(std::isfinite(image.sample_rate) && image.sample_rate > 0.0,
                "monitor state: bad sample rate");
-  image.calibration_traces = util::read_u64(in);
-  image.alarm_debounce = util::read_u64(in);
-  image.spectral_window = util::read_u64(in);
-  image.event_log_capacity = util::read_u64(in);
-  image.spectral_rebuild_every = util::read_u64(in);
+  image.calibration_traces = in.u64();
+  image.alarm_debounce = in.u64();
+  image.spectral_window = in.u64();
+  image.event_log_capacity = in.u64();
+  image.spectral_rebuild_every = in.u64();
   EMTS_REQUIRE(image.spectral_rebuild_every >= 1,
                "monitor state: bad spectral rebuild cadence");
 
-  const std::uint8_t state = util::read_u8(in);
+  const std::uint8_t state = in.u8();
   EMTS_REQUIRE(state <= static_cast<std::uint8_t>(core::MonitorState::kAlarm),
                "monitor state: bad state tag");
   image.state = static_cast<core::MonitorState>(state);
-  image.traces_seen = util::read_u64(in);
-  image.expected_length = util::read_u64(in);
-  image.consecutive_anomalies = util::read_u64(in);
-  image.alarm_latched_at = util::read_u64(in);
+  image.traces_seen = in.u64();
+  image.expected_length = in.u64();
+  image.consecutive_anomalies = in.u64();
+  image.alarm_latched_at = in.u64();
 
-  const std::uint8_t has_score = util::read_u8(in);
+  const std::uint8_t has_score = in.u8();
   EMTS_REQUIRE(has_score <= 1, "monitor state: bad last-score flag");
-  const double last_score = util::read_f64(in);
+  const double last_score = in.f64();
   if (has_score == 1) image.last_score = last_score;
 
-  const std::uint8_t has_spectral = util::read_u8(in);
+  const std::uint8_t has_spectral = in.u8();
   EMTS_REQUIRE(has_spectral <= 1, "monitor state: bad spectral flag");
-  const std::uint32_t anomaly_count = util::read_u32(in);
-  EMTS_REQUIRE(anomaly_count <= kMaxAnomalies, "monitor state: implausible anomaly count");
+  // Each anomaly is 33 serialized bytes.
+  const std::size_t anomaly_count =
+      in.count_u32(kMaxAnomalies, 33, "monitor state: anomaly count");
   EMTS_REQUIRE(has_spectral == 1 || anomaly_count == 0,
                "monitor state: anomalies without a spectral report");
-  // Each anomaly is 33 serialized bytes; bound the declared count against
-  // what the stream can actually hold before reserving.
-  EMTS_REQUIRE(anomaly_count * 33ull <= util::stream_remaining(in),
-               "monitor state: anomaly count exceeds remaining bytes");
   if (has_spectral == 1) {
     core::SpectralReport report;
     report.anomalies.reserve(anomaly_count);
-    for (std::uint32_t a = 0; a < anomaly_count; ++a) {
+    for (std::size_t a = 0; a < anomaly_count; ++a) {
       core::SpectralAnomaly anomaly;
-      const std::uint8_t kind = util::read_u8(in);
+      const std::uint8_t kind = in.u8();
       EMTS_REQUIRE(kind <= static_cast<std::uint8_t>(core::SpectralAnomalyKind::kAmplifiedSpot),
                    "monitor state: bad anomaly kind");
       anomaly.kind = static_cast<core::SpectralAnomalyKind>(kind);
-      anomaly.frequency_hz = util::read_f64(in);
-      anomaly.golden_amplitude = util::read_f64(in);
-      anomaly.suspect_amplitude = util::read_f64(in);
-      anomaly.ratio = util::read_f64(in);
+      anomaly.frequency_hz = in.f64();
+      anomaly.golden_amplitude = in.f64();
+      anomaly.suspect_amplitude = in.f64();
+      anomaly.ratio = in.f64();
       report.anomalies.push_back(anomaly);
     }
     image.last_spectral = std::move(report);
@@ -187,47 +181,44 @@ core::MonitorStateImage read_monitor_state(std::istream& in) {
 
   image.calibration = read_traces(in);
   image.window = read_traces(in);
-  image.window_total_pushed = util::read_u64(in);
-  image.spectral_count = util::read_u64(in);
-  image.spectral_updates_since_rebuild = util::read_u64(in);
-  image.spectral_sum = util::read_f64_vec(in);
+  image.window_total_pushed = in.u64();
+  image.spectral_count = in.u64();
+  image.spectral_updates_since_rebuild = in.u64();
+  image.spectral_sum = in.f64_vec();
   EMTS_REQUIRE(image.spectral_count == 0 || image.spectral_count == image.window.size(),
                "monitor state: spectral accumulator count disagrees with the window");
   EMTS_REQUIRE(image.spectral_count == 0 || !image.spectral_sum.empty(),
                "monitor state: non-empty spectral accumulator with no bins");
 
   core::MonitorStats& s = image.stats;
-  s.traces_ingested = util::read_u64(in);
-  s.traces_rejected = util::read_u64(in);
-  s.calibration_captures = util::read_u64(in);
-  s.scored_captures = util::read_u64(in);
-  s.per_trace_anomalies = util::read_u64(in);
-  s.spectral_passes = util::read_u64(in);
-  s.windowed_anomalies = util::read_u64(in);
-  s.spectral_recomputes = util::read_u64(in);
-  s.spectral_incremental_updates = util::read_u64(in);
-  s.alarms_latched = util::read_u64(in);
-  s.alarms_acknowledged = util::read_u64(in);
-  s.events_dropped = util::read_u64(in);
+  s.traces_ingested = in.u64();
+  s.traces_rejected = in.u64();
+  s.calibration_captures = in.u64();
+  s.scored_captures = in.u64();
+  s.per_trace_anomalies = in.u64();
+  s.spectral_passes = in.u64();
+  s.windowed_anomalies = in.u64();
+  s.spectral_recomputes = in.u64();
+  s.spectral_incremental_updates = in.u64();
+  s.alarms_latched = in.u64();
+  s.alarms_acknowledged = in.u64();
+  s.events_dropped = in.u64();
   read_histogram(in, s.push_latency);
   read_histogram(in, s.spectral_latency);
 
-  const std::uint32_t event_count = util::read_u32(in);
-  EMTS_REQUIRE(event_count <= image.event_log_capacity,
-               "monitor state: more events than the log can hold");
-  // 17 bytes per serialized event.
-  EMTS_REQUIRE(event_count * 17ull <= util::stream_remaining(in),
-               "monitor state: event count exceeds remaining bytes");
+  // No more events than the log holds, 17 serialized bytes each.
+  const std::size_t event_count =
+      in.count_u32(image.event_log_capacity, 17, "monitor state: event count");
   image.events.reserve(event_count);
-  for (std::uint32_t e = 0; e < event_count; ++e) {
+  for (std::size_t e = 0; e < event_count; ++e) {
     core::MonitorEvent event;
-    const std::uint8_t kind = util::read_u8(in);
+    const std::uint8_t kind = in.u8();
     EMTS_REQUIRE(
         kind <= static_cast<std::uint8_t>(core::MonitorEventKind::kTraceRejectedNonFinite),
         "monitor state: bad event kind");
     event.kind = static_cast<core::MonitorEventKind>(kind);
-    event.trace_index = util::read_u64(in);
-    event.value = util::read_f64(in);
+    event.trace_index = in.u64();
+    event.value = in.f64();
     image.events.push_back(event);
   }
   return image;
@@ -336,73 +327,52 @@ void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot,
 }
 
 FleetSnapshot load_fleet_snapshot(const std::string& path) {
-  std::ifstream in{path, std::ios::binary};
-  EMTS_REQUIRE(in.good(), "load_fleet_snapshot: cannot open " + path);
-
-  char magic[4] = {};
-  in.read(magic, sizeof magic);
-  EMTS_REQUIRE(in.gcount() == sizeof magic, "load_fleet_snapshot: truncated header");
-  EMTS_REQUIRE(std::memcmp(magic, kMagic, sizeof magic) == 0,
-               "load_fleet_snapshot: bad magic in " + path);
-  const std::uint32_t version = util::read_u32(in);
+  const MappedFile file{path, "load_fleet_snapshot"};
+  util::ByteReader in{file.bytes()};
+  in.expect_magic(kMagic, "load_fleet_snapshot: " + path);
+  const std::uint32_t version = in.u32();
   EMTS_REQUIRE(version == kVersion,
                "load_fleet_snapshot: unsupported version " + std::to_string(version) +
                    " (expected 4; v1-v3 snapshots carry the FNV-1a record checksum)");
 
   FleetSnapshot snapshot;
-  snapshot.shards = util::read_u32(in);
-  snapshot.queue_capacity = util::read_u32(in);
-  snapshot.backpressure = util::read_u8(in);
-  const std::uint32_t device_count = util::read_u32(in);
-  EMTS_REQUIRE(device_count <= kMaxDevices, "load_fleet_snapshot: implausible device count");
+  snapshot.shards = in.u32();
+  snapshot.queue_capacity = in.u32();
+  snapshot.backpressure = in.u8();
+  // Each record carries at least its id length, payload size and checksum.
   // No reserve: a Device is ~1.6 KB in memory but its record can be a few
   // dozen bytes on disk, so the vector grows with the records that decode.
-  for (std::uint32_t d = 0; d < device_count; ++d) {
-    std::string device_id = util::read_string(in);
+  const std::size_t device_count =
+      in.count_u32(kMaxDevices, 4 + 8 + 8, "load_fleet_snapshot: device count");
+  for (std::size_t d = 0; d < device_count; ++d) {
+    std::string device_id = in.string();
     EMTS_REQUIRE(!device_id.empty(), "load_fleet_snapshot: empty device id");
     EMTS_REQUIRE(snapshot.devices.empty() || snapshot.devices.back().device_id < device_id,
                  "load_fleet_snapshot: device records out of order or duplicated");
+    const std::string record_what = "load_fleet_snapshot: record '" + device_id + "'";
 
-    const std::uint64_t payload_size = util::read_u64(in);
+    const std::uint64_t payload_size = in.u64();
     EMTS_REQUIRE(payload_size <= kMaxDeviceBytes,
                  "load_fleet_snapshot: implausible record size for '" + device_id + "'");
-    // +8 for the trailing checksum the record still owes.
-    EMTS_REQUIRE(payload_size + 8 <= util::stream_remaining(in),
-                 "load_fleet_snapshot: record size for '" + device_id +
-                     "' exceeds remaining bytes");
-
-    std::string payload(static_cast<std::size_t>(payload_size), '\0');
-    in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-    EMTS_REQUIRE(in.gcount() == static_cast<std::streamsize>(payload_size),
-                 "load_fleet_snapshot: truncated record for '" + device_id + "'");
-    const std::uint64_t declared_sum = util::read_u64(in);
+    const std::span<const std::byte> payload = in.bytes(payload_size);
+    const std::uint64_t declared_sum = in.u64();
     EMTS_REQUIRE(declared_sum == util::xxh64(payload.data(), payload.size()),
                  "load_fleet_snapshot: checksum mismatch for '" + device_id + "'");
 
-    std::istringstream record{payload, std::ios::binary};
-    const std::uint64_t emca_size = util::read_u64(record);
-    EMTS_REQUIRE(emca_size <= util::stream_remaining(record),
-                 "load_fleet_snapshot: calibration size for '" + device_id +
-                     "' exceeds its record");
+    util::ByteReader record{payload};
     // Parse the EMCA artifact from its exact sub-range so an artifact that
     // reads short or long of its declared frame is caught here, not blamed on
     // the monitor-state bytes that follow.
-    std::string emca_bytes(static_cast<std::size_t>(emca_size), '\0');
-    record.read(emca_bytes.data(), static_cast<std::streamsize>(emca_size));
-    std::istringstream emca{emca_bytes, std::ios::binary};
+    util::ByteReader emca = record.take(record.u64());
     core::TrustEvaluator evaluator = load_calibration(emca);
-    EMTS_REQUIRE(emca.peek() == std::istringstream::traits_type::eof(),
-                 "load_fleet_snapshot: calibration frame for '" + device_id +
-                     "' not fully consumed");
+    emca.expect_end(record_what + " calibration frame");
     core::MonitorStateImage monitor = read_monitor_state(record);
-    EMTS_REQUIRE(record.peek() == std::istringstream::traits_type::eof(),
-                 "load_fleet_snapshot: trailing bytes in record for '" + device_id + "'");
+    record.expect_end(record_what);
 
     snapshot.devices.push_back(
         FleetSnapshot::Device{std::move(device_id), std::move(evaluator), std::move(monitor)});
   }
-  EMTS_REQUIRE(in.peek() == std::ifstream::traits_type::eof(),
-               "load_fleet_snapshot: trailing bytes in " + path);
+  in.expect_end("load_fleet_snapshot: " + path);
   return snapshot;
 }
 

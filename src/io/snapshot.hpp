@@ -48,14 +48,15 @@
 
 #include "core/evaluator.hpp"
 #include "core/monitor.hpp"
+#include "util/binio.hpp"
 
 namespace emts::io {
 
 /// Serializes one monitor state image (every field, both latency
 /// histograms, the buffered event log) such that read_monitor_state returns
-/// a bit-identical image.
+/// a bit-identical image. The reader stops just past the image.
 void write_monitor_state(std::ostream& out, const core::MonitorStateImage& image);
-core::MonitorStateImage read_monitor_state(std::istream& in);
+core::MonitorStateImage read_monitor_state(util::ByteReader& in);
 
 /// In-memory form of one EMFS container.
 struct FleetSnapshot {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <fstream>
 #include <string>
 
@@ -14,38 +13,28 @@ namespace emts::io {
 
 namespace {
 
+// The EMTA v1 header (docs/FORMATS.md): magic[4] @0, u32 version @4, u64
+// trace_count @8, u64 trace_length @16, f64 sample_rate @24, little-endian.
 constexpr char kMagic[4] = {'E', 'M', 'T', 'A'};
 constexpr std::uint32_t kVersion = 1;
 
-// The EMTA v1 header as it sits on disk (docs/FORMATS.md): magic[4] @0,
-// u32 version @4, u64 trace_count @8, u64 trace_length @16, f64
-// sample_rate @24, little-endian.
-struct Header {
-  char magic[4];
-  std::uint32_t version;
-  std::uint64_t trace_count;
-  std::uint64_t trace_length;
-  double sample_rate;
-};
-static_assert(sizeof(Header) == kTraceArchiveHeaderBytes, "EMTA header is 32 bytes");
-
 }  // namespace
 
-TraceArchiveShape decode_trace_archive_header(const char* header_bytes, std::uint64_t file_bytes,
-                                              const std::string& path) {
-  EMTS_REQUIRE(file_bytes >= sizeof(Header), "trace archive: truncated header in " + path);
-  Header header{};
-  std::memcpy(&header, header_bytes, sizeof header);
-  EMTS_REQUIRE(std::memcmp(header.magic, kMagic, sizeof kMagic) == 0,
-               "trace archive: bad magic in " + path);
-  EMTS_REQUIRE(header.version == kVersion, "trace archive: unsupported version " +
-                                               std::to_string(header.version) + " in " + path);
-  EMTS_REQUIRE(header.trace_count > 0 && header.trace_length > 0,
-               "trace archive: empty archive " + path);
-  EMTS_REQUIRE(std::isfinite(header.sample_rate) && header.sample_rate > 0.0,
+TraceArchiveShape decode_trace_archive_header(util::ByteReader& in, const std::string& path) {
+  EMTS_REQUIRE(in.remaining() >= kTraceArchiveHeaderBytes,
+               "trace archive: truncated header in " + path);
+  in.expect_magic(kMagic, "trace archive: " + path);
+  const std::uint32_t version = in.u32();
+  EMTS_REQUIRE(version == kVersion, "trace archive: unsupported version " +
+                                        std::to_string(version) + " in " + path);
+  const std::uint64_t trace_count = in.u64();
+  const std::uint64_t trace_length = in.u64();
+  const double sample_rate = in.f64();
+  EMTS_REQUIRE(trace_count > 0 && trace_length > 0, "trace archive: empty archive " + path);
+  EMTS_REQUIRE(std::isfinite(sample_rate) && sample_rate > 0.0,
                "trace archive: bad sample rate in " + path);
   // Guard pathological headers before anything is sized from them.
-  EMTS_REQUIRE(header.trace_count < (1ull << 32) && header.trace_length < (1ull << 32),
+  EMTS_REQUIRE(trace_count < (1ull << 32) && trace_length < (1ull << 32),
                "trace archive: implausible sizes in " + path);
   // The declared shape must account for every byte after the header, so a
   // truncated or padded file is refused before a single trace is allocated
@@ -54,14 +43,13 @@ TraceArchiveShape decode_trace_archive_header(const char* header_bytes, std::uin
   // header agree with a header-only file; multiply checked.
   std::uint64_t sample_count = 0;
   std::uint64_t payload_bytes = 0;
-  EMTS_REQUIRE(util::checked_mul_u64(header.trace_count, header.trace_length,
-                                     &sample_count) &&
+  EMTS_REQUIRE(util::checked_mul_u64(trace_count, trace_length, &sample_count) &&
                    util::checked_mul_u64(sample_count, sizeof(double), &payload_bytes),
                "trace archive: declared shape overflows in " + path);
-  EMTS_REQUIRE(file_bytes - sizeof(Header) == payload_bytes,
+  EMTS_REQUIRE(in.remaining() == payload_bytes,
                "trace archive: declared shape disagrees with file size in " + path);
-  return TraceArchiveShape{static_cast<std::size_t>(header.trace_count),
-                           static_cast<std::size_t>(header.trace_length), header.sample_rate};
+  return TraceArchiveShape{static_cast<std::size_t>(trace_count),
+                           static_cast<std::size_t>(trace_length), sample_rate};
 }
 
 void save_trace_archive(const std::string& path, const core::TraceSet& set) {
@@ -71,13 +59,11 @@ void save_trace_archive(const std::string& path, const core::TraceSet& set) {
   std::ofstream out{path, std::ios::binary};
   EMTS_REQUIRE(out.good(), "save_trace_archive: cannot open " + path);
 
-  Header header{};
-  std::memcpy(header.magic, kMagic, sizeof kMagic);
-  header.version = kVersion;
-  header.trace_count = set.size();
-  header.trace_length = set.trace_length();
-  header.sample_rate = set.sample_rate;
-  out.write(reinterpret_cast<const char*>(&header), sizeof header);
+  out.write(kMagic, sizeof kMagic);
+  util::write_u32(out, kVersion);
+  util::write_u64(out, set.size());
+  util::write_u64(out, set.trace_length());
+  util::write_f64(out, set.sample_rate);
 
   for (const core::Trace& trace : set.traces) {
     out.write(reinterpret_cast<const char*>(trace.data()),

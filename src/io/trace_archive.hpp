@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/trace.hpp"
+#include "util/binio.hpp"
 
 namespace emts::io {
 
@@ -24,14 +25,13 @@ struct TraceArchiveShape {
 };
 
 /// The one EMTA header check, applied by MappedTraceArchive (and so by
-/// load_trace_archive). Decodes the header at `header_bytes` and validates
-/// it against the archive's total size: a whole header present, magic,
-/// version, non-empty shape, finite positive sample rate, both sizes below
-/// 2^32, and header + count x length x 8 == file_bytes (multiplied without
-/// wrapping). `header_bytes` is read only once file_bytes covers a whole
-/// header. Throws precondition_error naming `path`.
-TraceArchiveShape decode_trace_archive_header(const char* header_bytes, std::uint64_t file_bytes,
-                                              const std::string& path);
+/// load_trace_archive). Reads the header from `in`, which must hold the
+/// whole archive, and validates it against the bytes that follow: a whole
+/// header present, magic, version, non-empty shape, finite positive sample
+/// rate, both sizes below 2^32, and count x length x 8 == the bytes left
+/// (multiplied without wrapping). Leaves `in` at the first sample. Throws
+/// precondition_error naming `path`.
+TraceArchiveShape decode_trace_archive_header(util::ByteReader& in, const std::string& path);
 
 /// Writes a validated TraceSet; throws precondition_error on I/O failure or
 /// an empty/ragged set.

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "util/assert.hpp"
+#include "util/binio.hpp"
 #include "util/xxh64.hpp"
 
 namespace emts::io::wire {
@@ -22,13 +23,6 @@ void append_raw(std::string& out, const void* data, std::size_t size) {
 template <typename T>
 void append_scalar(std::string& out, T value) {
   append_raw(out, &value, sizeof value);
-}
-
-template <typename T>
-T read_scalar(const char* data) {
-  T value;
-  std::memcpy(&value, data, sizeof value);
-  return value;
 }
 
 }  // namespace
@@ -97,72 +91,62 @@ void FrameDecoder::feed(const char* data, std::size_t size) {
 
 namespace {
 
-void parse_trace_payload(const char* payload, std::uint32_t payload_size, TraceFrame& out) {
-  // Every sub-length must land exactly on the declared payload size, or the
-  // frame lies about its own shape.
-  EMTS_REQUIRE(payload_size >= sizeof(std::uint32_t), "wire: truncated frame payload");
-  const std::uint32_t id_bytes = read_scalar<std::uint32_t>(payload);
-  EMTS_REQUIRE(id_bytes >= 1 && id_bytes <= kMaxDeviceIdBytes,
-               "wire: implausible device id size");
-  const std::size_t fixed = sizeof(std::uint32_t) + id_bytes + sizeof(double) +
-                            sizeof(std::uint32_t);
-  EMTS_REQUIRE(payload_size >= fixed, "wire: truncated frame payload");
-  const char* cursor = payload + sizeof(std::uint32_t);
-  out.device_id.assign(cursor, id_bytes);
-  cursor += id_bytes;
-  out.sample_rate = read_scalar<double>(cursor);
-  cursor += sizeof(double);
+// Every sub-length must land exactly on the payload's end, or the frame
+// lies about its own shape.
+void parse_trace_payload(util::ByteReader& in, TraceFrame& out) {
+  const std::size_t id_bytes = in.count_u32(kMaxDeviceIdBytes, 1, "wire: device id size");
+  EMTS_REQUIRE(id_bytes >= 1, "wire: empty device id");
+  const std::span<const std::byte> id = in.bytes(id_bytes);
+  out.device_id.assign(reinterpret_cast<const char*>(id.data()), id_bytes);
+  out.sample_rate = in.f64();
   EMTS_REQUIRE(std::isfinite(out.sample_rate) && out.sample_rate > 0.0,
                "wire: frame has a non-positive sample rate");
-  const std::uint32_t sample_count = read_scalar<std::uint32_t>(cursor);
-  cursor += sizeof(std::uint32_t);
+  const std::uint32_t sample_count = in.u32();
   EMTS_REQUIRE(sample_count > 0, "wire: frame holds an empty trace");
-  EMTS_REQUIRE(fixed + sample_count * sizeof(double) == payload_size,
+  EMTS_REQUIRE(sample_count * sizeof(double) == in.remaining(),
                "wire: frame sample count disagrees with payload size");
   out.trace.resize(sample_count);
-  std::memcpy(out.trace.data(), cursor, sample_count * sizeof(double));
+  const std::span<const std::byte> samples = in.bytes(sample_count * sizeof(double));
+  std::memcpy(out.trace.data(), samples.data(), samples.size());
 }
 
-void parse_hello_payload(const char* payload, std::uint32_t payload_size, std::string& out) {
-  EMTS_REQUIRE(payload_size >= sizeof(std::uint32_t), "wire: truncated frame payload");
-  const std::uint32_t token_bytes = read_scalar<std::uint32_t>(payload);
-  EMTS_REQUIRE(token_bytes >= 1 && token_bytes <= kMaxAuthTokenBytes,
+void parse_hello_payload(util::ByteReader& in, std::string& out) {
+  out = in.string();
+  EMTS_REQUIRE(!out.empty() && out.size() <= kMaxAuthTokenBytes,
                "wire: implausible auth token size");
-  EMTS_REQUIRE(sizeof(std::uint32_t) + token_bytes == payload_size,
-               "wire: hello token size disagrees with payload size");
-  out.assign(payload + sizeof(std::uint32_t), token_bytes);
+  in.expect_end("wire: hello payload");
 }
 
 }  // namespace
 
 bool FrameDecoder::next(Frame& out) {
-  const std::size_t available = buffered();
-  if (available < 12) return false;  // header not yet complete
-  const char* head = buffer_.data() + consumed_;
-
-  EMTS_REQUIRE(read_scalar<std::uint32_t>(head) == kMagic, "wire: bad frame magic");
-  const std::uint8_t version = read_scalar<std::uint8_t>(head + 4);
+  util::ByteReader in{std::string_view{buffer_.data() + consumed_, buffered()}};
+  if (in.remaining() < 12) return false;  // header not yet complete
+  EMTS_REQUIRE(in.u32() == kMagic, "wire: bad frame magic");
+  const std::uint8_t version = in.u8();
   EMTS_REQUIRE(version == kVersion,
                "wire: unsupported frame version " + std::to_string(version) +
                    " (expected 2; v1 frames carry the FNV-1a checksum)");
-  const std::uint8_t frame_type = read_scalar<std::uint8_t>(head + 5);
+  const std::uint8_t frame_type = in.u8();
   EMTS_REQUIRE(frame_type == kFrameTrace || frame_type == kFrameHello,
                "wire: unknown frame type");
-  const std::uint32_t payload_size = read_scalar<std::uint32_t>(head + 8);
+  in.bytes(2);  // reserved
+  const std::uint32_t payload_size = in.u32();
   EMTS_REQUIRE(payload_size <= kMaxFramePayload, "wire: implausible frame payload size");
 
-  if (available < 12 + static_cast<std::size_t>(payload_size) + 8) return false;
-  const char* payload = head + 12;
-  const std::uint64_t declared_sum = read_scalar<std::uint64_t>(payload + payload_size);
-  EMTS_REQUIRE(util::xxh64(payload, payload_size) == declared_sum,
+  if (in.remaining() < static_cast<std::size_t>(payload_size) + 8) return false;
+  const std::span<const std::byte> payload_bytes = in.bytes(payload_size);
+  const std::uint64_t declared_sum = in.u64();
+  EMTS_REQUIRE(util::xxh64(payload_bytes.data(), payload_size) == declared_sum,
                "wire: frame checksum mismatch");
 
+  util::ByteReader payload{payload_bytes};
   if (frame_type == kFrameTrace) {
     out.kind = FrameKind::kTrace;
-    parse_trace_payload(payload, payload_size, out.trace);
+    parse_trace_payload(payload, out.trace);
   } else {
     out.kind = FrameKind::kHello;
-    parse_hello_payload(payload, payload_size, out.auth_token);
+    parse_hello_payload(payload, out.auth_token);
   }
 
   consumed_ += 12 + payload_size + 8;

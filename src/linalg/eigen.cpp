@@ -11,36 +11,41 @@ namespace emts::linalg {
 namespace {
 
 // One Jacobi rotation zeroing element (p, q) of `a`, accumulating into `v`.
+// Both are square and row-major, so (r, c) sits at [r * n + c]; the loops
+// index the storage directly instead of calling the bounds-checked accessor
+// once per element.
 void rotate(Matrix& a, Matrix& v, std::size_t p, std::size_t q) {
-  const double apq = a(p, q);
+  const std::size_t n = a.rows();
+  double* const w = a.row_data(0);
+  double* const x = v.row_data(0);
+  const double apq = w[p * n + q];
   if (apq == 0.0) return;
-  const double app = a(p, p);
-  const double aqq = a(q, q);
+  const double app = w[p * n + p];
+  const double aqq = w[q * n + q];
   const double theta = (aqq - app) / (2.0 * apq);
   // Stable tangent of the rotation angle.
   const double t = (theta >= 0.0 ? 1.0 : -1.0) /
                    (std::abs(theta) + std::sqrt(theta * theta + 1.0));
   const double c = 1.0 / std::sqrt(t * t + 1.0);
   const double s = t * c;
-  const std::size_t n = a.rows();
 
   for (std::size_t k = 0; k < n; ++k) {
-    const double akp = a(k, p);
-    const double akq = a(k, q);
-    a(k, p) = c * akp - s * akq;
-    a(k, q) = s * akp + c * akq;
+    const double akp = w[k * n + p];
+    const double akq = w[k * n + q];
+    w[k * n + p] = c * akp - s * akq;
+    w[k * n + q] = s * akp + c * akq;
   }
   for (std::size_t k = 0; k < n; ++k) {
-    const double apk = a(p, k);
-    const double aqk = a(q, k);
-    a(p, k) = c * apk - s * aqk;
-    a(q, k) = s * apk + c * aqk;
+    const double apk = w[p * n + k];
+    const double aqk = w[q * n + k];
+    w[p * n + k] = c * apk - s * aqk;
+    w[q * n + k] = s * apk + c * aqk;
   }
   for (std::size_t k = 0; k < n; ++k) {
-    const double vkp = v(k, p);
-    const double vkq = v(k, q);
-    v(k, p) = c * vkp - s * vkq;
-    v(k, q) = s * vkp + c * vkq;
+    const double vkp = x[k * n + p];
+    const double vkq = x[k * n + q];
+    x[k * n + p] = c * vkp - s * vkq;
+    x[k * n + q] = s * vkp + c * vkq;
   }
 }
 

@@ -160,25 +160,25 @@ void PcaModel::save(std::ostream& out) const {
   }
 }
 
-PcaModel PcaModel::load(std::istream& in) {
-  const std::uint64_t d = util::read_u64(in);
-  const std::uint64_t k = util::read_u64(in);
+PcaModel PcaModel::load(util::ByteReader& in) {
+  const std::uint64_t d = in.u64();
+  const std::uint64_t k = in.u64();
   EMTS_REQUIRE(d >= 1 && k >= 1, "PCA load: empty model");
   EMTS_REQUIRE(d < (1ull << 32) && k <= d, "PCA load: implausible dimensions");
 
   PcaModel model;
-  model.total_variance_ = util::read_f64(in);
-  model.mean_ = util::read_f64_vec(in);
-  model.eigenvalues_ = util::read_f64_vec(in);
+  model.total_variance_ = in.f64();
+  model.mean_ = in.f64_vec();
+  model.eigenvalues_ = in.f64_vec();
   EMTS_REQUIRE(model.mean_.size() == d, "PCA load: mean size mismatch");
   EMTS_REQUIRE(model.eigenvalues_.size() == k, "PCA load: eigenvalue count mismatch");
-  // d matches a vector read_f64_vec accepted (< 2^26) and k <= d, so the
-  // basis byte count cannot wrap.
-  EMTS_REQUIRE(d * k * sizeof(double) <= util::stream_remaining(in),
+  // d matches a vector f64_vec accepted (< 2^26) and k <= d, so the basis
+  // byte count cannot wrap.
+  EMTS_REQUIRE(d * k * sizeof(double) <= in.remaining(),
                "PCA load: basis exceeds remaining bytes");
   model.basis_ = linalg::Matrix{d, k};
   for (std::size_t j = 0; j < d; ++j) {
-    for (std::size_t c = 0; c < k; ++c) model.basis_(j, c) = util::read_f64(in);
+    for (std::size_t c = 0; c < k; ++c) model.basis_(j, c) = in.f64();
   }
   return model;
 }

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
+#include "util/binio.hpp"
 
 namespace emts::stats {
 
@@ -59,7 +60,7 @@ class PcaModel {
   /// detector can ship without its training traces. load() restores a model
   /// whose project()/reconstruct() outputs are bit-identical to the saved one.
   void save(std::ostream& out) const;
-  static PcaModel load(std::istream& in);
+  static PcaModel load(util::ByteReader& in);
 
  private:
   PcaModel() = default;

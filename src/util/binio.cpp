@@ -1,6 +1,5 @@
 #include "util/binio.hpp"
 
-#include <istream>
 #include <ostream>
 
 #include "util/assert.hpp"
@@ -18,15 +17,6 @@ template <typename T>
 void write_raw(std::ostream& out, const T& v) {
   out.write(reinterpret_cast<const char*>(&v), sizeof v);
   EMTS_REQUIRE(out.good(), "binio: write failed");
-}
-
-template <typename T>
-T read_raw(std::istream& in) {
-  T v{};
-  in.read(reinterpret_cast<char*>(&v), sizeof v);
-  EMTS_REQUIRE(in.gcount() == static_cast<std::streamsize>(sizeof v),
-               "binio: truncated stream");
-  return v;
 }
 
 }  // namespace
@@ -50,45 +40,54 @@ void write_string(std::ostream& out, const std::string& s) {
   EMTS_REQUIRE(out.good(), "binio: write failed");
 }
 
-std::uint8_t read_u8(std::istream& in) { return read_raw<std::uint8_t>(in); }
-std::uint32_t read_u32(std::istream& in) { return read_raw<std::uint32_t>(in); }
-std::uint64_t read_u64(std::istream& in) { return read_raw<std::uint64_t>(in); }
-double read_f64(std::istream& in) { return read_raw<double>(in); }
-
-std::size_t stream_remaining(std::istream& in) {
-  const std::istream::pos_type here = in.tellg();
-  if (here == std::istream::pos_type(-1)) return SIZE_MAX;
-  in.seekg(0, std::ios::end);
-  const std::istream::pos_type end = in.tellg();
-  in.seekg(here);
-  if (end == std::istream::pos_type(-1) || end < here) return SIZE_MAX;
-  return static_cast<std::size_t>(end - here);
+void ByteReader::truncated(std::size_t wanted) const {
+  precondition_failure("n <= remaining()", "binio: truncated input: " + std::to_string(wanted) +
+                                               " bytes wanted, " +
+                                               std::to_string(remaining()) + " left");
 }
 
-std::vector<double> read_f64_vec(std::istream& in) {
-  const std::uint64_t n = read_u64(in);
-  EMTS_REQUIRE(n < kMaxVecElements, "binio: implausible vector size");
-  // A declared length beyond what the stream still holds is a lie; refuse it
-  // before the allocation, not after a short read.
-  EMTS_REQUIRE(n * sizeof(double) <= stream_remaining(in),
-               "binio: vector size exceeds remaining stream bytes");
+std::size_t ByteReader::checked_count(std::uint64_t count, std::uint64_t max,
+                                      std::size_t min_bytes_each, std::string_view what) const {
+  EMTS_ASSERT(min_bytes_each >= 1);
+  EMTS_REQUIRE(count <= max, std::string{what} + ": implausible count " + std::to_string(count));
+  // Divide rather than multiply: count * min_bytes_each can wrap u64.
+  EMTS_REQUIRE(count <= remaining() / min_bytes_each,
+               std::string{what} + ": count " + std::to_string(count) +
+                   " exceeds remaining bytes");
+  return static_cast<std::size_t>(count);
+}
+
+std::size_t ByteReader::count_u32(std::uint64_t max, std::size_t min_bytes_each,
+                                  std::string_view what) {
+  return checked_count(u32(), max, min_bytes_each, what);
+}
+
+std::size_t ByteReader::count_u64(std::uint64_t max, std::size_t min_bytes_each,
+                                  std::string_view what) {
+  return checked_count(u64(), max, min_bytes_each, what);
+}
+
+std::vector<double> ByteReader::f64_vec() {
+  const std::size_t n = count_u64(kMaxVecElements - 1, sizeof(double), "binio: vector size");
   std::vector<double> v(n);
-  in.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(n * sizeof(double)));
-  EMTS_REQUIRE(in.gcount() == static_cast<std::streamsize>(n * sizeof(double)),
-               "binio: truncated stream");
+  const std::span<const std::byte> raw = bytes(n * sizeof(double));
+  if (n > 0) std::memcpy(v.data(), raw.data(), raw.size());
   return v;
 }
 
-std::string read_string(std::istream& in) {
-  const std::uint32_t n = read_u32(in);
-  EMTS_REQUIRE(n < kMaxStringBytes, "binio: implausible string size");
-  EMTS_REQUIRE(n <= stream_remaining(in),
-               "binio: string size exceeds remaining stream bytes");
-  std::string s(n, '\0');
-  in.read(s.data(), static_cast<std::streamsize>(n));
-  EMTS_REQUIRE(in.gcount() == static_cast<std::streamsize>(n), "binio: truncated stream");
-  return s;
+std::string ByteReader::string() {
+  const std::size_t n = count_u32(kMaxStringBytes - 1, 1, "binio: string size");
+  const std::span<const std::byte> raw = bytes(n);
+  return std::string(reinterpret_cast<const char*>(raw.data()), n);
+}
+
+void ByteReader::expect_magic(const char (&magic)[4], std::string_view what) {
+  EMTS_REQUIRE(std::memcmp(bytes(sizeof magic).data(), magic, sizeof magic) == 0,
+               std::string{what} + ": bad magic");
+}
+
+void ByteReader::expect_end(std::string_view what) const {
+  EMTS_REQUIRE(remaining() == 0, std::string{what} + ": trailing bytes");
 }
 
 }  // namespace emts::util

@@ -1,18 +1,25 @@
 // Seeded structural mutation for the decoder tests: each decoder of
 // untrusted bytes must return a valid object or throw precondition_error on
-// any mutant of a valid input. GCC ships no coverage-guided fuzzer, so the
+// any mutant of a valid input, without requesting more heap than a small
+// multiple of the mutant's size. GCC ships no coverage-guided fuzzer, so the
 // mutants come from PCG32 (emts::Rng) with a fixed seed, and half the edits
 // aim at the format's length and count fields, where a decoder's bounds
 // checks live; uniform offsets mostly land in raw samples. Out-of-bounds
 // reads only show under the asan preset, which runs these tests.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <exception>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "util/alloc_counter.hpp"
+#include "util/assert.hpp"
 #include "util/rng.hpp"
 
 namespace emts::mutation {
@@ -65,6 +72,30 @@ inline void mutate(std::string& bytes, const std::vector<Field>& fields, Rng& rn
         break;
     }
   }
+}
+
+/// Runs `decode` on mutant `m`, `mutant_bytes` long. It must return or throw
+/// precondition_error (anything else fails the test) and, where the
+/// allocation counter is live, request less heap than the one bound every
+/// decoder keeps: 8 x the mutant's size + 64 KiB. Returns the refusal's
+/// message, or nullopt when the mutant decoded.
+template <class Decode>
+std::optional<std::string> decode_or_refuse(int m, std::size_t mutant_bytes, Decode decode) {
+  const std::uint64_t before = util::alloc::thread_counts().bytes;
+  std::optional<std::string> refusal;
+  try {
+    decode();
+  } catch (const precondition_error& error) {
+    refusal = error.what();
+  } catch (const std::exception& error) {
+    ADD_FAILURE() << "mutant " << m << " threw a non-precondition error: " << error.what();
+    refusal = error.what();
+  }
+  if (util::alloc::counting_active()) {
+    EXPECT_LT(util::alloc::thread_counts().bytes - before, 8 * mutant_bytes + 65536)
+        << "mutant " << m;
+  }
+  return refusal;
 }
 
 }  // namespace emts::mutation

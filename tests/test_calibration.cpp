@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -18,6 +19,7 @@
 #include "core/monitor.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/assert.hpp"
+#include "util/binio.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
 #include "mutation.hpp"
@@ -285,8 +287,7 @@ core::TrustEvaluator three_stage_stack() {
 }
 
 /// Loads `mutants` seeded mutants of `clean`: each must load or throw
-/// precondition_error and, where the allocation hooks are live, request
-/// less heap than a small multiple of its own size.
+/// precondition_error within the shared heap bound.
 template <class Load>
 void expect_mutants_load_or_refuse(const std::string& clean, const std::vector<Field>& fields,
                                    std::uint64_t seed, int mutants, Load load) {
@@ -295,19 +296,8 @@ void expect_mutants_load_or_refuse(const std::string& clean, const std::vector<F
   for (int m = 0; m < mutants; ++m) {
     std::string mutant = clean;
     mutation::mutate(mutant, fields, rng);
-    std::istringstream in{mutant, std::ios::binary};
-    const std::uint64_t before = util::alloc::thread_counts().bytes;
-    try {
-      load(in);
-    } catch (const emts::precondition_error&) {
-      ++refused;
-    } catch (const std::exception& error) {
-      FAIL() << "mutant " << m << " threw a non-precondition error: " << error.what();
-    }
-    if (util::alloc::counting_active()) {
-      EXPECT_LT(util::alloc::thread_counts().bytes - before, 8 * mutant.size() + 65536)
-          << "mutant " << m;
-    }
+    util::ByteReader in{mutant};
+    if (mutation::decode_or_refuse(m, mutant.size(), [&] { load(in); })) ++refused;
   }
   // Aimed splices must mostly reach, and trip, the length checks.
   EXPECT_GT(refused, mutants / 2);
@@ -320,7 +310,7 @@ TEST_F(CalibrationArtifactTest, SeededMutantsLoadOrThrowPreconditionError) {
   std::vector<Field> fields;
   ASSERT_EQ(emca_fields(clean, 0, fields), clean.size());
   expect_mutants_load_or_refuse(clean, fields, 0x454d4341 /* 'EMCA' */, 2000,
-                                [](std::istream& in) { load_calibration(in); });
+                                [](util::ByteReader& in) { load_calibration(in); });
 }
 
 TEST(ArrayArtifact, SeededMutantsLoadOrThrowPreconditionError) {
@@ -344,7 +334,37 @@ TEST(ArrayArtifact, SeededMutantsLoadOrThrowPreconditionError) {
   }
   ASSERT_EQ(cursor, clean.size());
   expect_mutants_load_or_refuse(clean, fields, 0x454d4141 /* 'EMAA' */, 1000,
-                                [](std::istream& in) { array::load_array_calibration(in); });
+                                [](util::ByteReader& in) { array::load_array_calibration(in); });
+}
+
+// ---------- a valid load requests about its own size ----------
+
+// Detector payloads are parsed in place, from memory or from the mapped
+// file. Copying each payload into a std::string and again into a
+// std::istringstream, a 166 KB artifact requested 3.1x (path) and 4.1x
+// (memory, through a std::istringstream) its size.
+TEST_F(CalibrationArtifactTest, ValidLoadRequestsLessThanTwiceItsSize) {
+  if (!util::alloc::counting_active()) {
+    GTEST_SKIP() << "allocation hooks disabled in this build (sanitizer)";
+  }
+  // Undecimated features give a 2048 x 8 PCA basis, so the artifact (about
+  // 180 KB) outweighs the bound's 64 KiB slack.
+  core::TrustEvaluator::Options options;
+  options.detectors = {"euclidean", "spectral", "ron"};
+  options.euclidean.preprocess.decimation = 1;
+  save_calibration(path_, core::TrustEvaluator::calibrate(make_set(20, false, 30), options));
+  std::ifstream file{path_, std::ios::binary};
+  const std::string bytes{std::istreambuf_iterator<char>{file}, {}};
+  const std::uint64_t bound = 2 * bytes.size() + 65536;
+
+  std::uint64_t before = util::alloc::thread_counts().bytes;
+  util::ByteReader in{bytes};
+  load_calibration(in);
+  EXPECT_LT(util::alloc::thread_counts().bytes - before, bound) << "from memory";
+
+  before = util::alloc::thread_counts().bytes;
+  load_calibration(path_);
+  EXPECT_LT(util::alloc::thread_counts().bytes - before, bound) << "from its path";
 }
 
 }  // namespace

@@ -8,6 +8,9 @@
 #include <limits>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/detector.hpp"
 #include "core/euclidean.hpp"
@@ -312,11 +315,12 @@ TEST(SpectralDetector, LoadRejectsCorruptSampleRate) {
   util::write_f64(inf_bytes, std::numeric_limits<double>::infinity());
   payload.replace(37, 8, inf_bytes.str());
 
-  std::istringstream in{payload};
+  util::ByteReader in{payload};
   EXPECT_THROW(SpectralDetector::load(in), emts::precondition_error);
 
   // Unpatched payload still round-trips.
-  std::istringstream clean{out.str()};
+  const std::string saved = out.str();
+  util::ByteReader clean{saved};
   const auto restored = SpectralDetector::load(clean);
   EXPECT_EQ(restored.sample_rate(), det.sample_rate());
 }
@@ -330,7 +334,7 @@ template <class Load>
 void expect_refused_without_allocating(std::string payload, std::size_t count_at,
                                        std::uint64_t count, Load load) {
   std::memcpy(payload.data() + count_at, &count, sizeof count);
-  std::istringstream in{payload};
+  util::ByteReader in{payload};
   const std::uint64_t before = util::alloc::thread_counts().bytes;
   EXPECT_THROW(load(in), emts::precondition_error) << "count " << count;
   if (util::alloc::counting_active()) {
@@ -356,7 +360,7 @@ TEST(EuclideanDetector, LoadRefusesAProjectionCountTheBytesCannotBack) {
   ASSERT_EQ(own, 20u);
   for (const std::uint64_t count : {1ull << 24, 1ull << 31, 0xFFFFFFFFull}) {
     expect_refused_without_allocating(out.str(), count_at, count,
-                                      [](std::istream& in) { EuclideanDetector::load(in); });
+                                      [](util::ByteReader& in) { EuclideanDetector::load(in); });
   }
 }
 
@@ -371,7 +375,7 @@ TEST(SpectralDetector, LoadRefusesASpotCountTheBytesCannotBack) {
   std::memcpy(&own, out.str().data() + spots_at, sizeof own);
   ASSERT_EQ(own, det.golden_spots().size());
   expect_refused_without_allocating(out.str(), spots_at, (1u << 20) - 1,
-                                    [](std::istream& in) { SpectralDetector::load(in); });
+                                    [](util::ByteReader& in) { SpectralDetector::load(in); });
 }
 
 // ---------- Detector interface & the closed name set ----------
@@ -403,7 +407,8 @@ TEST(DetectorInterface, NameSwitchMatchesEachDetectorsOwnCalibrate) {
     ASSERT_EQ(evaluator.detectors().size(), 1u);
     std::ostringstream payload;
     direct->save(payload);
-    std::istringstream in{payload.str()};
+    const std::string bytes = payload.str();
+    util::ByteReader in{bytes};
     const auto loaded = load_detector(direct->name(), in);
     for (const Detector* via : {evaluator.detectors().front().get(), loaded.get()}) {
       EXPECT_EQ(via->name(), direct->name());
@@ -418,13 +423,32 @@ TEST(DetectorInterface, UnknownNameThrows) {
   TrustEvaluator::Options options;
   options.detectors = {"euclidean", "no-such-detector"};
   EXPECT_THROW(TrustEvaluator::calibrate(golden_set(4), options), emts::precondition_error);
-  std::istringstream payload;
+  util::ByteReader payload{std::string_view{}};
   EXPECT_THROW(load_detector("no-such-detector", payload), emts::precondition_error);
   try {
     detector_kind("bogus");
     ADD_FAILURE() << "detector_kind accepted an unknown name";
   } catch (const emts::precondition_error& error) {
     EXPECT_NE(std::string{error.what()}.find("unknown detector 'bogus'"), std::string::npos);
+  }
+}
+
+// The name list is checked whole before any stage is fitted: two golden
+// traces are too few for the euclidean stage, so a stage fitted first would
+// throw its own error instead of naming the bad entry.
+TEST(DetectorInterface, BadNameListIsRefusedBeforeAnyStageIsFitted) {
+  const std::pair<std::vector<std::string>, std::string> cases[] = {
+      {{"euclidean", "euclidean"}, "duplicate detector 'euclidean'"},
+      {{"euclidean", "spectral", "bogus"}, "unknown detector 'bogus'"}};
+  for (const auto& [names, message] : cases) {
+    TrustEvaluator::Options options;
+    options.detectors = names;
+    try {
+      TrustEvaluator::calibrate(golden_set(2), options);
+      ADD_FAILURE() << "accepted " << message;
+    } catch (const emts::precondition_error& error) {
+      EXPECT_NE(std::string{error.what()}.find(message), std::string::npos) << error.what();
+    }
   }
 }
 

@@ -5,8 +5,11 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "util/assert.hpp"
+#include "util/rng.hpp"
+#include "mutation.hpp"
 #include "temp_path.hpp"
 
 namespace emts::fleet {
@@ -74,6 +77,30 @@ TEST_F(ManifestTest, RejectsEmptyManifest) {
 
 TEST_F(ManifestTest, RejectsUnreadableFile) {
   EXPECT_THROW(parse_manifest(path_ + ".does-not-exist"), precondition_error);
+}
+
+// Splices aim at the start of each line, where a device id begins.
+TEST_F(ManifestTest, SeededMutantsParseOrThrowPreconditionError) {
+  const std::string clean = "# two chips\nchip-a a.emta\nchip-b b.emta model_b.emca\n";
+  const std::vector<mutation::Field> fields{{0, 4}, {12, 4}, {26, 4}};
+  constexpr int kMutants = 1000;
+  emts::Rng rng{0x4d414e49};  // 'MANI'
+  int refused = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string mutant = clean;
+    mutation::mutate(mutant, fields, rng);
+    write(mutant);
+    const auto refusal = mutation::decode_or_refuse(m, mutant.size(), [&] {
+      for (const ManifestEntry& entry : parse_manifest(path_)) {
+        EXPECT_FALSE(entry.device_id.empty());
+        EXPECT_FALSE(entry.archive_path.empty());
+      }
+    });
+    refused += refusal ? 1 : 0;
+  }
+  // Most edits to free text still parse; the aimed splices and truncations
+  // that split or empty a line must trip the line checks.
+  EXPECT_GT(refused, kMutants / 10);
 }
 
 }  // namespace

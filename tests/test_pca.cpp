@@ -177,7 +177,7 @@ TEST(Pca, LoadRefusesABasisTheBytesCannotBack) {
   util::write_f64_vec(out, std::vector<double>(4096, 0.0));  // mean
   util::write_f64_vec(out, std::vector<double>(4096, 1.0));  // eigenvalues
   const std::string payload = out.str();
-  std::istringstream in{payload};
+  util::ByteReader in{payload};
   const std::uint64_t before = util::alloc::thread_counts().bytes;
   EXPECT_THROW(PcaModel::load(in), emts::precondition_error);
   if (util::alloc::counting_active()) {

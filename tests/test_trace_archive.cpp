@@ -8,10 +8,14 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
+#include "mutation.hpp"
 #include "temp_path.hpp"
 
 namespace emts::io {
@@ -215,6 +219,38 @@ TEST_F(TraceArchiveTest, RejectsShapeTimesEightThatWrapsU64) {
   patch_bytes(path_, 8, &count, sizeof count);
   patch_bytes(path_, 16, &length, sizeof length);
   expect_rejected(path_);
+}
+
+// ---------- seeded structural mutation ----------
+
+// Half the splices aim at the trace count (offset 8) and trace length
+// (offset 16), which size every allocation a load makes.
+TEST_F(TraceArchiveTest, SeededMutantsLoadOrThrowPreconditionError) {
+  save_trace_archive(path_, random_set(4, 16, 12));
+  std::ifstream file{path_, std::ios::binary};
+  const std::string clean{std::istreambuf_iterator<char>{file}, {}};
+  file.close();
+  const std::vector<mutation::Field> fields{{8, 8}, {16, 8}};
+  constexpr int kMutants = 1000;
+  emts::Rng rng{0x454d5441};  // 'EMTA'
+  int refused = 0;
+  for (int m = 0; m < kMutants; ++m) {
+    std::string mutant = clean;
+    mutation::mutate(mutant, fields, rng);
+    std::ofstream{path_, std::ios::binary | std::ios::trunc}.write(
+        mutant.data(), static_cast<std::streamsize>(mutant.size()));
+    bool refused_by[std::size(kReaders)] = {};
+    for (std::size_t r = 0; r < std::size(kReaders); ++r) {
+      refused_by[r] = mutation::decode_or_refuse(m, mutant.size(), [&] {
+                        kReaders[r].load(path_);
+                      }).has_value();
+    }
+    // One read mechanism, one header check: the readers agree on every mutant.
+    EXPECT_EQ(refused_by[0], refused_by[1]) << "mutant " << m;
+    refused += refused_by[0] ? 1 : 0;
+  }
+  // Aimed splices must mostly reach, and trip, the shape checks.
+  EXPECT_GT(refused, kMutants / 2);
 }
 
 }  // namespace

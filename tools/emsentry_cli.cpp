@@ -220,7 +220,8 @@ fleet::BackpressurePolicy flag_policy(const std::vector<std::string>& args, std:
   throw UsageError("--policy takes block|drop-oldest|reject, got '" + p + "'");
 }
 
-/// --detectors: a comma list of stage names, each one of core::kDetectorNames.
+/// --detectors: a comma list of distinct stage names, each one of
+/// core::kDetectorNames.
 std::vector<std::string> flag_detectors(const std::vector<std::string>& args, std::size_t* i) {
   const std::string& csv = flag_value(args, i);
   std::vector<std::string> out;
@@ -233,10 +234,13 @@ std::vector<std::string> flag_detectors(const std::vector<std::string>& args, st
     start = comma + 1;
   }
   if (out.empty()) throw UsageError("--detectors needs at least one name");
-  for (const std::string& name : out) {
-    if (std::find(core::kDetectorNames.begin(), core::kDetectorNames.end(), name) ==
+  for (auto name = out.begin(); name != out.end(); ++name) {
+    if (std::find(core::kDetectorNames.begin(), core::kDetectorNames.end(), *name) ==
         core::kDetectorNames.end()) {
-      throw UsageError("--detectors takes euclidean|spectral|ron, got '" + name + "'");
+      throw UsageError("--detectors takes euclidean|spectral|ron, got '" + *name + "'");
+    }
+    if (std::find(out.begin(), name, *name) != name) {
+      throw UsageError("--detectors names '" + *name + "' twice");
     }
   }
   return out;
