@@ -98,8 +98,6 @@ class SensorGrid {
   /// Grid pitch (m) along each axis.
   double pitch_x() const;
   double pitch_y() const;
-  /// Height of the coil plane (m).
-  double coil_z() const { return coil_z_; }
   /// Resolved pickup radius (m) after the auto rule.
   double coil_radius() const { return coil_radius_; }
 

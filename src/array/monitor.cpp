@@ -100,18 +100,4 @@ std::vector<double> ArrayMonitor::anomaly_energy() const {
   return anomaly;
 }
 
-void ArrayMonitor::reset_anomaly_window() {
-  std::fill(residual_sums_.begin(), residual_sums_.end(), 0.0);
-  bundles_seen_ = 0;
-}
-
-void ArrayMonitor::acknowledge_alarms() {
-  for (core::RuntimeMonitor& m : sessions_) {
-    if (m.state() == core::MonitorState::kAlarm) m.acknowledge_alarm();
-  }
-  std::fill(spectral_runs_.begin(), spectral_runs_.end(), 0);
-  spectral_latched_.assign(spectral_latched_.size(), false);
-  reset_anomaly_window();
-}
-
 }  // namespace emts::array

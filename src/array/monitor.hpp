@@ -46,7 +46,6 @@ class ArrayMonitor {
 
   const SensorGrid& grid() const { return grid_; }
   std::size_t sensor_count() const { return sessions_.size(); }
-  std::size_t bundles_seen() const { return bundles_seen_; }
 
   /// Feeds one bundle: trace s goes to session s, in order, and each coil's
   /// residual energy against its golden mean joins the anomaly accumulator.
@@ -74,15 +73,6 @@ class ArrayMonitor {
   /// Trojan's coupling into that coil (see array/calibration.hpp). Zero
   /// everywhere on a golden stream up to noise.
   std::vector<double> anomaly_energy() const;
-
-  /// Clears the residual accumulators so the next localization window starts
-  /// clean. Session state and alarm latches are untouched.
-  void reset_anomaly_window();
-
-  /// Operator action after the paper's "further investigations": clears
-  /// every latched session alarm and spectral latch, and resets the
-  /// localization window.
-  void acknowledge_alarms();
 
  private:
   const SensorGrid& grid_;

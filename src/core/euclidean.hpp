@@ -68,7 +68,6 @@ class EuclideanDetector : public Detector {
 
   const stats::PcaModel& pca() const { return pca_; }
   const Preprocessor& preprocessor() const { return preprocessor_; }
-  std::size_t calibration_size() const { return golden_projections_.size(); }
 
  private:
   EuclideanDetector(Preprocessor preprocessor, stats::PcaModel pca, bool include_residual);

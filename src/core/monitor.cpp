@@ -217,16 +217,17 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
     record_event(MonitorEventKind::kPerTraceAnomaly, anomaly_score);
   }
 
-  // The spectral stage re-runs over a tumbling window of recent captures.
-  window_.push(trace);
+  // The spectral stage re-runs over a tumbling window of recent captures; a
+  // stack without one keeps no window.
+  bool windowed_anomaly = false;
   if (spectral_ != nullptr) {
     // Pay this trace's FFT now (flat per-push cost) and fold its amplitudes
     // into the running window sum; the boundary pass below is then O(bins).
+    window_.push(trace);
     spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
     ++stats_.spectral_incremental_updates;
+    windowed_anomaly = window_.size() >= options_.spectral_window && run_windowed_pass();
   }
-  const bool windowed_anomaly =
-      window_.size() >= options_.spectral_window && run_windowed_pass();
 
   if (per_trace_anomaly || windowed_anomaly) {
     ++consecutive_anomalies_;
@@ -262,15 +263,12 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
 
 bool RuntimeMonitor::run_windowed_pass() {
   const std::uint64_t t0 = util::monotonic_ns();
-  bool anomaly = false;
-  if (spectral_ != nullptr) {
-    bool rebuilt = false;
-    last_spectral_ = spectral_->stream_finish(window_, sample_rate_, *spectral_scratch_,
-                                              options_.spectral_rebuild_every, rebuilt);
-    if (rebuilt) ++stats_.spectral_recomputes;
-    spectral_scratch_->analyzer.stream_reset();
-    anomaly = last_spectral_->anomalous();
-  }
+  bool rebuilt = false;
+  last_spectral_ = spectral_->stream_finish(window_, sample_rate_, *spectral_scratch_,
+                                            options_.spectral_rebuild_every, rebuilt);
+  if (rebuilt) ++stats_.spectral_recomputes;
+  spectral_scratch_->analyzer.stream_reset();
+  const bool anomaly = last_spectral_->anomalous();
   const std::size_t analyzed = window_.size();
   window_.clear();
   ++stats_.spectral_passes;
@@ -381,16 +379,16 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
   last_spectral_ = image.last_spectral;
   calibration_.traces = image.calibration;
   window_.clear();
-  for (const Trace& trace : image.window) {
-    window_.push(trace);
-    // Replay the per-slot spectrum caches deterministically; the accumulator
-    // itself is then overwritten verbatim from the image below, so a
-    // continued stream is bit-identical even mid-drift.
-    if (spectral_ != nullptr) {
+  // A stack without a spectral stage keeps no window; older writers stored
+  // one anyway, and those traces are dropped here.
+  if (spectral_ != nullptr) {
+    for (const Trace& trace : image.window) {
+      window_.push(trace);
+      // Replay the per-slot spectrum caches deterministically; the
+      // accumulator itself is then overwritten verbatim from the image
+      // below, so a continued stream is bit-identical even mid-drift.
       spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
     }
-  }
-  if (spectral_ != nullptr) {
     spectral_scratch_->analyzer.stream_restore(image.spectral_sum,
                                                image.spectral_count,
                                                image.spectral_updates_since_rebuild);

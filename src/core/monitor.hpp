@@ -105,7 +105,8 @@ struct MonitorStateImage {
   std::optional<double> last_score;
   std::optional<SpectralReport> last_spectral;
   std::vector<Trace> calibration;       // pending self-calibration captures
-  std::vector<Trace> window;            // spectral-window ring, oldest first
+  std::vector<Trace> window;            // spectral-window ring, oldest first;
+                                        // empty without a spectral stage
   std::uint64_t window_total_pushed = 0;
   // Incremental spectral accumulator: the running per-bin sum over `window`
   // plus its live count and drift counter. Restoring it verbatim (instead of
@@ -196,9 +197,10 @@ class RuntimeMonitor {
   /// past calibration. The image's spectral accumulator must describe its
   /// window: with a spectral stage, one summed spectrum per window trace and
   /// one bin per frequency of the pinned trace length; without one, no
-  /// accumulator at all. After restore, the monitor's observable state is
-  /// exactly the exporter's, and every subsequent push produces bit-identical
-  /// scores, transitions, stats and events to the uninterrupted stream.
+  /// accumulator at all, and any window traces are dropped. After restore,
+  /// the monitor's observable state is exactly the exporter's, and every
+  /// subsequent push produces bit-identical scores, transitions, stats and
+  /// events to the uninterrupted stream.
   /// Throws precondition_error on any mismatch.
   void restore_state(const MonitorStateImage& image);
 
@@ -245,8 +247,9 @@ class RuntimeMonitor {
   /// Builds the per-stream scratches once an evaluator exists.
   void bind_evaluator();
   MonitorState ingest(const Trace& trace);
-  /// Classifies the full window with the spectral stage (if any) and
-  /// starts the next one; returns whether the window was anomalous.
+  /// Classifies the full window with the spectral stage and starts the
+  /// next one; returns whether the window was anomalous. Requires a
+  /// spectral stage.
   bool run_windowed_pass();
   void record_event(MonitorEventKind kind, double value);
 

@@ -128,7 +128,6 @@ class SpectralDetector : public Detector {
 
   const dsp::Spectrum& golden_spectrum() const { return golden_; }
   const std::vector<dsp::SpectralPeak>& golden_spots() const { return golden_spots_; }
-  double golden_noise_floor() const { return noise_floor_; }
   double sample_rate() const { return sample_rate_; }
   const Options& options() const { return options_; }
 

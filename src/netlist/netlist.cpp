@@ -84,20 +84,4 @@ GateCountReport Netlist::gate_count() const {
   return report;
 }
 
-NetId Netlist::merge(const Netlist& other) {
-  const auto offset = static_cast<NetId>(net_names_.size());
-  for (std::size_t n = 0; n < other.net_names_.size(); ++n) {
-    add_net(other.name_ + "/" + other.net_names_[n]);
-  }
-  for (const Cell& c : other.cells_) {
-    std::vector<NetId> inputs;
-    inputs.reserve(c.inputs.size());
-    for (NetId in : c.inputs) inputs.push_back(in + offset);
-    add_cell(c.type, std::move(inputs), c.output + offset);
-  }
-  for (NetId pi : other.primary_inputs_) primary_inputs_.push_back(pi + offset);
-  for (NetId po : other.primary_outputs_) primary_outputs_.push_back(po + offset);
-  return offset;
-}
-
 }  // namespace emts::netlist

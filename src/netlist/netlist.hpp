@@ -73,11 +73,6 @@ class Netlist {
 
   GateCountReport gate_count() const;
 
-  /// Appends every cell and net of `other` into this netlist and returns the
-  /// net-id offset applied (new id = old id + offset). Used to assemble the
-  /// AES + Trojans die from per-block netlists.
-  NetId merge(const Netlist& other);
-
  private:
   std::string name_;
   std::vector<std::string> net_names_;

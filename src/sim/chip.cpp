@@ -164,7 +164,7 @@ double Chip::coupling(const std::string& module_name, Pickup pickup) const {
 }
 
 std::vector<aes::Block> Chip::window_plaintexts(std::uint64_t trace_index) const {
-  // Mirrors the generation inside module_currents exactly.
+  // Mirrors the generation inside module_transients exactly.
   const std::uint64_t workload_label =
       config_.fixed_challenge_workload ? 0xae5ULL : (mix64(trace_index) ^ 0xae5ULL);
   Rng plaintext_rng = stream_root_.fork(workload_label);
@@ -178,8 +178,8 @@ std::vector<aes::Block> Chip::window_plaintexts(std::uint64_t trace_index) const
   return plaintexts;
 }
 
-std::vector<power::CurrentTrace> Chip::module_currents(bool encrypting,
-                                                       std::uint64_t trace_index) const {
+std::vector<power::CurrentTrace> Chip::module_transients(bool encrypting,
+                                                         std::uint64_t trace_index) const {
   std::vector<power::CurrentTrace> currents;
   currents.reserve(sources_.size());
   for (std::size_t i = 0; i < sources_.size(); ++i) {
@@ -235,7 +235,7 @@ std::vector<power::CurrentTrace> Chip::module_currents(bool encrypting,
 
 std::vector<double> Chip::raw_emf(Pickup pickup, bool encrypting,
                                   std::uint64_t trace_index) const {
-  const auto currents = module_currents(encrypting, trace_index);
+  const auto currents = module_transients(encrypting, trace_index);
   std::vector<double> emf(samples_per_trace(), 0.0);
   for (std::size_t m = 0; m < sources_.size(); ++m) {
     const double coupling_h =
@@ -266,7 +266,7 @@ std::uint64_t Chip::capture_stream_label(bool encrypting, std::uint64_t trace_in
 
 Acquisition Chip::capture(bool encrypting, std::uint64_t trace_index) const {
   // Both pickups observe the same physical currents; compute them once.
-  const auto currents = module_currents(encrypting, trace_index);
+  const auto currents = module_transients(encrypting, trace_index);
   std::vector<std::vector<double>> didt;
   didt.reserve(currents.size());
   for (const auto& c : currents) didt.push_back(c.derivative());

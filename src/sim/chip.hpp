@@ -128,13 +128,10 @@ class Chip {
     return config_.trace_cycles * config_.clock.samples_per_cycle;
   }
 
-  /// Per-module transient supply currents of one window, in floorplan order
-  /// (the raw physical quantity everything else derives from; used by the
-  /// near-field scanner and available for power-analysis research).
+  /// Per-module transient supply currents of one window, in floorplan order:
+  /// the raw physical quantity every pickup's EMF derives from.
   std::vector<power::CurrentTrace> module_transients(bool encrypting,
-                                                     std::uint64_t trace_index) const {
-    return module_currents(encrypting, trace_index);
-  }
+                                                     std::uint64_t trace_index) const;
 
   /// The plaintexts the AES core encrypts during window `trace_index`, in
   /// execution order (one per kCyclesPerEncryption slot; the window tail
@@ -149,10 +146,6 @@ class Chip {
     double m_onchip = 0.0;    // coupling into the spiral, H
     double m_external = 0.0;  // coupling into the probe, H
   };
-
-  /// Builds the per-module current waveforms for one window.
-  std::vector<power::CurrentTrace> module_currents(bool encrypting,
-                                                   std::uint64_t trace_index) const;
 
   /// Label of the per-capture random stream: a splittable pure function of
   /// (trace_index, encrypting, armed Trojan). The golden encrypting case

@@ -25,10 +25,9 @@ T4PowerHog::T4PowerHog() : netlist_{"t4_power_hog"} {
   nl.mark_primary_input(enable_);
 
   const auto bank = build_toggle_bank(nl, kBankWidth, enable_);
-  bank_q_ = bank.q;
-  nl.mark_primary_output(bank_q_.front());
+  nl.mark_primary_output(bank.q.front());
 
-  detail::pad_with_driver_chain(nl, bank_q_.back(), kTableOneCells);
+  detail::pad_with_driver_chain(nl, bank.q.back(), kTableOneCells);
   EMTS_ASSERT(nl.cell_count() == kTableOneCells);
 }
 

@@ -23,12 +23,10 @@ class T4PowerHog final : public Trojan {
   static constexpr std::size_t kBankWidth = 1380;
 
   netlist::NetId enable_net() const { return enable_; }
-  const std::vector<netlist::NetId>& bank_outputs() const { return bank_q_; }
 
  private:
   netlist::Netlist netlist_;
   netlist::NetId enable_ = 0;
-  std::vector<netlist::NetId> bank_q_;
 };
 
 }  // namespace emts::trojan

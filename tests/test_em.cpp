@@ -5,7 +5,6 @@
 #include <cmath>
 
 #include "em/coil.hpp"
-#include "em/field_map.hpp"
 #include "em/mutual.hpp"
 #include "util/assert.hpp"
 #include "util/units.hpp"
@@ -244,44 +243,6 @@ TEST(Coil, TotalTurnAreaGrowsWithTurnCount) {
   many.turns = 16;
   EXPECT_GT(make_onchip_spiral(die, many).total_turn_area(),
             make_onchip_spiral(die, few).total_turn_area());
-}
-
-TEST(FieldMap, PeakSitsAboveCurrentLoop) {
-  const DieSpec die{};
-  // Loop in the lower-left quadrant of the die.
-  std::vector<Segment> loop;
-  const double z = die.cell_z;
-  loop.push_back(Segment{Vec3{2e-4, 2e-4, z}, Vec3{6e-4, 2e-4, z}});
-  loop.push_back(Segment{Vec3{6e-4, 2e-4, z}, Vec3{6e-4, 6e-4, z}});
-  loop.push_back(Segment{Vec3{6e-4, 6e-4, z}, Vec3{2e-4, 6e-4, z}});
-  loop.push_back(Segment{Vec3{2e-4, 6e-4, z}, Vec3{2e-4, 2e-4, z}});
-
-  const auto map = bz_map(loop, 1e-3, die, die.sensor_z, 33, 33);
-  // Locate the |Bz| maximum.
-  double best = 0.0;
-  std::size_t best_ix = 0;
-  std::size_t best_iy = 0;
-  for (std::size_t iy = 0; iy < map.ny; ++iy) {
-    for (std::size_t ix = 0; ix < map.nx; ++ix) {
-      if (std::abs(map.at(ix, iy)) > best) {
-        best = std::abs(map.at(ix, iy));
-        best_ix = ix;
-        best_iy = iy;
-      }
-    }
-  }
-  const double px = map.x0 + (map.x1 - map.x0) * static_cast<double>(best_ix) / 32.0;
-  const double py = map.y0 + (map.y1 - map.y0) * static_cast<double>(best_iy) / 32.0;
-  EXPECT_GT(px, 1.5e-4);
-  EXPECT_LT(px, 6.5e-4);
-  EXPECT_GT(py, 1.5e-4);
-  EXPECT_LT(py, 6.5e-4);
-  EXPECT_GT(map.max_abs(), 0.0);
-}
-
-TEST(FieldMap, RejectsDegenerateGrid) {
-  const DieSpec die{};
-  EXPECT_THROW(bz_map({}, 1.0, die, die.sensor_z, 1, 8), emts::precondition_error);
 }
 
 }  // namespace

@@ -305,6 +305,38 @@ TEST(RuntimeMonitor, EventLogOverflowDropsTheOldest) {
   EXPECT_EQ(events.front().kind, MonitorEventKind::kSpectralPass);
 }
 
+// A stack without a spectral stage has nothing to run at a window boundary:
+// it keeps no window, counts no spectral pass and logs no SPECTRAL_PASS.
+TEST(RuntimeMonitor, StackWithoutSpectralStageKeepsNoWindow) {
+  TrustEvaluator::Options euclidean_only;
+  euclidean_only.detectors = {"euclidean"};
+  const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 34), euclidean_only);
+  RuntimeMonitor monitor{kFs, evaluator, small_options()};
+  emts::Rng rng{35};
+  for (int i = 0; i < 20; ++i) monitor.push(golden_trace(rng));
+
+  EXPECT_EQ(monitor.stats().scored_captures, 20u);
+  EXPECT_EQ(monitor.stats().spectral_passes, 0u);
+  EXPECT_EQ(monitor.stats().spectral_latency.count(), 0u);
+  EXPECT_FALSE(monitor.last_spectral().has_value());
+  for (const auto& e : monitor.drain_events()) {
+    EXPECT_NE(e.kind, MonitorEventKind::kSpectralPass);
+  }
+  MonitorStateImage image = monitor.export_state();
+  EXPECT_TRUE(image.window.empty());
+
+  // An older writer stored this stack's window anyway: the image restores,
+  // and its traces are dropped.
+  for (int i = 0; i < 4; ++i) image.window.push_back(golden_trace(rng));
+  image.window_total_pushed = 20;
+  RuntimeMonitor restored{kFs, evaluator, small_options()};
+  restored.restore_state(image);
+  EXPECT_TRUE(restored.export_state().window.empty());
+  for (int i = 0; i < 8; ++i) restored.push(golden_trace(rng));
+  EXPECT_EQ(restored.stats().spectral_passes, 0u);
+  EXPECT_EQ(restored.stats().scored_captures, 28u);
+}
+
 TEST(RuntimeMonitor, PushBatchMatchesPerTracePushExactly) {
   const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 33));
   RuntimeMonitor one_by_one{kFs, evaluator, small_options()};

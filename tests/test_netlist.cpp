@@ -134,27 +134,5 @@ TEST(Netlist, GateCountAggregates) {
   EXPECT_EQ(report.count_by_type[static_cast<std::size_t>(CellType::kDff)], 1u);
 }
 
-TEST(Netlist, MergeAppendsWithOffsetAndPrefixedNames) {
-  Netlist a{"a"};
-  const NetId ain = a.add_net("x");
-  const NetId aout = a.add_net("y");
-  a.add_cell(CellType::kInv, {ain}, aout);
-
-  Netlist b{"b"};
-  const NetId bin = b.add_net("p");
-  const NetId bout = b.add_net("q");
-  b.add_cell(CellType::kBuf, {bin}, bout);
-  b.mark_primary_input(bin);
-
-  const NetId offset = a.merge(b);
-  EXPECT_EQ(offset, 2u);
-  EXPECT_EQ(a.net_count(), 4u);
-  EXPECT_EQ(a.cell_count(), 2u);
-  EXPECT_EQ(a.net_name(2), "b/p");
-  EXPECT_TRUE(a.has_driver(bout + offset));
-  ASSERT_EQ(a.primary_inputs().size(), 1u);
-  EXPECT_EQ(a.primary_inputs()[0], bin + offset);
-}
-
 }  // namespace
 }  // namespace emts::netlist

@@ -5,6 +5,7 @@
 #include "util/assert.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <set>
 
@@ -148,9 +149,7 @@ TEST(Mix64, IsDeterministicAndSpreads) {
   EXPECT_NE(mix64(1), mix64(2));
   // Adjacent inputs should differ in many bits.
   const std::uint64_t d = mix64(100) ^ mix64(101);
-  int bits = 0;
-  for (int i = 0; i < 64; ++i) bits += (d >> i) & 1u;
-  EXPECT_GT(bits, 10);
+  EXPECT_GT(std::popcount(d), 10);
 }
 
 class RngUniformBelowRange : public ::testing::TestWithParam<std::uint32_t> {};
