@@ -1,10 +1,9 @@
 #include "array/artifact.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <ostream>
 
 #include "io/calibration.hpp"
+#include "io/file_writer.hpp"
 #include "io/mapped_file.hpp"
 #include "util/assert.hpp"
 
@@ -19,32 +18,33 @@ constexpr std::uint32_t kMaxAxis = 4096;
 
 }  // namespace
 
-void save_array_calibration(std::ostream& out, const ArrayCalibration& calibration) {
+void save_array_calibration(util::ByteWriter& out, const ArrayCalibration& calibration) {
   const GridSpec& grid = calibration.grid;
   EMTS_REQUIRE(calibration.sensor_count() == grid.nx * grid.ny,
                "save_array_calibration: sensor count does not match the grid");
-  out.write(kMagic, sizeof kMagic);
-  util::write_u32(out, kVersion);
-  util::write_u32(out, static_cast<std::uint32_t>(grid.nx));
-  util::write_u32(out, static_cast<std::uint32_t>(grid.ny));
-  util::write_f64(out, grid.coil_radius);
-  util::write_u32(out, static_cast<std::uint32_t>(grid.turns));
-  util::write_f64(out, grid.z_clearance);
-  util::write_f64(out, calibration.sample_rate);
-  util::write_u32(out, static_cast<std::uint32_t>(calibration.sensor_count()));
+  out.magic(kMagic);
+  out.u32(kVersion);
+  out.u32(static_cast<std::uint32_t>(grid.nx));
+  out.u32(static_cast<std::uint32_t>(grid.ny));
+  out.f64(grid.coil_radius);
+  out.u32(static_cast<std::uint32_t>(grid.turns));
+  out.f64(grid.z_clearance);
+  out.f64(calibration.sample_rate);
+  out.u32(static_cast<std::uint32_t>(calibration.sensor_count()));
   for (const SensorCalibration& sensor : calibration.sensors) {
-    util::write_f64_vec(out, sensor.golden_mean);
-    util::write_f64(out, sensor.baseline_residual);
+    out.f64_vec(sensor.golden_mean);
+    out.f64(sensor.baseline_residual);
     io::save_calibration(out, sensor.evaluator);
   }
-  EMTS_REQUIRE(out.good(), "save_array_calibration: write failed");
 }
 
 void save_array_calibration(const std::string& path, const ArrayCalibration& calibration) {
-  std::ofstream out{path, std::ios::binary};
-  EMTS_REQUIRE(out.good(), "save_array_calibration: cannot open " + path);
-  save_array_calibration(out, calibration);
-  EMTS_REQUIRE(out.good(), "save_array_calibration: write failed for " + path);
+  std::string bytes;
+  util::encode_exact(bytes,
+                     [&](util::ByteWriter& out) { save_array_calibration(out, calibration); });
+  io::FileWriter file{path, "save_array_calibration"};
+  file.write(bytes);
+  file.close();
 }
 
 ArrayCalibration load_array_calibration(util::ByteReader& in) {

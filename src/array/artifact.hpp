@@ -13,7 +13,7 @@
 //     f64_vec  golden mean trace (volts per sample)
 //     f64      baseline residual energy, V^2
 //     bytes    embedded EMCA calibration artifact (io::save_calibration
-//              stream form; self-delimiting — the EMCA reader form stops
+//              writer form; self-delimiting — the EMCA reader form stops
 //              exactly after its last detector payload)
 //
 // The grid spec travels with the calibrations so a monitor can rebuild the
@@ -22,7 +22,6 @@
 // bit-identically.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "array/calibration.hpp"
@@ -30,10 +29,13 @@
 
 namespace emts::array {
 
-/// Writes the array's full fitted state. Throws precondition_error on I/O
-/// failure. The stream form writes the identical bytes into an open stream.
+/// Writes the array's full fitted state. The writer form appends the
+/// artifact in place, each sensor's EMCA straight after its golden mean. The
+/// path form sizes one buffer exactly (util::encode_exact), encodes into it
+/// and writes it to the file; it throws precondition_error when the file
+/// cannot be written.
 void save_array_calibration(const std::string& path, const ArrayCalibration& calibration);
-void save_array_calibration(std::ostream& out, const ArrayCalibration& calibration);
+void save_array_calibration(util::ByteWriter& out, const ArrayCalibration& calibration);
 
 /// Reads an artifact written by save_array_calibration. Throws
 /// precondition_error on bad magic, version, shape, or payload. The reader

@@ -93,8 +93,7 @@ std::size_t SensorGrid::module_index(const std::string& name) const {
   for (std::size_t m = 0; m < modules_.size(); ++m) {
     if (modules_[m].name == name) return m;
   }
-  EMTS_REQUIRE(false, "sensor grid knows no module named " + name);
-  return 0;
+  throw precondition_error("sensor grid knows no module named " + name);
 }
 
 double SensorGrid::pitch_x() const {

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstddef>
-#include <iosfwd>
 #include <memory>
 #include <string>
 #include <vector>
@@ -86,7 +85,7 @@ class Detector {
 
   /// Serializes the fitted state (payload only — the EMCA container frames
   /// it with the detector name and payload size).
-  virtual void save(std::ostream& out) const = 0;
+  virtual void save(util::ByteWriter& out) const = 0;
 
   /// Scores a whole set, trace by trace.
   std::vector<double> score_all(const TraceSet& set) const;

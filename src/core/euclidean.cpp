@@ -92,19 +92,19 @@ std::string EuclideanDetector::describe() const {
   return out.str();
 }
 
-void EuclideanDetector::save(std::ostream& out) const {
+void EuclideanDetector::save(util::ByteWriter& out) const {
   save_preprocessor_options(out, preprocessor_.options());
-  util::write_u8(out, include_residual_ ? 1 : 0);
+  out.u8(include_residual_ ? 1 : 0);
   pca_.save(out);
   const std::size_t dim = golden_projections_.empty() ? 0 : golden_projections_.front().size();
-  util::write_u64(out, golden_projections_.size());
-  util::write_u64(out, dim);
+  out.u64(golden_projections_.size());
+  out.u64(dim);
   for (const auto& projection : golden_projections_) {
     EMTS_ASSERT(projection.size() == dim);
-    for (double v : projection) util::write_f64(out, v);
+    out.bytes(std::as_bytes(std::span{projection}));
   }
-  util::write_f64_vec(out, golden_centroid_);
-  util::write_f64(out, threshold_);
+  out.f64_vec(golden_centroid_);
+  out.f64(threshold_);
 }
 
 EuclideanDetector EuclideanDetector::load(util::ByteReader& in) {

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -58,7 +57,7 @@ class EuclideanDetector : public Detector {
 
   /// Serializes the full fitted model; load() restores a detector whose
   /// score()/threshold() are bit-identical to this one.
-  void save(std::ostream& out) const override;
+  void save(util::ByteWriter& out) const override;
   static EuclideanDetector load(util::ByteReader& in);
 
   /// Distance between the golden centroid and the centroid of `suspect`

@@ -79,11 +79,11 @@ std::size_t Preprocessor::feature_dim(std::size_t trace_length) const {
   return options_.decimation > 1 ? trace_length / options_.decimation : trace_length;
 }
 
-void save_preprocessor_options(std::ostream& out, const Preprocessor::Options& options) {
-  util::write_u8(out, options.remove_mean ? 1 : 0);
-  util::write_u64(out, options.smooth_window);
-  util::write_u8(out, options.normalize_rms ? 1 : 0);
-  util::write_u64(out, options.decimation);
+void save_preprocessor_options(util::ByteWriter& out, const Preprocessor::Options& options) {
+  out.u8(options.remove_mean ? 1 : 0);
+  out.u64(options.smooth_window);
+  out.u8(options.normalize_rms ? 1 : 0);
+  out.u64(options.decimation);
 }
 
 Preprocessor::Options load_preprocessor_options(util::ByteReader& in) {

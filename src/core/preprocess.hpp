@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "core/trace.hpp"
@@ -54,7 +53,7 @@ class Preprocessor {
 
 /// Binary round-trip of preprocessing parameters inside an EMCA calibration
 /// artifact: a deployed detector must preprocess exactly as it was fitted.
-void save_preprocessor_options(std::ostream& out, const Preprocessor::Options& options);
+void save_preprocessor_options(util::ByteWriter& out, const Preprocessor::Options& options);
 Preprocessor::Options load_preprocessor_options(util::ByteReader& in);
 
 }  // namespace emts::core

@@ -74,11 +74,11 @@ std::string RonTraceDetector::describe() const {
   return out.str();
 }
 
-void RonTraceDetector::save(std::ostream& out) const {
-  util::write_u64(out, options_.decimation);
-  util::write_f64(out, options_.sigma_threshold);
-  util::write_f64_vec(out, mean_);
-  util::write_f64_vec(out, stddev_);
+void RonTraceDetector::save(util::ByteWriter& out) const {
+  out.u64(options_.decimation);
+  out.f64(options_.sigma_threshold);
+  out.f64_vec(mean_);
+  out.f64_vec(stddev_);
 }
 
 RonTraceDetector RonTraceDetector::load(util::ByteReader& in) {

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -38,7 +37,7 @@ class RonTraceDetector : public Detector {
   /// Largest |z| of the pooled features against the golden moments.
   double score(const Trace& trace) const override;
 
-  void save(std::ostream& out) const override;
+  void save(util::ByteWriter& out) const override;
   static RonTraceDetector load(util::ByteReader& in);
 
  private:

@@ -187,21 +187,21 @@ std::string SpectralDetector::describe() const {
   return out.str();
 }
 
-void SpectralDetector::save(std::ostream& out) const {
-  util::write_u32(out, static_cast<std::uint32_t>(options_.spectrum.window));
-  util::write_u8(out, options_.spectrum.remove_mean ? 1 : 0);
-  util::write_f64(out, options_.noise_floor_factor);
-  util::write_f64(out, options_.new_spot_factor);
-  util::write_f64(out, options_.amplification_ratio);
-  util::write_u64(out, options_.match_bins);
-  util::write_f64(out, sample_rate_);
+void SpectralDetector::save(util::ByteWriter& out) const {
+  out.u32(static_cast<std::uint32_t>(options_.spectrum.window));
+  out.u8(options_.spectrum.remove_mean ? 1 : 0);
+  out.f64(options_.noise_floor_factor);
+  out.f64(options_.new_spot_factor);
+  out.f64(options_.amplification_ratio);
+  out.u64(options_.match_bins);
+  out.f64(sample_rate_);
   dsp::save_spectrum(out, golden_);
-  util::write_f64(out, noise_floor_);
-  util::write_u64(out, golden_spots_.size());
+  out.f64(noise_floor_);
+  out.u64(golden_spots_.size());
   for (const dsp::SpectralPeak& spot : golden_spots_) {
-    util::write_u64(out, spot.bin);
-    util::write_f64(out, spot.frequency);
-    util::write_f64(out, spot.amplitude);
+    out.u64(spot.bin);
+    out.f64(spot.frequency);
+    out.f64(spot.amplitude);
   }
 }
 

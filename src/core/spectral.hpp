@@ -21,7 +21,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 #include <vector>
 
@@ -123,7 +122,7 @@ class SpectralDetector : public Detector {
 
   /// Serializes the golden spectrum, spots, noise floor and options; load()
   /// restores a detector whose analyze() reports are bit-identical.
-  void save(std::ostream& out) const override;
+  void save(util::ByteWriter& out) const override;
   static SpectralDetector load(util::ByteReader& in);
 
   const dsp::Spectrum& golden_spectrum() const { return golden_; }

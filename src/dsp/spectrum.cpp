@@ -255,11 +255,11 @@ void SpectrumAnalyzer::stream_restore(const std::vector<double>& sum, std::size_
   stream_updates_ = updates_since_rebuild;
 }
 
-void save_spectrum(std::ostream& out, const Spectrum& spectrum) {
+void save_spectrum(util::ByteWriter& out, const Spectrum& spectrum) {
   EMTS_REQUIRE(spectrum.frequency.size() == spectrum.amplitude.size(),
                "save_spectrum: ragged spectrum");
-  util::write_f64_vec(out, spectrum.frequency);
-  util::write_f64_vec(out, spectrum.amplitude);
+  out.f64_vec(spectrum.frequency);
+  out.f64_vec(spectrum.amplitude);
 }
 
 Spectrum load_spectrum(util::ByteReader& in) {

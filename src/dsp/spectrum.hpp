@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <optional>
 #include <vector>
 
@@ -147,7 +146,7 @@ class SpectrumAnalyzer {
 /// Binary round-trip of a reference spectrum (the spectral detector's golden
 /// model in an EMCA calibration artifact). load_spectrum restores the bins
 /// bit-identically and throws precondition_error on truncation or mismatch.
-void save_spectrum(std::ostream& out, const Spectrum& spectrum);
+void save_spectrum(util::ByteWriter& out, const Spectrum& spectrum);
 Spectrum load_spectrum(util::ByteReader& in);
 
 }  // namespace emts::dsp

@@ -433,7 +433,7 @@ SnapshotCadence parse_snapshot_cadence(const std::string& text) {
   } else if (suffix == "ms") {
     cadence.every_ms = value;
   } else {
-    EMTS_REQUIRE(false, "snapshot cadence suffix must be 's' or 'ms': '" + text + "'");
+    throw precondition_error("snapshot cadence suffix must be 's' or 'ms': '" + text + "'");
   }
   return cadence;
 }
@@ -473,7 +473,8 @@ void IngestServer::run(const std::atomic<bool>& stop, std::atomic<bool>& snapsho
     const int ready = ::poll(fds.data(), fds.size(), options_.poll_timeout_ms);
     if (ready < 0) {
       if (errno == EINTR) continue;  // a signal (stop/snapshot) interrupted us
-      EMTS_REQUIRE(false, "ingest server: poll failed");
+      throw precondition_error(std::string{"ingest server: poll failed: "} +
+                               std::strerror(errno));
     }
 
     if (ready > 0) {

@@ -2,11 +2,10 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
-#include <sstream>
 #include <vector>
 
 #include "core/detector.hpp"
+#include "io/file_writer.hpp"
 #include "io/mapped_file.hpp"
 #include "util/assert.hpp"
 
@@ -20,31 +19,27 @@ constexpr std::uint32_t kMaxDetectors = 64;
 
 }  // namespace
 
-void save_calibration(std::ostream& out, const core::TrustEvaluator& evaluator) {
-  out.write(kMagic, sizeof kMagic);
-  util::write_u32(out, kVersion);
-  util::write_f64(out, evaluator.sample_rate());
-  util::write_f64(out, evaluator.options().anomalous_fraction_alarm);
-  util::write_u32(out, static_cast<std::uint32_t>(evaluator.detectors().size()));
-
+void save_calibration(util::ByteWriter& out, const core::TrustEvaluator& evaluator) {
+  out.magic(kMagic);
+  out.u32(kVersion);
+  out.f64(evaluator.sample_rate());
+  out.f64(evaluator.options().anomalous_fraction_alarm);
+  out.u32(static_cast<std::uint32_t>(evaluator.detectors().size()));
   for (const auto& detector : evaluator.detectors()) {
-    // Serialize to a scratch buffer first: the payload is length-framed so
-    // the loader can verify exact consumption per detector.
-    std::ostringstream payload{std::ios::binary};
-    detector->save(payload);
-    const std::string bytes = payload.str();
-    util::write_string(out, detector->name());
-    util::write_u64(out, bytes.size());
-    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+    // Length-framed so the loader can verify exact consumption per detector.
+    out.string(detector->name());
+    const util::ByteWriter::Frame payload = out.begin_frame();
+    detector->save(out);
+    out.end_frame(payload);
   }
-  EMTS_REQUIRE(out.good(), "save_calibration: write failed");
 }
 
 void save_calibration(const std::string& path, const core::TrustEvaluator& evaluator) {
-  std::ofstream out{path, std::ios::binary};
-  EMTS_REQUIRE(out.good(), "save_calibration: cannot open " + path);
-  save_calibration(out, evaluator);
-  EMTS_REQUIRE(out.good(), "save_calibration: write failed for " + path);
+  std::string bytes;
+  util::encode_exact(bytes, [&](util::ByteWriter& out) { save_calibration(out, evaluator); });
+  FileWriter file{path, "save_calibration"};
+  file.write(bytes);
+  file.close();
 }
 
 core::TrustEvaluator load_calibration(util::ByteReader& in) {

@@ -19,7 +19,6 @@
 // every trace exactly as the evaluator that was saved.
 #pragma once
 
-#include <iosfwd>
 #include <string>
 
 #include "core/evaluator.hpp"
@@ -27,12 +26,14 @@
 
 namespace emts::io {
 
-/// Writes the evaluator's full fitted state. Throws precondition_error on
-/// I/O failure. The stream form writes the identical bytes into an open
-/// stream — the embedding the EMFS fleet snapshot uses to bundle one EMCA
-/// artifact per device.
+/// Writes the evaluator's full fitted state. The writer form appends the
+/// artifact in place, each detector payload inside a length frame patched
+/// once the detector has written it: the embedding the EMFS fleet snapshot
+/// and the EMAA array artifact use. The path form sizes one buffer exactly
+/// (util::encode_exact), encodes into it and writes it to the file; it
+/// throws precondition_error when the file cannot be written.
 void save_calibration(const std::string& path, const core::TrustEvaluator& evaluator);
-void save_calibration(std::ostream& out, const core::TrustEvaluator& evaluator);
+void save_calibration(util::ByteWriter& out, const core::TrustEvaluator& evaluator);
 
 /// Reads an artifact written by save_calibration and reassembles the
 /// evaluator. Throws precondition_error on bad magic, version, sizes,

@@ -1,11 +1,11 @@
 #include "io/snapshot.hpp"
 
 #include <cmath>
-#include <fstream>
-#include <sstream>
+#include <span>
 #include <string>
 
 #include "io/calibration.hpp"
+#include "io/file_writer.hpp"
 #include "io/mapped_file.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
@@ -30,12 +30,12 @@ constexpr std::uint32_t kMaxBufferedTraces = 1u << 20;
 constexpr std::uint32_t kMaxAnomalies = 1u << 20;
 constexpr std::uint64_t kMaxDeviceBytes = 1ull << 32;
 
-void write_histogram(std::ostream& out, const util::LatencyHistogram& h) {
-  for (const std::uint64_t b : h.buckets()) util::write_u64(out, b);
-  util::write_u64(out, h.count());
-  util::write_u64(out, h.total_ns());
-  util::write_u64(out, h.raw_min_ns());
-  util::write_u64(out, h.max_ns());
+void write_histogram(util::ByteWriter& out, const util::LatencyHistogram& h) {
+  for (const std::uint64_t b : h.buckets()) out.u64(b);
+  out.u64(h.count());
+  out.u64(h.total_ns());
+  out.u64(h.raw_min_ns());
+  out.u64(h.max_ns());
 }
 
 void read_histogram(util::ByteReader& in, util::LatencyHistogram& h) {
@@ -48,9 +48,9 @@ void read_histogram(util::ByteReader& in, util::LatencyHistogram& h) {
   h.restore(buckets, count, total, raw_min, max);  // validates consistency
 }
 
-void write_traces(std::ostream& out, const std::vector<core::Trace>& traces) {
-  util::write_u32(out, static_cast<std::uint32_t>(traces.size()));
-  for (const core::Trace& trace : traces) util::write_f64_vec(out, trace);
+void write_traces(util::ByteWriter& out, const std::vector<core::Trace>& traces) {
+  out.u32(static_cast<std::uint32_t>(traces.size()));
+  for (const core::Trace& trace : traces) out.f64_vec(trace);
 }
 
 std::vector<core::Trace> read_traces(util::ByteReader& in) {
@@ -64,67 +64,66 @@ std::vector<core::Trace> read_traces(util::ByteReader& in) {
 
 }  // namespace
 
-void write_monitor_state(std::ostream& out, const core::MonitorStateImage& image) {
-  util::write_f64(out, image.sample_rate);
-  util::write_u64(out, image.calibration_traces);
-  util::write_u64(out, image.alarm_debounce);
-  util::write_u64(out, image.spectral_window);
-  util::write_u64(out, image.event_log_capacity);
-  util::write_u64(out, image.spectral_rebuild_every);
+void write_monitor_state(util::ByteWriter& out, const core::MonitorStateImage& image) {
+  out.f64(image.sample_rate);
+  out.u64(image.calibration_traces);
+  out.u64(image.alarm_debounce);
+  out.u64(image.spectral_window);
+  out.u64(image.event_log_capacity);
+  out.u64(image.spectral_rebuild_every);
 
-  util::write_u8(out, static_cast<std::uint8_t>(image.state));
-  util::write_u64(out, image.traces_seen);
-  util::write_u64(out, image.expected_length);
-  util::write_u64(out, image.consecutive_anomalies);
-  util::write_u64(out, image.alarm_latched_at);
+  out.u8(static_cast<std::uint8_t>(image.state));
+  out.u64(image.traces_seen);
+  out.u64(image.expected_length);
+  out.u64(image.consecutive_anomalies);
+  out.u64(image.alarm_latched_at);
 
-  util::write_u8(out, image.last_score.has_value() ? 1 : 0);
-  util::write_f64(out, image.last_score.value_or(0.0));
+  out.u8(image.last_score.has_value() ? 1 : 0);
+  out.f64(image.last_score.value_or(0.0));
 
-  util::write_u8(out, image.last_spectral.has_value() ? 1 : 0);
+  out.u8(image.last_spectral.has_value() ? 1 : 0);
   const std::size_t anomaly_count =
       image.last_spectral.has_value() ? image.last_spectral->anomalies.size() : 0;
-  util::write_u32(out, static_cast<std::uint32_t>(anomaly_count));
+  out.u32(static_cast<std::uint32_t>(anomaly_count));
   if (image.last_spectral.has_value()) {
     for (const core::SpectralAnomaly& a : image.last_spectral->anomalies) {
-      util::write_u8(out, static_cast<std::uint8_t>(a.kind));
-      util::write_f64(out, a.frequency_hz);
-      util::write_f64(out, a.golden_amplitude);
-      util::write_f64(out, a.suspect_amplitude);
-      util::write_f64(out, a.ratio);
+      out.u8(static_cast<std::uint8_t>(a.kind));
+      out.f64(a.frequency_hz);
+      out.f64(a.golden_amplitude);
+      out.f64(a.suspect_amplitude);
+      out.f64(a.ratio);
     }
   }
 
   write_traces(out, image.calibration);
   write_traces(out, image.window);
-  util::write_u64(out, image.window_total_pushed);
-  util::write_u64(out, image.spectral_count);
-  util::write_u64(out, image.spectral_updates_since_rebuild);
-  util::write_f64_vec(out, image.spectral_sum);
+  out.u64(image.window_total_pushed);
+  out.u64(image.spectral_count);
+  out.u64(image.spectral_updates_since_rebuild);
+  out.f64_vec(image.spectral_sum);
 
   const core::MonitorStats& s = image.stats;
-  util::write_u64(out, s.traces_ingested);
-  util::write_u64(out, s.traces_rejected);
-  util::write_u64(out, s.calibration_captures);
-  util::write_u64(out, s.scored_captures);
-  util::write_u64(out, s.per_trace_anomalies);
-  util::write_u64(out, s.spectral_passes);
-  util::write_u64(out, s.windowed_anomalies);
-  util::write_u64(out, s.spectral_recomputes);
-  util::write_u64(out, s.spectral_incremental_updates);
-  util::write_u64(out, s.alarms_latched);
-  util::write_u64(out, s.alarms_acknowledged);
-  util::write_u64(out, s.events_dropped);
+  out.u64(s.traces_ingested);
+  out.u64(s.traces_rejected);
+  out.u64(s.calibration_captures);
+  out.u64(s.scored_captures);
+  out.u64(s.per_trace_anomalies);
+  out.u64(s.spectral_passes);
+  out.u64(s.windowed_anomalies);
+  out.u64(s.spectral_recomputes);
+  out.u64(s.spectral_incremental_updates);
+  out.u64(s.alarms_latched);
+  out.u64(s.alarms_acknowledged);
+  out.u64(s.events_dropped);
   write_histogram(out, s.push_latency);
   write_histogram(out, s.spectral_latency);
 
-  util::write_u32(out, static_cast<std::uint32_t>(image.events.size()));
+  out.u32(static_cast<std::uint32_t>(image.events.size()));
   for (const core::MonitorEvent& e : image.events) {
-    util::write_u8(out, static_cast<std::uint8_t>(e.kind));
-    util::write_u64(out, e.trace_index);
-    util::write_f64(out, e.value);
+    out.u8(static_cast<std::uint8_t>(e.kind));
+    out.u64(e.trace_index);
+    out.f64(e.value);
   }
-  EMTS_REQUIRE(out.good(), "write_monitor_state: write failed");
 }
 
 core::MonitorStateImage read_monitor_state(util::ByteReader& in) {
@@ -226,32 +225,24 @@ core::MonitorStateImage read_monitor_state(util::ByteReader& in) {
 
 namespace {
 
-// Full on-disk record for one device: id framing + length-framed payload +
-// XXH64 checksum. Deterministic for a given device state, which is what
-// makes the incremental record cache sound — and keeps incremental and full
-// containers of identical fleets byte-identical.
-std::string encode_device_record(const FleetSnapshot::Device& device) {
-  // Stage the payload so it can be length-framed and checksummed: the
-  // loader verifies integrity per record before touching its contents.
-  std::ostringstream staged{std::ios::binary};
-  std::ostringstream emca{std::ios::binary};
+// Appends one device's whole on-disk record in place: the id, the payload
+// size and the EMCA frame size (both patched once their bytes are written),
+// the EMCA, the monitor state, then XXH64 over the payload. Deterministic for
+// a given device state, which is what makes the incremental record cache
+// sound and keeps incremental and full containers of identical fleets
+// byte-identical.
+void encode_device_record(util::ByteWriter& out, const FleetSnapshot::Device& device) {
   EMTS_REQUIRE(device.evaluator.has_value(),
                "save_fleet_snapshot: record for '" + device.device_id +
                    "' has no evaluator");
-  save_calibration(emca, *device.evaluator);
-  const std::string emca_bytes = emca.str();
-  util::write_u64(staged, emca_bytes.size());
-  staged.write(emca_bytes.data(), static_cast<std::streamsize>(emca_bytes.size()));
-  write_monitor_state(staged, device.monitor);
-
-  std::ostringstream record{std::ios::binary};
-  const std::string payload = staged.str();
-  util::write_string(record, device.device_id);
-  util::write_u64(record, payload.size());
-  record.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  util::write_u64(record, util::xxh64(payload.data(), payload.size()));
-  EMTS_REQUIRE(record.good(), "save_fleet_snapshot: record staging failed");
-  return record.str();
+  out.string(device.device_id);
+  const util::ByteWriter::Frame payload = out.begin_frame();
+  const util::ByteWriter::Frame emca = out.begin_frame();
+  save_calibration(out, *device.evaluator);
+  out.end_frame(emca);
+  write_monitor_state(out, device.monitor);
+  const std::span<const std::byte> payload_bytes = out.end_frame(payload);
+  out.u64(util::xxh64(payload_bytes.data(), payload_bytes.size()));
 }
 
 void check_snapshot_shape(const FleetSnapshot& snapshot) {
@@ -263,66 +254,81 @@ void check_snapshot_shape(const FleetSnapshot& snapshot) {
   }
 }
 
-void write_snapshot_header(std::ostream& out, const FleetSnapshot& snapshot) {
-  out.write(kMagic, sizeof kMagic);
-  util::write_u32(out, kVersion);
-  util::write_u32(out, snapshot.shards);
-  util::write_u32(out, snapshot.queue_capacity);
-  util::write_u8(out, snapshot.backpressure);
-  util::write_u32(out, static_cast<std::uint32_t>(snapshot.devices.size()));
+std::string encode_snapshot_header(const FleetSnapshot& snapshot) {
+  std::string header;
+  util::ByteWriter out{header};
+  out.magic(kMagic);
+  out.u32(kVersion);
+  out.u32(snapshot.shards);
+  out.u32(snapshot.queue_capacity);
+  out.u8(snapshot.backpressure);
+  out.u32(static_cast<std::uint32_t>(snapshot.devices.size()));
+  return header;
 }
 
 }  // namespace
 
 void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot) {
   check_snapshot_shape(snapshot);
-
-  std::ofstream out{path, std::ios::binary};
-  EMTS_REQUIRE(out.good(), "save_fleet_snapshot: cannot open " + path);
-  write_snapshot_header(out, snapshot);
-
+  FileWriter file{path, "save_fleet_snapshot"};
+  file.write(encode_snapshot_header(snapshot));
+  // One scratch buffer serves every record: it grows to the largest once.
+  std::string scratch;
   for (const FleetSnapshot::Device& device : snapshot.devices) {
     EMTS_REQUIRE(device.dirty,
                  "save_fleet_snapshot: clean (placeholder) record for '" +
                      device.device_id + "' needs the cache-aware overload");
-    const std::string record = encode_device_record(device);
-    out.write(record.data(), static_cast<std::streamsize>(record.size()));
+    scratch.clear();
+    util::ByteWriter out{scratch};
+    encode_device_record(out, device);
+    file.write(scratch);
   }
-  EMTS_REQUIRE(out.good(), "save_fleet_snapshot: write failed for " + path);
+  file.close();
 }
 
 void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot,
                          FleetSnapshotRecordCache& cache, SnapshotSaveStats* stats) {
   check_snapshot_shape(snapshot);
-
-  // Refresh the cache before touching the file so a failed write leaves the
-  // cache consistent with the *state*, which is what the next cut needs.
   SnapshotSaveStats local{};
-  std::map<std::string, std::string> next;
-  for (const FleetSnapshot::Device& device : snapshot.devices) {
-    if (device.dirty) {
-      next.emplace(device.device_id, encode_device_record(device));
-      ++local.records_rewritten;
-      continue;
+  try {
+    // Each dirty device is encoded into its own cache entry, which keeps its
+    // capacity, so a cut whose records did not grow allocates no record.
+    for (const FleetSnapshot::Device& device : snapshot.devices) {
+      if (device.dirty) {
+        std::string& record = cache.records[device.device_id];
+        record.clear();
+        util::ByteWriter out{record};
+        encode_device_record(out, device);
+        ++local.records_rewritten;
+        continue;
+      }
+      EMTS_REQUIRE(cache.records.contains(device.device_id),
+                   "save_fleet_snapshot: clean record for '" + device.device_id +
+                       "' missing from the cache (cold cache needs a full cut)");
+      ++local.records_reused;
     }
-    auto hit = cache.records.find(device.device_id);
-    EMTS_REQUIRE(hit != cache.records.end(),
-                 "save_fleet_snapshot: clean record for '" + device.device_id +
-                     "' missing from the cache (cold cache needs a full cut)");
-    next.emplace(device.device_id, std::move(hit->second));
-    ++local.records_reused;
-  }
-  // Departed devices fall out here: `next` holds exactly the snapshot's ids.
-  cache.records = std::move(next);
+    // Departed devices fall out: both sides are sorted by id, so one merge
+    // walk leaves the cache holding exactly the snapshot's ids.
+    auto entry = cache.records.begin();
+    for (const FleetSnapshot::Device& device : snapshot.devices) {
+      while (entry->first != device.device_id) entry = cache.records.erase(entry);
+      ++entry;
+    }
+    cache.records.erase(entry, cache.records.end());
 
-  std::ofstream out{path, std::ios::binary};
-  EMTS_REQUIRE(out.good(), "save_fleet_snapshot: cannot open " + path);
-  write_snapshot_header(out, snapshot);
-  for (const FleetSnapshot::Device& device : snapshot.devices) {
-    const std::string& record = cache.records.at(device.device_id);
-    out.write(record.data(), static_cast<std::streamsize>(record.size()));
+    FileWriter file{path, "save_fleet_snapshot"};
+    file.write(encode_snapshot_header(snapshot));
+    for (const auto& [device_id, record] : cache.records) file.write(record);
+    file.close();
+  } catch (...) {
+    // FleetMonitor::snapshot has already advanced the dirty devices' marks,
+    // so their previous records are stale and a half-encoded one is garbage:
+    // drop both, and the next incremental cut refuses them as missing.
+    for (const FleetSnapshot::Device& device : snapshot.devices) {
+      if (device.dirty) cache.records.erase(device.device_id);
+    }
+    throw;
   }
-  EMTS_REQUIRE(out.good(), "save_fleet_snapshot: write failed for " + path);
   if (stats != nullptr) *stats = local;
 }
 

@@ -27,20 +27,26 @@
 // whose records carry the byte-serial FNV-1a checksum, are refused with
 // their version named.
 //
+// Every record is encoded in place through one util::ByteWriter: the payload
+// and EMCA sizes are reserved and patched once their bytes are written, and
+// the checksum is taken over the payload where it lies, so no record is
+// staged or copied after it is encoded.
+//
 // Incremental saves: because serialization is deterministic (devices sorted,
 // no timestamps), a device whose state has not moved since the last snapshot
 // re-serializes to byte-identical record bytes. The cache-aware
 // save_fleet_snapshot overload exploits this — records for clean devices
-// (Device::dirty == false) are streamed verbatim from a
-// FleetSnapshotRecordCache instead of being re-copied and re-encoded, so the
-// cost of a snapshot cut scales with the number of *moved* devices, not the
-// fleet size. The output is always a complete, self-contained EMFS v4
-// container, byte-identical to a full rewrite of the same state; there is no
-// delta file format and load_fleet_snapshot needs no changes.
+// (Device::dirty == false) are written verbatim from a
+// FleetSnapshotRecordCache, and each dirty device is re-encoded into its own
+// cache entry, whose buffer keeps its capacity — so the cost of a snapshot
+// cut scales with the number of *moved* devices, not the fleet size, and a
+// cut keeps one copy of the records. The output is always a complete,
+// self-contained EMFS v4 container, byte-identical to a full rewrite of the
+// same state; there is no delta file format and load_fleet_snapshot needs no
+// changes.
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
 #include <string>
@@ -55,7 +61,7 @@ namespace emts::io {
 /// Serializes one monitor state image (every field, both latency
 /// histograms, the buffered event log) such that read_monitor_state returns
 /// a bit-identical image. The reader stops just past the image.
-void write_monitor_state(std::ostream& out, const core::MonitorStateImage& image);
+void write_monitor_state(util::ByteWriter& out, const core::MonitorStateImage& image);
 core::MonitorStateImage read_monitor_state(util::ByteReader& in);
 
 /// In-memory form of one EMFS container.
@@ -83,7 +89,9 @@ struct FleetSnapshot {
 /// Raw on-disk record bytes (id framing + length + payload + checksum) per
 /// device, keyed by device id, from the last cache-aware save. Owned by the
 /// snapshot producer (the daemon); save_fleet_snapshot keeps it in sync —
-/// dirty devices refresh their entry, departed devices are pruned.
+/// dirty devices are re-encoded into their entry, departed devices are
+/// pruned, and a save that throws drops the entry of every device that was
+/// dirty in it.
 struct FleetSnapshotRecordCache {
   std::map<std::string, std::string> records;
 };
@@ -99,12 +107,16 @@ struct SnapshotSaveStats {
 /// mismatches, unsorted or duplicate device records, or trailing bytes.
 ///
 /// The plain save requires every device record to be populated
-/// (Device::dirty == true — it has no cache to fall back on). The
-/// cache-aware overload streams clean devices' records from `cache`
-/// verbatim, refreshes the cache from dirty devices, prunes departed ids,
-/// and reports the reuse split via `stats` when non-null. A clean device
-/// with no cache entry is a precondition_error: the producer must mark
-/// everything dirty on its first (cold-cache) cut.
+/// (Device::dirty == true — it has no cache to fall back on) and encodes
+/// each record into one scratch buffer it reuses. The cache-aware overload
+/// writes clean devices' records from `cache` verbatim, re-encodes dirty
+/// devices into their cache entries, prunes departed ids, and reports the
+/// reuse split via `stats` when non-null. A clean device with no cache entry
+/// is a precondition_error: the producer must mark everything dirty on its
+/// first (cold-cache) cut. FleetMonitor::snapshot advances a dirty device's
+/// mark before the save, so when the save throws, the cache keeps no entry
+/// for any device that was dirty in it (neither its previous record nor a
+/// partial one) and the next incremental save refuses those devices.
 void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot);
 void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot,
                          FleetSnapshotRecordCache& cache,

@@ -2,9 +2,9 @@
 
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <string>
 
+#include "io/file_writer.hpp"
 #include "io/mmap_archive.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
@@ -56,20 +56,20 @@ void save_trace_archive(const std::string& path, const core::TraceSet& set) {
   EMTS_REQUIRE(!set.empty(), "cannot archive an empty trace set");
   set.validate();
 
-  std::ofstream out{path, std::ios::binary};
-  EMTS_REQUIRE(out.good(), "save_trace_archive: cannot open " + path);
+  std::string header;
+  util::ByteWriter out{header};
+  out.magic(kMagic);
+  out.u32(kVersion);
+  out.u64(set.size());
+  out.u64(set.trace_length());
+  out.f64(set.sample_rate);
+  EMTS_ASSERT(header.size() == kTraceArchiveHeaderBytes);
 
-  out.write(kMagic, sizeof kMagic);
-  util::write_u32(out, kVersion);
-  util::write_u64(out, set.size());
-  util::write_u64(out, set.trace_length());
-  util::write_f64(out, set.sample_rate);
-
-  for (const core::Trace& trace : set.traces) {
-    out.write(reinterpret_cast<const char*>(trace.data()),
-              static_cast<std::streamsize>(trace.size() * sizeof(double)));
-  }
-  EMTS_REQUIRE(out.good(), "save_trace_archive: write failed for " + path);
+  // The samples go to the file straight from the traces.
+  FileWriter file{path, "save_trace_archive"};
+  file.write(header);
+  for (const core::Trace& trace : set.traces) file.write(std::as_bytes(std::span{trace}));
+  file.close();
 }
 
 core::TraceSet load_trace_archive(const std::string& path) {

@@ -16,13 +16,20 @@ namespace {
 // corrupt frame, not a plausible fleet identifier.
 constexpr std::uint32_t kMaxDeviceIdBytes = 4096;
 
-void append_raw(std::string& out, const void* data, std::size_t size) {
-  out.append(static_cast<const char*>(data), size);
+// The 12-byte header: magic, version, frame type, two reserved zero bytes
+// and the payload size.
+void write_header(util::ByteWriter& out, std::uint8_t type, std::size_t payload_size) {
+  out.u32(kMagic);
+  out.u8(kVersion);
+  out.u8(type);
+  out.u8(0);
+  out.u8(0);
+  out.u32(static_cast<std::uint32_t>(payload_size));
 }
 
-template <typename T>
-void append_scalar(std::string& out, T value) {
-  append_raw(out, &value, sizeof value);
+// XXH64 of the payload that ends `frame`.
+std::uint64_t payload_checksum(const std::string& frame, std::size_t payload_size) {
+  return util::xxh64(frame.data() + frame.size() - payload_size, payload_size);
 }
 
 }  // namespace
@@ -44,38 +51,23 @@ void encode_trace_frame(const std::string& device_id, double sample_rate,
       count * sizeof(double);
   EMTS_REQUIRE(payload_size <= kMaxFramePayload, "wire: trace too large for one frame");
 
-  append_scalar(out, kMagic);
-  append_scalar(out, kVersion);
-  append_scalar(out, kFrameTrace);
-  append_scalar(out, std::uint16_t{0});
-  append_scalar(out, static_cast<std::uint32_t>(payload_size));
-
-  const std::size_t payload_start = out.size();
-  append_scalar(out, static_cast<std::uint32_t>(device_id.size()));
-  append_raw(out, device_id.data(), device_id.size());
-  append_scalar(out, sample_rate);
-  append_scalar(out, static_cast<std::uint32_t>(count));
-  append_raw(out, samples, count * sizeof(double));
-
-  append_scalar(out, util::xxh64(out.data() + payload_start, payload_size));
+  util::ByteWriter writer{out};
+  write_header(writer, kFrameTrace, payload_size);
+  writer.string(device_id);
+  writer.f64(sample_rate);
+  writer.u32(static_cast<std::uint32_t>(count));
+  writer.bytes(std::as_bytes(std::span{samples, count}));
+  writer.u64(payload_checksum(out, payload_size));
 }
 
 void encode_hello_frame(const std::string& auth_token, std::string& out) {
   EMTS_REQUIRE(!auth_token.empty() && auth_token.size() <= kMaxAuthTokenBytes,
                "wire: auth token must be 1..4096 bytes");
   const std::size_t payload_size = sizeof(std::uint32_t) + auth_token.size();
-
-  append_scalar(out, kMagic);
-  append_scalar(out, kVersion);
-  append_scalar(out, kFrameHello);
-  append_scalar(out, std::uint16_t{0});
-  append_scalar(out, static_cast<std::uint32_t>(payload_size));
-
-  const std::size_t payload_start = out.size();
-  append_scalar(out, static_cast<std::uint32_t>(auth_token.size()));
-  append_raw(out, auth_token.data(), auth_token.size());
-
-  append_scalar(out, util::xxh64(out.data() + payload_start, payload_size));
+  util::ByteWriter writer{out};
+  write_header(writer, kFrameHello, payload_size);
+  writer.string(auth_token);
+  writer.u64(payload_checksum(out, payload_size));
 }
 
 void FrameDecoder::feed(const char* data, std::size_t size) {

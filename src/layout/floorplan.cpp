@@ -27,8 +27,7 @@ const PlacedModule& Floorplan::module(const std::string& name) const {
   for (const PlacedModule& m : modules_) {
     if (m.name == name) return m;
   }
-  EMTS_REQUIRE(false, "no module named " + name);
-  return modules_.front();  // unreachable
+  throw precondition_error("no module named " + name);
 }
 
 bool Floorplan::has_module(const std::string& name) const {

@@ -159,8 +159,7 @@ double Chip::coupling(const std::string& module_name, Pickup pickup) const {
       return pickup == Pickup::kOnChipSensor ? s.m_onchip : s.m_external;
     }
   }
-  EMTS_REQUIRE(false, "no module named " + module_name);
-  return 0.0;
+  throw precondition_error("no module named " + module_name);
 }
 
 std::vector<aes::Block> Chip::window_plaintexts(std::uint64_t trace_index) const {

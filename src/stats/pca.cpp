@@ -149,14 +149,16 @@ void PcaModel::reconstruct_into(const std::vector<double>& projected,
   }
 }
 
-void PcaModel::save(std::ostream& out) const {
-  util::write_u64(out, input_dim());
-  util::write_u64(out, components());
-  util::write_f64(out, total_variance_);
-  util::write_f64_vec(out, mean_);
-  util::write_f64_vec(out, eigenvalues_);
+void PcaModel::save(util::ByteWriter& out) const {
+  out.u64(input_dim());
+  out.u64(components());
+  out.f64(total_variance_);
+  out.f64_vec(mean_);
+  out.f64_vec(eigenvalues_);
+  // Row-major, so each row is its components' doubles in order.
+  EMTS_ASSERT(basis_.rows() == input_dim() && basis_.cols() == components());
   for (std::size_t j = 0; j < input_dim(); ++j) {
-    for (std::size_t c = 0; c < components(); ++c) util::write_f64(out, basis_(j, c));
+    out.bytes(std::as_bytes(std::span{basis_.row_data(j), components()}));
   }
 }
 

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <cstddef>
-#include <iosfwd>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -59,7 +58,7 @@ class PcaModel {
   /// Serializes the fitted model (mean, basis, eigenvalues) so a calibrated
   /// detector can ship without its training traces. load() restores a model
   /// whose project()/reconstruct() outputs are bit-identical to the saved one.
-  void save(std::ostream& out) const;
+  void save(util::ByteWriter& out) const;
   static PcaModel load(util::ByteReader& in);
 
  private:

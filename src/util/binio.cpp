@@ -1,7 +1,5 @@
 #include "util/binio.hpp"
 
-#include <ostream>
-
 #include "util/assert.hpp"
 
 namespace emts::util {
@@ -13,31 +11,21 @@ namespace {
 constexpr std::uint64_t kMaxVecElements = 1ull << 26;  // 512 MiB of doubles
 constexpr std::uint32_t kMaxStringBytes = 1u << 20;
 
-template <typename T>
-void write_raw(std::ostream& out, const T& v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof v);
-  EMTS_REQUIRE(out.good(), "binio: write failed");
-}
-
 }  // namespace
 
-void write_u8(std::ostream& out, std::uint8_t v) { write_raw(out, v); }
-void write_u32(std::ostream& out, std::uint32_t v) { write_raw(out, v); }
-void write_u64(std::ostream& out, std::uint64_t v) { write_raw(out, v); }
-void write_f64(std::ostream& out, double v) { write_raw(out, v); }
-
-void write_f64_vec(std::ostream& out, const std::vector<double>& v) {
-  write_u64(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(double)));
-  EMTS_REQUIRE(out.good(), "binio: write failed");
+void ByteWriter::string(std::string_view s) {
+  EMTS_REQUIRE(s.size() < kMaxStringBytes, "binio: string too long");
+  u32(static_cast<std::uint32_t>(s.size()));
+  bytes(std::as_bytes(std::span{s}));
 }
 
-void write_string(std::ostream& out, const std::string& s) {
-  EMTS_REQUIRE(s.size() < kMaxStringBytes, "binio: string too long");
-  write_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-  EMTS_REQUIRE(out.good(), "binio: write failed");
+std::span<const std::byte> ByteWriter::end_frame(Frame frame) {
+  EMTS_ASSERT(frame.at + sizeof(std::uint64_t) <= size());
+  const std::size_t start = frame.at + sizeof(std::uint64_t);
+  const std::uint64_t length = size() - start;
+  if (out_ == nullptr) return {};
+  std::memcpy(out_->data() + frame.at, &length, sizeof length);
+  return std::as_bytes(std::span{*out_}).subspan(start);
 }
 
 void ByteReader::truncated(std::size_t wanted) const {

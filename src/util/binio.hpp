@@ -1,32 +1,106 @@
 // Little-endian binary primitives shared by the persistence layers (EMTA,
-// EMCA, EMWF, EMFS, EMAA). Writers append fixed-width scalars, vectors and
-// length-prefixed strings to a std::ostream. Every decoder reads through one
-// ByteReader over bytes already in memory (a mapped file, a frame buffer), so
-// each declared size is checked against the exact bytes left before it can
-// size an allocation.
+// EMCA, EMWF, EMFS, EMAA). Every encoder appends through one ByteWriter over
+// a caller-owned buffer: fixed-width scalars, float64 vectors, length-prefixed
+// strings, raw bytes, and u64 length frames that are reserved and patched in
+// place, so an artifact is built where it ends up instead of being staged and
+// copied. Every decoder reads through one ByteReader over bytes already in
+// memory (a mapped file, a frame buffer), so each declared size is checked
+// against the exact bytes left before it can size an allocation.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <iosfwd>
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace emts::util {
 
-void write_u8(std::ostream& out, std::uint8_t v);
-void write_u32(std::ostream& out, std::uint32_t v);
-void write_u64(std::ostream& out, std::uint64_t v);
-void write_f64(std::ostream& out, double v);
+// Both sides copy scalars in host byte order; the formats are little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "binio: the EM* formats are little-endian");
 
-/// u64 element count followed by raw float64 payload.
-void write_f64_vec(std::ostream& out, const std::vector<double>& v);
+/// Append-only little-endian writer over a std::string the caller owns and
+/// keeps alive while the writer is in use. A writer built without a buffer
+/// appends nothing and only counts, so an encoder can be run once to size a
+/// buffer exactly (encode_exact).
+class ByteWriter {
+ public:
+  explicit ByteWriter(std::string& out) : out_{&out} {}
+  /// A counting writer: size() grows as if the bytes were appended.
+  ByteWriter() = default;
 
-/// u32 byte count followed by raw bytes.
-void write_string(std::ostream& out, const std::string& s);
+  /// Bytes in the buffer, or counted so far.
+  std::size_t size() const { return out_ != nullptr ? out_->size() : counted_; }
+
+  void u8(std::uint8_t v) { scalar(v); }
+  void u32(std::uint32_t v) { scalar(v); }
+  void u64(std::uint64_t v) { scalar(v); }
+  void f64(double v) { scalar(v); }
+
+  /// u64 element count followed by the raw float64s.
+  void f64_vec(std::span<const double> v) {
+    u64(v.size());
+    bytes(std::as_bytes(v));
+  }
+
+  /// u32 byte count followed by the bytes. Refuses, with "binio: string too
+  /// long", a string ByteReader::string would refuse (1 MiB or more).
+  void string(std::string_view s);
+
+  /// Raw bytes, unframed.
+  void bytes(std::span<const std::byte> raw) {
+    if (!raw.empty()) append(raw.data(), raw.size());
+  }
+
+  /// A format's four magic bytes (ByteReader::expect_magic checks them).
+  void magic(const char (&magic)[4]) { bytes(std::as_bytes(std::span{magic})); }
+
+  /// A reserved u64 length; end_frame patches it.
+  struct Frame {
+    std::size_t at;
+  };
+  Frame begin_frame() {
+    const Frame frame{size()};
+    u64(0);
+    return frame;
+  }
+  /// Patches `frame` with the number of bytes appended since begin_frame and
+  /// returns those bytes, valid until the next append (empty when counting).
+  std::span<const std::byte> end_frame(Frame frame);
+
+ private:
+  template <typename T>
+  void scalar(T v) {
+    append(&v, sizeof v);
+  }
+  void append(const void* data, std::size_t n) {
+    if (out_ != nullptr) {
+      out_->append(static_cast<const char*>(data), n);
+    } else {
+      counted_ += n;
+    }
+  }
+
+  std::string* out_ = nullptr;
+  std::size_t counted_ = 0;
+};
+
+/// Appends what `encode(ByteWriter&)` writes to `out`, after a counting pass
+/// has reserved exactly that many bytes: the buffer is allocated once rather
+/// than grown by doubling, so an artifact costs its own size in heap.
+template <typename Encode>
+void encode_exact(std::string& out, Encode&& encode) {
+  ByteWriter counter;
+  encode(counter);
+  out.reserve(out.size() + counter.size());
+  ByteWriter writer{out};
+  std::forward<Encode>(encode)(writer);
+}
 
 /// Bounds-checked little-endian reader over bytes it does not own; the
 /// caller keeps them alive while the reader (and any sub-reader) is in use.

@@ -11,7 +11,6 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -304,9 +303,9 @@ void expect_mutants_load_or_refuse(const std::string& clean, const std::vector<F
 }
 
 TEST_F(CalibrationArtifactTest, SeededMutantsLoadOrThrowPreconditionError) {
-  std::ostringstream out{std::ios::binary};
+  std::string clean;
+  util::ByteWriter out{clean};
   save_calibration(out, three_stage_stack());
-  const std::string clean = out.str();
   std::vector<Field> fields;
   ASSERT_EQ(emca_fields(clean, 0, fields), clean.size());
   expect_mutants_load_or_refuse(clean, fields, 0x454d4341 /* 'EMCA' */, 2000,
@@ -323,9 +322,9 @@ TEST(ArrayArtifact, SeededMutantsLoadOrThrowPreconditionError) {
     calibration.sensors.push_back(
         array::SensorCalibration{evaluator, make_set(1, false, 40 + s).traces[0], 0.5});
   }
-  std::ostringstream out{std::ios::binary};
+  std::string clean;
+  util::ByteWriter out{clean};
   array::save_array_calibration(out, calibration);
-  const std::string clean = out.str();
   std::vector<Field> fields{{8, 4}, {12, 4}, {44, 4}};  // nx, ny, sensor count
   std::size_t cursor = 48;
   for (std::size_t s = 0; s < 4; ++s) {
@@ -365,6 +364,29 @@ TEST_F(CalibrationArtifactTest, ValidLoadRequestsLessThanTwiceItsSize) {
   before = util::alloc::thread_counts().bytes;
   load_calibration(path_);
   EXPECT_LT(util::alloc::thread_counts().bytes - before, bound) << "from its path";
+}
+
+// ---------- a save requests about its own size ----------
+
+// The path form counts the artifact, reserves exactly that, encodes into it
+// and writes it once. Staging each detector payload through a
+// std::ostringstream and the file through a std::ofstream, this 166 KB
+// artifact's save requested 4.6x its size.
+TEST_F(CalibrationArtifactTest, SaveRequestsLessThanTwiceItsSize) {
+  if (!util::alloc::counting_active()) {
+    GTEST_SKIP() << "allocation hooks disabled in this build (sanitizer)";
+  }
+  core::TrustEvaluator::Options options;
+  options.detectors = {"euclidean", "spectral", "ron"};
+  options.euclidean.preprocess.decimation = 1;
+  const core::TrustEvaluator evaluator =
+      core::TrustEvaluator::calibrate(make_set(20, false, 30), options);
+
+  const std::uint64_t before = util::alloc::thread_counts().bytes;
+  save_calibration(path_, evaluator);
+  const std::uint64_t requested = util::alloc::thread_counts().bytes - before;
+  const std::uint64_t size = std::filesystem::file_size(path_);
+  EXPECT_LT(requested, 2 * size + 65536) << size << " bytes";
 }
 
 }  // namespace

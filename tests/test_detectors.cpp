@@ -7,7 +7,6 @@
 #include <cstring>
 #include <limits>
 #include <memory>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -307,19 +306,20 @@ TEST(SpectralDetector, CalibrationRejectsBadSampleRate) {
 // 3 x f64 factors + u64 match_bins).
 TEST(SpectralDetector, LoadRejectsCorruptSampleRate) {
   const auto det = SpectralDetector::calibrate(golden_set(4));
-  std::ostringstream out;
+  std::string saved;
+  util::ByteWriter out{saved};
   det.save(out);
-  std::string payload = out.str();
+  std::string payload = saved;
 
-  std::ostringstream inf_bytes;
-  util::write_f64(inf_bytes, std::numeric_limits<double>::infinity());
-  payload.replace(37, 8, inf_bytes.str());
+  std::string inf_bytes;
+  util::ByteWriter inf{inf_bytes};
+  inf.f64(std::numeric_limits<double>::infinity());
+  payload.replace(37, 8, inf_bytes);
 
   util::ByteReader in{payload};
   EXPECT_THROW(SpectralDetector::load(in), emts::precondition_error);
 
   // Unpatched payload still round-trips.
-  const std::string saved = out.str();
   util::ByteReader clean{saved};
   const auto restored = SpectralDetector::load(clean);
   EXPECT_EQ(restored.sample_rate(), det.sample_rate());
@@ -348,7 +348,8 @@ void expect_refused_without_allocating(std::string payload, std::size_t count_at
 // few-KB payload and 2^31 throws std::bad_alloc, not precondition_error.
 TEST(EuclideanDetector, LoadRefusesAProjectionCountTheBytesCannotBack) {
   const auto det = EuclideanDetector::calibrate(golden_set(20));
-  std::ostringstream out;
+  std::string saved;
+  util::ByteWriter out{saved};
   det.save(out);
   const std::size_t d = det.pca().input_dim();
   const std::size_t k = det.pca().components();
@@ -356,25 +357,26 @@ TEST(EuclideanDetector, LoadRefusesAProjectionCountTheBytesCannotBack) {
   // variance (24) + mean and eigenvalue vectors + the d x k basis.
   const std::size_t count_at = 19 + 24 + (8 + 8 * d) + (8 + 8 * k) + 8 * d * k;
   std::uint64_t own = 0;
-  std::memcpy(&own, out.str().data() + count_at, sizeof own);
+  std::memcpy(&own, saved.data() + count_at, sizeof own);
   ASSERT_EQ(own, 20u);
   for (const std::uint64_t count : {1ull << 24, 1ull << 31, 0xFFFFFFFFull}) {
-    expect_refused_without_allocating(out.str(), count_at, count,
+    expect_refused_without_allocating(saved, count_at, count,
                                       [](util::ByteReader& in) { EuclideanDetector::load(in); });
   }
 }
 
 TEST(SpectralDetector, LoadRefusesASpotCountTheBytesCannotBack) {
   const auto det = SpectralDetector::calibrate(golden_set(4));
-  std::ostringstream out;
+  std::string saved;
+  util::ByteWriter out{saved};
   det.save(out);
   // Options and sample rate (45) + the two spectrum vectors + noise floor.
   const std::size_t bins = det.golden_spectrum().size();
   const std::size_t spots_at = 45 + 2 * (8 + 8 * bins) + 8;
   std::uint64_t own = 0;
-  std::memcpy(&own, out.str().data() + spots_at, sizeof own);
+  std::memcpy(&own, saved.data() + spots_at, sizeof own);
   ASSERT_EQ(own, det.golden_spots().size());
-  expect_refused_without_allocating(out.str(), spots_at, (1u << 20) - 1,
+  expect_refused_without_allocating(saved, spots_at, (1u << 20) - 1,
                                     [](util::ByteReader& in) { SpectralDetector::load(in); });
 }
 
@@ -405,9 +407,9 @@ TEST(DetectorInterface, NameSwitchMatchesEachDetectorsOwnCalibrate) {
     options.detectors = {direct->name()};
     const auto evaluator = TrustEvaluator::calibrate(golden, options);
     ASSERT_EQ(evaluator.detectors().size(), 1u);
-    std::ostringstream payload;
+    std::string bytes;
+    util::ByteWriter payload{bytes};
     direct->save(payload);
-    const std::string bytes = payload.str();
     util::ByteReader in{bytes};
     const auto loaded = load_detector(direct->name(), in);
     for (const Detector* via : {evaluator.detectors().front().get(), loaded.get()}) {

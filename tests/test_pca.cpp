@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -170,13 +169,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PcaVarianceSweep, ::testing::Values<std::size_t>
 // be refused before the basis is sized: allocating first requests (and
 // zeroes) 134 MB before the first basis read fails.
 TEST(Pca, LoadRefusesABasisTheBytesCannotBack) {
-  std::ostringstream out;
-  util::write_u64(out, 4096);  // input dimension
-  util::write_u64(out, 4096);  // components
-  util::write_f64(out, 1.0);   // total variance
-  util::write_f64_vec(out, std::vector<double>(4096, 0.0));  // mean
-  util::write_f64_vec(out, std::vector<double>(4096, 1.0));  // eigenvalues
-  const std::string payload = out.str();
+  std::string payload;
+  util::ByteWriter out{payload};
+  out.u64(4096);  // input dimension
+  out.u64(4096);  // components
+  out.f64(1.0);   // total variance
+  out.f64_vec(std::vector<double>(4096, 0.0));  // mean
+  out.f64_vec(std::vector<double>(4096, 1.0));  // eigenvalues
   util::ByteReader in{payload};
   const std::uint64_t before = util::alloc::thread_counts().bytes;
   EXPECT_THROW(PcaModel::load(in), emts::precondition_error);

@@ -176,9 +176,10 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 using mutation::read_le;
 
 std::string state_bytes(const core::MonitorStateImage& image) {
-  std::ostringstream out{std::ios::binary};
+  std::string bytes;
+  util::ByteWriter out{bytes};
   write_monitor_state(out, image);
-  return out.str();
+  return bytes;
 }
 
 class SnapshotFile : public ::testing::Test {
@@ -862,6 +863,110 @@ TEST_F(SnapshotFile, ValidLoadRequestsLessThanTwiceItsSize) {
   const FleetSnapshot loaded = load_fleet_snapshot(path_);
   EXPECT_LT(util::alloc::thread_counts().bytes - before, 2 * size + 65536) << size << " bytes";
   EXPECT_EQ(loaded.devices.size(), snapshot.devices.size());
+}
+
+// ---------- a save requests about its own size ----------
+
+// Sixteen devices whose records each carry a full spectral window.
+FleetSnapshot sixteen_devices() {
+  FleetSnapshot snapshot;
+  for (int d = 0; d < 16; ++d) {
+    core::RuntimeMonitor monitor{kFs, fitted(), small_options()};
+    monitor.push_batch(make_set(8, false, 60 + static_cast<std::uint64_t>(d)));
+    char id[32];
+    std::snprintf(id, sizeof id, "chip-%02d", d);
+    snapshot.devices.push_back(FleetSnapshot::Device{id, fitted(), monitor.export_state()});
+  }
+  return snapshot;
+}
+
+// Every record is encoded in place into one scratch buffer the save reuses.
+// Staging each record through three std::ostringstreams and copying each
+// out, this save of a 604 KB container requested 14.7x its size.
+TEST_F(SnapshotFile, PlainSaveRequestsLessThanTwiceItsSize) {
+  if (!util::alloc::counting_active()) {
+    GTEST_SKIP() << "allocation hooks disabled in this build (sanitizer)";
+  }
+  const FleetSnapshot snapshot = sixteen_devices();
+  const std::uint64_t before = util::alloc::thread_counts().bytes;
+  save_fleet_snapshot(path_, snapshot);
+  const std::uint64_t requested = util::alloc::thread_counts().bytes - before;
+  const std::uint64_t size = std::filesystem::file_size(path_);
+  EXPECT_LT(requested, 2 * size + 65536) << size << " bytes";
+}
+
+// A warm cut re-encodes each dirty record into its cache entry's own buffer,
+// which keeps its capacity, so records that did not grow size nothing. The
+// save that rebuilt the cache from fresh copies requested 14.7x the
+// container.
+TEST_F(SnapshotFile, WarmCacheAwareSaveOfRecordsThatDidNotGrowRequestsUnder64KiB) {
+  if (!util::alloc::counting_active()) {
+    GTEST_SKIP() << "allocation hooks disabled in this build (sanitizer)";
+  }
+  const FleetSnapshot snapshot = sixteen_devices();  // every device dirty
+  FleetSnapshotRecordCache cache;
+  save_fleet_snapshot(path_, snapshot, cache);
+  const std::string cold = read_bytes(path_);
+
+  SnapshotSaveStats stats;
+  const std::uint64_t before = util::alloc::thread_counts().bytes;
+  save_fleet_snapshot(path_, snapshot, cache, &stats);
+  const std::uint64_t requested = util::alloc::thread_counts().bytes - before;
+  EXPECT_LT(requested, 65536u) << cold.size() << "-byte container";
+  EXPECT_EQ(stats.records_rewritten, 16u);
+  EXPECT_EQ(read_bytes(path_), cold);
+}
+
+// ---------- a failed save leaves no stale record behind ----------
+
+// FleetMonitor::snapshot advances each dirty device's mark before the save
+// runs, so after a save that throws, a dirty device's previous record is
+// stale and its half-encoded one is garbage. The cache keeps neither, and
+// the next incremental cut refuses the device instead of writing either.
+TEST_F(SnapshotFile, SaveThatThrowsMidCutDropsItsDirtyDevicesFromTheCache) {
+  fleet::FleetOptions options;
+  options.monitor = small_options();
+  fleet::FleetMonitor fleet{options};
+  for (const char* id : {"chip-a", "chip-b", "chip-c"}) {
+    fleet.add_device(id, fitted());
+    submit_all(fleet, id, make_set(3, false, 70));
+  }
+  fleet.flush();
+  FleetSnapshotRecordCache cache;
+  save_fleet_snapshot(path_, fleet.snapshot(fleet::SnapshotMode::kFull), cache);
+
+  // chip-a and chip-b move; chip-a encodes, then chip-b throws.
+  submit_all(fleet, "chip-a", make_set(2, false, 71));
+  submit_all(fleet, "chip-b", make_set(2, false, 72));
+  fleet.flush();
+  io::FleetSnapshot cut = fleet.snapshot(fleet::SnapshotMode::kIncremental);
+  ASSERT_TRUE(cut.devices[0].dirty && cut.devices[1].dirty && !cut.devices[2].dirty);
+  cut.devices[1].evaluator.reset();
+  EXPECT_THROW(save_fleet_snapshot(path_, cut, cache), emts::precondition_error);
+  EXPECT_EQ(cache.records.count("chip-a"), 0u);
+  EXPECT_EQ(cache.records.count("chip-b"), 0u);
+  EXPECT_EQ(cache.records.count("chip-c"), 1u);
+
+  // Their marks moved, so the next cut calls them clean; it must refuse.
+  const io::FleetSnapshot next = fleet.snapshot(fleet::SnapshotMode::kIncremental);
+  ASSERT_FALSE(next.devices[0].dirty);
+  try {
+    save_fleet_snapshot(path_, next, cache);
+    ADD_FAILURE() << "a stale record was written";
+  } catch (const emts::precondition_error& error) {
+    EXPECT_NE(std::string{error.what()}.find("'chip-a' missing from the cache"),
+              std::string::npos)
+        << error.what();
+  }
+
+  // A save that encodes every record and then cannot open its file drops
+  // them too.
+  FleetSnapshotRecordCache warm;
+  save_fleet_snapshot(path_, fleet.snapshot(fleet::SnapshotMode::kFull), warm);
+  EXPECT_THROW(save_fleet_snapshot(path_ + ".missing/cut.emfs",
+                                   fleet.snapshot(fleet::SnapshotMode::kFull), warm),
+               emts::precondition_error);
+  EXPECT_TRUE(warm.records.empty());
 }
 
 TEST_F(SnapshotFile, SeededMutantsLoadOrThrowPreconditionError) {

@@ -856,37 +856,51 @@ int cmd_replay_client(const std::vector<std::string>& args) {
     fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     EMTS_REQUIRE(fd >= 0, "replay-client: socket() failed");
   }
+  // Every failure names the endpoint, the traces sent before it and the OS
+  // error. A refused --auth-secret is the usual reason a write fails while
+  // the daemon keeps serving, so a client that sent one hears how a TCP
+  // daemon treats it.
+  std::uint64_t traces_sent = 0;
+  const auto fail = [&](const std::string& step, int error, bool auth_hint) {
+    ::close(fd);
+    std::string message = "replay-client: " + step + " " + endpoint_label +
+                          " failed after sending " + std::to_string(traces_sent) + " of " +
+                          std::to_string(to_send) + " traces: " + std::strerror(error);
+    if (auth_hint) {
+      message += " (a TCP daemon drops a client whose --auth-secret it refuses)";
+    }
+    throw precondition_error(message);
+  };
+  const auto send_all = [&](const std::string& bytes, const std::string& step) {
+    std::size_t off = 0;
+    while (off < bytes.size()) {
+      const ssize_t put = ::write(fd, bytes.data() + off, bytes.size() - off);
+      if (put < 0 && errno == EINTR) continue;
+      if (put <= 0) fail(step, put < 0 ? errno : EIO, !auth_secret.empty());
+      off += static_cast<std::size_t>(put);
+    }
+  };
+
   // Retry the connect briefly: the natural sequencing is `serve &` then
   // replay-client, and the daemon may still be binding.
-  bool connected = false;
+  int connect_error = 0;
   for (int attempt = 0; attempt < 50; ++attempt) {
     if (::connect(fd, addr, addr_len) == 0) {
-      connected = true;
+      connect_error = 0;
       break;
     }
+    connect_error = errno;
     struct timespec backoff {0, 100 * 1000 * 1000};
     ::nanosleep(&backoff, nullptr);
   }
-  if (!connected) {
-    ::close(fd);
-    EMTS_REQUIRE(false, "replay-client: cannot connect to " + endpoint_label);
-  }
+  if (connect_error != 0) fail("connect to", connect_error, false);
 
   std::string frame;
   if (!auth_secret.empty()) {
     // Authenticate before the first trace: the daemon closes unauthenticated
     // TCP connections at their first trace frame.
     io::wire::encode_hello_frame(auth_secret, frame);
-    std::size_t off = 0;
-    while (off < frame.size()) {
-      const ssize_t put = ::write(fd, frame.data() + off, frame.size() - off);
-      if (put < 0 && errno == EINTR) continue;
-      if (put <= 0) {
-        ::close(fd);
-        EMTS_REQUIRE(false, "replay-client: HELLO write failed (daemon gone?)");
-      }
-      off += static_cast<std::size_t>(put);
-    }
+    send_all(frame, "HELLO write to");
   }
   std::uint64_t bytes_sent = 0;
   const std::uint64_t t0 = util::monotonic_ns();
@@ -896,17 +910,9 @@ int cmd_replay_client(const std::vector<std::string>& args) {
     io::wire::encode_trace_frame(device_id, archive.sample_rate(),
                                  archive.trace(static_cast<std::size_t>(first + t)),
                                  archive.trace_length(), frame);
-    std::size_t off = 0;
-    while (off < frame.size()) {
-      const ssize_t put = ::write(fd, frame.data() + off, frame.size() - off);
-      if (put < 0 && errno == EINTR) continue;
-      if (put <= 0) {
-        ::close(fd);
-        EMTS_REQUIRE(false, "replay-client: write failed (daemon gone?)");
-      }
-      off += static_cast<std::size_t>(put);
-    }
+    send_all(frame, "trace write to");
     bytes_sent += frame.size();
+    ++traces_sent;
 
     if (ns_per_trace > 0.0) {
       // Pace against the absolute schedule, not per-frame sleeps, so encode
