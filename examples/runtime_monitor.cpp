@@ -1,8 +1,8 @@
-// Runtime monitoring: the deployment of Fig. 1. The on-chip sensor streams
-// captures into the RuntimeMonitor, which self-calibrates on the trusted
-// start-up window and then scores every capture. Mid-stream, the attacker
+// Runtime monitoring: the deployment of Fig. 1. The detector stack is fitted
+// on the trusted bring-up window of on-chip sensor captures, and the
+// RuntimeMonitor scores every capture after it. Mid-stream, the attacker
 // triggers the T2 leakage Trojan; the monitor raises a debounced alarm and
-// prints what its detector saw.
+// prints what its detectors saw.
 #include <cstdio>
 #include <filesystem>
 
@@ -18,14 +18,18 @@ int main() {
   sim::Chip chip{sim::make_default_config()};
   const auto& engine = sim::CaptureEngine::shared();
 
-  core::RuntimeMonitor::Options options;
-  options.calibration_traces = 32;
-  options.alarm_debounce = 3;
-  core::RuntimeMonitor monitor{chip.sample_rate(), options};
+  // Phase 1: trusted bring-up. The first 32 captures fit the detector stack;
+  // the rest of the window is normal operation under the monitor.
+  constexpr std::size_t kCalibration = 32;
+  const auto bring_up = engine.capture_batch(chip, sim::Pickup::kOnChipSensor, 60, 0);
+  core::TraceSet golden;
+  golden.sample_rate = bring_up.sample_rate;
+  golden.traces.assign(bring_up.traces.begin(), bring_up.traces.begin() + kCalibration);
 
-  monitor.on_alarm([](const core::TrustReport& report) {
-    std::printf(">>> ALARM: %s\n", report.summary().c_str());
-  });
+  core::RuntimeMonitor::Options options;
+  options.alarm_debounce = 3;
+  core::RuntimeMonitor monitor{chip.sample_rate(), core::TrustEvaluator::calibrate(golden),
+                               options};
 
   std::printf("runtime monitor demo — T2 activates at capture 60\n");
   std::printf("%-8s %-12s %-10s %s\n", "capture", "state", "score", "note");
@@ -34,7 +38,7 @@ int main() {
   // phase's windows as one parallel batch and the monitor consumes them in
   // stream order (its scoring is strictly per-trace, so batching the
   // acquisition changes nothing downstream).
-  std::uint64_t index = 0;
+  std::uint64_t index = kCalibration;
   const auto step = [&](const core::Trace& trace, const char* note) {
     const auto state = monitor.push(trace);
     if (index % 10 == 0 || state == core::MonitorState::kAlarm) {
@@ -49,10 +53,8 @@ int main() {
     return state;
   };
 
-  // Phase 1: trusted bring-up (calibration) and normal operation.
-  const auto bring_up = engine.capture_batch(chip, sim::Pickup::kOnChipSensor, 60, 0);
-  for (const auto& trace : bring_up.traces) {
-    step(trace, index < 32 ? "calibrating" : "normal operation");
+  for (std::size_t t = kCalibration; t < bring_up.size(); ++t) {
+    step(bring_up.traces[t], "normal operation");
   }
 
   // Phase 2: the Trojan activates in the field.
@@ -67,6 +69,13 @@ int main() {
     std::printf("UNEXPECTED: no alarm raised\n");
     return 1;
   }
+  // What the detectors saw at the latch: the last capture's distance against
+  // the fitted Eq. (1) threshold, and the last spectral window's anomalies.
+  std::printf(">>> ALARM: distance %s (EDth %s), %zu spectral anomalies in the last window\n",
+              io::Table::num(*monitor.last_score(), 3).c_str(),
+              io::Table::num(monitor.evaluator().euclidean().threshold(), 3).c_str(),
+              monitor.last_spectral().has_value() ? monitor.last_spectral()->anomalies.size()
+                                                  : std::size_t{0});
 
   // Phase 3: the operator investigates, removes the trigger, resumes.
   chip.disarm_all();
@@ -85,7 +94,7 @@ int main() {
   // from its very first capture, zero calibration captures spent.
   const auto model_path =
       (std::filesystem::temp_directory_path() / "emts_runtime_monitor.emca").string();
-  io::save_calibration(model_path, *monitor.evaluator());
+  io::save_calibration(model_path, monitor.evaluator());
   auto evaluator = io::load_calibration(model_path);
   std::filesystem::remove(model_path);
 
@@ -103,9 +112,8 @@ int main() {
   // What the first monitor's loop did, without ever perturbing it: lifetime
   // counters, push/spectral latency quantiles, and the structured event log.
   const core::MonitorStats& stats = monitor.stats();
-  std::printf("\nmonitor stats: ingested %llu (calibration %llu, scored %llu)\n",
+  std::printf("\nmonitor stats: ingested %llu (scored %llu)\n",
               static_cast<unsigned long long>(stats.traces_ingested),
-              static_cast<unsigned long long>(stats.calibration_captures),
               static_cast<unsigned long long>(stats.scored_captures));
   std::printf("  per-trace anomalies %llu, windowed %llu/%llu passes, alarms %llu "
               "latched / %llu acked\n",

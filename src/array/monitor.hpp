@@ -19,8 +19,8 @@ namespace emts::array {
 class ArrayMonitor {
  public:
   struct Options {
-    /// Per-sensor session options (calibration_traces is irrelevant —
-    /// sessions cold-start monitoring from the fitted artifacts).
+    /// Per-sensor session options; every session cold-starts monitoring
+    /// from its fitted artifact.
     core::RuntimeMonitor::Options session{};
     /// Consecutive spectral-anomalous windowed passes on one coil that latch
     /// the array alarm. RuntimeMonitor's own debounce counts *pushes*, so a

@@ -10,8 +10,6 @@ namespace emts::core {
 
 const char* monitor_state_label(MonitorState state) {
   switch (state) {
-    case MonitorState::kCalibrating:
-      return "CALIBRATING";
     case MonitorState::kMonitoring:
       return "MONITORING";
     case MonitorState::kAlarm:
@@ -22,8 +20,6 @@ const char* monitor_state_label(MonitorState state) {
 
 const char* monitor_event_label(MonitorEventKind kind) {
   switch (kind) {
-    case MonitorEventKind::kCalibrated:
-      return "CALIBRATED";
     case MonitorEventKind::kPerTraceAnomaly:
       return "PER_TRACE_ANOMALY";
     case MonitorEventKind::kSpectralPass:
@@ -42,18 +38,6 @@ const char* monitor_event_label(MonitorEventKind kind) {
   return "?";
 }
 
-RuntimeMonitor::RuntimeMonitor(double sample_rate) : RuntimeMonitor(sample_rate, Options{}) {}
-
-RuntimeMonitor::RuntimeMonitor(double sample_rate, const Options& options)
-    : options_{options},
-      sample_rate_{sample_rate},
-      window_{std::max<std::size_t>(options.spectral_window, 1)} {
-  validate_options();
-  EMTS_REQUIRE(options.calibration_traces >= 3, "monitor needs >= 3 calibration traces");
-  calibration_.sample_rate = sample_rate;
-  events_.resize(options_.event_log_capacity);
-}
-
 RuntimeMonitor::RuntimeMonitor(double sample_rate, TrustEvaluator evaluator)
     : RuntimeMonitor(sample_rate, std::move(evaluator), Options{}) {}
 
@@ -61,14 +45,14 @@ RuntimeMonitor::RuntimeMonitor(double sample_rate, TrustEvaluator evaluator,
                                const Options& options)
     : options_{options},
       sample_rate_{sample_rate},
-      window_{std::max<std::size_t>(options.spectral_window, 1)} {
+      window_{std::max<std::size_t>(options.spectral_window, 1)},
+      evaluator_{std::move(evaluator)},
+      spectral_{evaluator_.try_spectral()} {
   validate_options();
-  EMTS_REQUIRE(std::abs(evaluator.sample_rate() - sample_rate) < 1e-6 * sample_rate,
+  EMTS_REQUIRE(std::abs(evaluator_.sample_rate() - sample_rate) < 1e-6 * sample_rate,
                "pre-fitted evaluator was calibrated at a different sample rate");
+  if (spectral_ != nullptr) spectral_scratch_.emplace(spectral_->options().spectrum);
   events_.resize(options_.event_log_capacity);
-  evaluator_ = std::move(evaluator);
-  state_ = MonitorState::kMonitoring;  // cold start: zero calibration captures
-  bind_evaluator();
 }
 
 void RuntimeMonitor::validate_options() const {
@@ -77,25 +61,6 @@ void RuntimeMonitor::validate_options() const {
   EMTS_REQUIRE(options_.alarm_debounce >= 1, "alarm debounce must be >= 1");
   EMTS_REQUIRE(options_.spectral_window >= 1, "spectral window must be >= 1");
   EMTS_REQUIRE(options_.spectral_rebuild_every >= 1, "spectral rebuild cadence must be >= 1");
-}
-
-void RuntimeMonitor::on_alarm(std::function<void(const TrustReport&)> callback) {
-  alarm_callback_ = std::move(callback);
-}
-
-void RuntimeMonitor::finish_calibration() {
-  evaluator_ = TrustEvaluator::calibrate(calibration_, options_.evaluator);
-  state_ = MonitorState::kMonitoring;
-  bind_evaluator();
-  record_event(MonitorEventKind::kCalibrated, static_cast<double>(calibration_.size()));
-}
-
-void RuntimeMonitor::bind_evaluator() {
-  EMTS_ASSERT(evaluator_.has_value());
-  spectral_ = evaluator_->try_spectral();
-  if (spectral_ != nullptr) {
-    spectral_scratch_.emplace(spectral_->options().spectrum);
-  }
 }
 
 void RuntimeMonitor::record_event(MonitorEventKind kind, double value) {
@@ -139,10 +104,10 @@ MonitorState RuntimeMonitor::push_batch(const TraceSet& batch) {
 }
 
 bool RuntimeMonitor::admit_trace(const Trace& trace) {
-  // Shape gate. The first capture pins the stream length; a pre-fitted
-  // evaluator additionally vets it against the fitted feature shape, so a
-  // wrong-length first capture cannot pin a shape the detectors would choke
-  // on (or silently mis-score through block decimation).
+  // Shape gate. The first capture pins the stream length once the fitted
+  // stack has vetted it against its feature shape, so a wrong-length first
+  // capture cannot pin a shape the detectors would choke on (or silently
+  // mis-score through block decimation).
   if (expected_length_ != 0) {
     if (trace.size() != expected_length_) {
       ++stats_.traces_rejected;
@@ -150,7 +115,7 @@ bool RuntimeMonitor::admit_trace(const Trace& trace) {
                    static_cast<double>(trace.size()));
       return false;
     }
-  } else if (evaluator_.has_value() && !evaluator_->accepts_trace_length(trace.size())) {
+  } else if (!evaluator_.accepts_trace_length(trace.size())) {
     ++stats_.traces_rejected;
     record_event(MonitorEventKind::kTraceRejectedShape,
                  static_cast<double>(trace.size()));
@@ -183,23 +148,13 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
     return state_;
   }
 
-  if (state_ == MonitorState::kCalibrating) {
-    calibration_.add(trace);
-    ++stats_.calibration_captures;
-    if (calibration_.size() >= options_.calibration_traces) finish_calibration();
-    stats_.push_latency.record(util::monotonic_ns() - t0);
-    return state_;
-  }
-
-  EMTS_ASSERT(evaluator_.has_value());
-
   // Per-trace stages score every capture through the buffered (reused
   // scratch) path; the first one (the Euclidean stage in the default stack)
   // feeds last_score().
   bool per_trace_anomaly = false;
   bool first_score = true;
   double anomaly_score = 0.0;
-  for (const auto& detector : evaluator_->detectors()) {
+  for (const auto& detector : evaluator_.detectors()) {
     if (detector->windowed()) continue;
     const double s = detector->score_buffered(trace, scratch_);
     if (first_score) {
@@ -242,20 +197,6 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
     alarm_latched_at_ = traces_seen_;
     record_event(MonitorEventKind::kAlarmLatched,
                  static_cast<double>(consecutive_anomalies_));
-    if (alarm_callback_) {
-      TrustReport report;
-      report.verdict = Verdict::kCompromised;
-      if (const auto* euclid = evaluator_->try_euclidean()) {
-        report.threshold = euclid->threshold();
-      }
-      if (last_score_.has_value()) {
-        report.mean_distance = *last_score_;
-        report.max_distance = *last_score_;
-      }
-      report.anomalous_fraction = 1.0;
-      if (last_spectral_.has_value()) report.spectral = *last_spectral_;
-      alarm_callback_(report);
-    }
   }
   stats_.push_latency.record(util::monotonic_ns() - t0);
   return state_;
@@ -284,7 +225,6 @@ bool RuntimeMonitor::run_windowed_pass() {
 MonitorStateImage RuntimeMonitor::export_state() const {
   MonitorStateImage image;
   image.sample_rate = sample_rate_;
-  image.calibration_traces = options_.calibration_traces;
   image.alarm_debounce = options_.alarm_debounce;
   image.spectral_window = options_.spectral_window;
   image.event_log_capacity = options_.event_log_capacity;
@@ -297,7 +237,6 @@ MonitorStateImage RuntimeMonitor::export_state() const {
   image.alarm_latched_at = alarm_latched_at_;
   image.last_score = last_score_;
   image.last_spectral = last_spectral_;
-  image.calibration = calibration_.traces;
   image.window.reserve(window_.size());
   for (std::size_t i = 0; i < window_.size(); ++i) image.window.push_back(window_.oldest(i));
   image.window_total_pushed = window_.total_pushed();
@@ -329,16 +268,6 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
                    image.event_log_capacity == options_.event_log_capacity &&
                    image.spectral_rebuild_every == options_.spectral_rebuild_every,
                "restore_state: image was captured under different monitor options");
-  EMTS_REQUIRE((image.state == MonitorState::kCalibrating) == !evaluator_.has_value(),
-               image.state == MonitorState::kCalibrating
-                   ? "restore_state: a calibrating image needs a self-calibrating monitor"
-                   : "restore_state: a monitoring image needs a pre-fitted monitor");
-  if (!evaluator_.has_value()) {
-    EMTS_REQUIRE(image.calibration_traces == options_.calibration_traces,
-                 "restore_state: image was captured under different monitor options");
-    EMTS_REQUIRE(image.calibration.size() < options_.calibration_traces,
-                 "restore_state: calibrating image holds a full calibration set");
-  }
   EMTS_REQUIRE(image.window.size() <= window_.capacity(),
                "restore_state: image window exceeds the spectral window");
   EMTS_REQUIRE(image.events.size() <= events_.size() ||
@@ -377,7 +306,6 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
   alarm_latched_at_ = image.alarm_latched_at;
   last_score_ = image.last_score;
   last_spectral_ = image.last_spectral;
-  calibration_.traces = image.calibration;
   window_.clear();
   // A stack without a spectral stage keeps no window; older writers stored
   // one anyway, and those traces are dropped here.

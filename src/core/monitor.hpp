@@ -1,11 +1,11 @@
-// Runtime trust monitor — the deployment loop of Fig. 1. The on-chip sensor
-// streams captures; the monitor either self-calibrates on an initial window
-// of traces (the user "knows how the circuit will operate", Sec. III-B) or
-// starts from a pre-fitted evaluator (io::load_calibration — cold start in
-// O(load) instead of O(captures + PCA fit)), then scores every subsequent
-// capture and raises an alarm after a debounced run of anomalies. "Runtime"
-// in the paper's sense: evaluation happens while the system operates, not
-// instantaneously per trace.
+// Runtime trust monitor — the deployment loop of Fig. 1. The detector stack
+// is fitted once on trusted golden captures (TrustEvaluator::calibrate; the
+// user "knows how the circuit will operate", Sec. III-B) and handed to the
+// monitor, fresh or through an EMCA artifact (io::load_calibration). The
+// on-chip sensor then streams captures; the monitor scores every one from
+// the first and raises an alarm after a debounced run of anomalies.
+// "Runtime" in the paper's sense: evaluation happens while the system
+// operates, not instantaneously per trace.
 //
 // The hot path is streaming-grade: captures land in a fixed-capacity
 // TraceRing, per-trace detectors score through reusable ScoreScratch
@@ -28,7 +28,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <optional>
 
 #include "core/evaluator.hpp"
@@ -38,12 +37,11 @@
 
 namespace emts::core {
 
-enum class MonitorState { kCalibrating, kMonitoring, kAlarm };
+enum class MonitorState { kMonitoring, kAlarm };
 
 /// Structured happenings on the monitoring loop, drainable via
 /// RuntimeMonitor::drain_events(). `value` is kind-specific (see each kind).
 enum class MonitorEventKind : std::uint8_t {
-  kCalibrated,             // value = calibration traces consumed
   kPerTraceAnomaly,        // value = offending per-trace score
   kSpectralPass,           // value = window size analyzed
   kWindowedAnomaly,        // value = strongest spectral ratio
@@ -66,7 +64,6 @@ const char* monitor_event_label(MonitorEventKind kind);
 struct MonitorStats {
   std::uint64_t traces_ingested = 0;      // every push, any state
   std::uint64_t traces_rejected = 0;      // pushes refused by the input gate
-  std::uint64_t calibration_captures = 0; // pushes consumed while calibrating
   std::uint64_t scored_captures = 0;      // pushes scored by the detectors
   std::uint64_t per_trace_anomalies = 0;  // pushes with a per-trace exceedance
   std::uint64_t spectral_passes = 0;      // completed windowed analyses
@@ -91,20 +88,18 @@ struct MonitorStateImage {
   // different options — a different spectral window or debounce would make
   // the restored stream diverge silently.
   double sample_rate = 0.0;
-  std::uint64_t calibration_traces = 0;
   std::uint64_t alarm_debounce = 0;
   std::uint64_t spectral_window = 0;
   std::uint64_t event_log_capacity = 0;
   std::uint64_t spectral_rebuild_every = 4096;
 
-  MonitorState state = MonitorState::kCalibrating;
+  MonitorState state = MonitorState::kMonitoring;
   std::uint64_t traces_seen = 0;
   std::uint64_t expected_length = 0;    // 0 until the first accepted capture
   std::uint64_t consecutive_anomalies = 0;
   std::uint64_t alarm_latched_at = 0;
   std::optional<double> last_score;
   std::optional<SpectralReport> last_spectral;
-  std::vector<Trace> calibration;       // pending self-calibration captures
   std::vector<Trace> window;            // spectral-window ring, oldest first;
                                         // empty without a spectral stage
   std::uint64_t window_total_pushed = 0;
@@ -123,7 +118,6 @@ struct MonitorStateImage {
 class RuntimeMonitor {
  public:
   struct Options {
-    std::size_t calibration_traces = 64;
     // Consecutive anomalous captures required to latch the alarm: debounces
     // the occasional golden capture beyond EDth.
     std::size_t alarm_debounce = 3;
@@ -138,16 +132,11 @@ class RuntimeMonitor {
     // incremental updates since the last rebuild — bounds floating-point
     // drift. Must be >= 1; 1 rebuilds at every window boundary.
     std::size_t spectral_rebuild_every = 4096;
-    TrustEvaluator::Options evaluator{};
   };
 
-  /// Self-calibrating monitor: the first `calibration_traces` pushes fit the
-  /// detector stack. `sample_rate` of the incoming captures (Hz).
-  explicit RuntimeMonitor(double sample_rate);  // default options
-  RuntimeMonitor(double sample_rate, const Options& options);
-
-  /// Pre-fitted monitor: starts monitoring immediately with zero calibration
-  /// captures. The evaluator's calibration sample rate must match.
+  /// Starts in kMonitoring around a fitted detector stack: the first push is
+  /// scored. `sample_rate` of the incoming captures (Hz) must match the
+  /// evaluator's calibration sample rate.
   RuntimeMonitor(double sample_rate, TrustEvaluator evaluator);
   RuntimeMonitor(double sample_rate, TrustEvaluator evaluator, const Options& options);
 
@@ -164,9 +153,9 @@ class RuntimeMonitor {
   /// Feeds one capture; returns the state after ingesting it.
   ///
   /// Input gate: the first accepted capture pins the stream's trace length
-  /// (a pre-fitted evaluator additionally vets that length against its
-  /// fitted feature shape). A later push whose sample count differs, or any
-  /// push containing a non-finite sample, is *rejected* instead of flowing
+  /// (after the evaluator vets that length against its fitted feature
+  /// shape). A later push whose sample count differs, or any push
+  /// containing a non-finite sample, is *rejected* instead of flowing
   /// into the preprocessor: the push counts in traces_ingested and
   /// traces_rejected, records a kTraceRejected* event, perturbs no detector
   /// state, and returns the current state. Only an empty trace throws.
@@ -192,12 +181,11 @@ class RuntimeMonitor {
   MonitorStateImage export_state() const;
 
   /// Reinstates an exported image onto a freshly constructed monitor. The
-  /// target must be untouched (zero pushes), built with the same options and
-  /// sample rate the image mirrors, and hold an evaluator iff the image is
-  /// past calibration. The image's spectral accumulator must describe its
-  /// window: with a spectral stage, one summed spectrum per window trace and
-  /// one bin per frequency of the pinned trace length; without one, no
-  /// accumulator at all, and any window traces are dropped. After restore,
+  /// target must be untouched (zero pushes) and built with the same options
+  /// and sample rate the image mirrors. The image's spectral accumulator
+  /// must describe its window: with a spectral stage, one summed spectrum
+  /// per window trace and one bin per frequency of the pinned trace length;
+  /// without one, no accumulator at all, and any window traces are dropped. After restore,
   /// the monitor's observable state is exactly the exporter's, and every
   /// subsequent push produces bit-identical scores, transitions, stats and
   /// events to the uninterrupted stream.
@@ -212,11 +200,8 @@ class RuntimeMonitor {
   /// detector (the Euclidean stage in the default stack).
   std::optional<double> last_score() const { return last_score_; }
 
-  /// The detector stack, once calibration completes (immediately for a
-  /// pre-fitted monitor).
-  const TrustEvaluator* evaluator() const {
-    return evaluator_.has_value() ? &*evaluator_ : nullptr;
-  }
+  /// The fitted detector stack the monitor was built around.
+  const TrustEvaluator& evaluator() const { return evaluator_; }
 
   /// Most recent spectral report (if a spectral window completed).
   const std::optional<SpectralReport>& last_spectral() const { return last_spectral_; }
@@ -229,9 +214,6 @@ class RuntimeMonitor {
   std::size_t drain_events(std::vector<MonitorEvent>& out);
   std::vector<MonitorEvent> drain_events();
 
-  /// Invoked exactly once when the alarm latches.
-  void on_alarm(std::function<void(const TrustReport&)> callback);
-
   /// Clears a latched alarm and resumes monitoring (operator action after
   /// the "further investigations" the paper mentions). Fully re-arms the
   /// loop: the debounce run, the partially filled spectral window and the
@@ -243,9 +225,6 @@ class RuntimeMonitor {
   void validate_options() const;
   /// Non-throwing input gate; records the rejection event when it fails.
   bool admit_trace(const Trace& trace);
-  void finish_calibration();
-  /// Builds the per-stream scratches once an evaluator exists.
-  void bind_evaluator();
   MonitorState ingest(const Trace& trace);
   /// Classifies the full window with the spectral stage and starts the
   /// next one; returns whether the window was anomalous. Requires a
@@ -255,11 +234,10 @@ class RuntimeMonitor {
 
   Options options_;
   double sample_rate_;
-  MonitorState state_ = MonitorState::kCalibrating;
-  TraceSet calibration_;
+  MonitorState state_ = MonitorState::kMonitoring;
   TraceRing window_;
-  std::optional<TrustEvaluator> evaluator_;
-  // Cached spectral stage of the bound evaluator (nullptr when the stack has
+  TrustEvaluator evaluator_;
+  // Cached spectral stage of the evaluator (nullptr when the stack has
   // none). Points at the evaluator's heap-owned detector, so it stays valid
   // across monitor moves.
   const SpectralDetector* spectral_ = nullptr;
@@ -271,7 +249,6 @@ class RuntimeMonitor {
   std::size_t expected_length_ = 0;  // pinned by the first accepted capture
   std::size_t consecutive_anomalies_ = 0;
   std::uint64_t alarm_latched_at_ = 0;  // traces_seen_ when the alarm latched
-  std::function<void(const TrustReport&)> alarm_callback_;
   MonitorStats stats_;
   std::vector<MonitorEvent> events_;  // preallocated ring
   std::size_t event_head_ = 0;        // next write position

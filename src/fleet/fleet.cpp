@@ -264,11 +264,8 @@ io::FleetSnapshot FleetMonitor::snapshot(SnapshotMode mode) {
         continue;
       }
     }
-    const core::TrustEvaluator* evaluator = session->monitor.evaluator();
-    EMTS_REQUIRE(evaluator != nullptr,
-                 "fleet snapshot: session '" + session->device_id + "' has no evaluator");
     out.devices.push_back(io::FleetSnapshot::Device{
-        session->device_id, *evaluator, session->monitor.export_state()});
+        session->device_id, session->monitor.evaluator(), session->monitor.export_state()});
     snapshot_marks_[session->device_id] = ingested;
   }
   snapshot_force_dirty_.clear();
@@ -292,7 +289,6 @@ void FleetMonitor::restore(const io::FleetSnapshot& snapshot) {
     // refuses a mismatch, so defaults on this fleet can never silently
     // change a restored stream's debounce, window or rebuild cadence.
     core::RuntimeMonitor::Options monitor_options = options_.monitor;
-    monitor_options.calibration_traces = static_cast<std::size_t>(image.calibration_traces);
     monitor_options.alarm_debounce = static_cast<std::size_t>(image.alarm_debounce);
     monitor_options.spectral_window = static_cast<std::size_t>(image.spectral_window);
     monitor_options.event_log_capacity = static_cast<std::size_t>(image.event_log_capacity);
@@ -423,9 +419,6 @@ FleetStats FleetMonitor::stats() const {
     snapshot.last_score = session->monitor.last_score();
     snapshot.monitor = session->monitor.stats();
     switch (snapshot.state) {
-      case core::MonitorState::kCalibrating:
-        ++out.devices_calibrating;
-        break;
       case core::MonitorState::kMonitoring:
         ++out.devices_monitoring;
         break;

@@ -80,8 +80,7 @@ struct FleetOptions {
   /// elsewhere); pointless when shards exceed cores — see DESIGN.md §4i for
   /// when pinning helps and when it hurts.
   bool pin_workers = false;
-  /// Options for every session's RuntimeMonitor (calibration_traces is
-  /// irrelevant — fleet sessions are pre-fitted).
+  /// Options for every session's RuntimeMonitor.
   core::RuntimeMonitor::Options monitor{};
 };
 
@@ -120,7 +119,6 @@ struct FleetStats {
 
   // …and over the sessions (the fleet verdict counts).
   std::size_t devices = 0;
-  std::size_t devices_calibrating = 0;
   std::size_t devices_monitoring = 0;
   std::size_t devices_alarm = 0;
   std::uint64_t alarms_latched = 0;

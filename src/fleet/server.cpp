@@ -13,10 +13,10 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 
 #include "fleet/stats_json.hpp"
 #include "io/durable_file.hpp"
+#include "io/file_writer.hpp"
 #include "io/snapshot.hpp"
 #include "io/wire.hpp"
 #include "util/assert.hpp"
@@ -46,6 +46,15 @@ namespace {
 
 void set_nonblocking(int fd) {
   ::fcntl(fd, F_SETFL, ::fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
+}
+
+/// Makes the close of `fd` send a TCP reset instead of a FIN (SO_LINGER on,
+/// timeout 0). A refused client that already wrote, or half-closed, its
+/// whole stream then reads ECONNRESET instead of a clean end of stream.
+/// Unix sockets ignore it.
+void arm_reset(int fd) {
+  const linger reset{1, 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
 }
 
 std::uint32_t parse_ipv4(const std::string& text, const char* what) {
@@ -198,6 +207,7 @@ IngestServer::~IngestServer() {
 
 bool IngestServer::admit_client(int fd) {
   if (clients_.size() >= options_.max_clients) {
+    arm_reset(fd);
     ::close(fd);
     ++counters_.connections_dropped;
     return false;
@@ -232,6 +242,7 @@ void IngestServer::accept_tcp_clients() {
         }
       }
       if (!allowed) {
+        arm_reset(fd);
         ::close(fd);
         ++counters_.connections_rejected_acl;
         continue;
@@ -257,6 +268,12 @@ void IngestServer::accept_tcp_clients() {
 }
 
 bool IngestServer::service_client(Client& client) {
+  // A dropped connection is reset when the client is erased and closed.
+  const auto drop = [&] {
+    arm_reset(client.fd);
+    ++counters_.connections_dropped;
+    return false;
+  };
   // Drain what the kernel already has; poll() told us at least one read will
   // not block, and MSG_DONTWAIT keeps the follow-ups from blocking either.
   char buffer[64 * 1024];
@@ -268,8 +285,7 @@ bool IngestServer::service_client(Client& client) {
     }
     if (got < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return true;
-      ++counters_.connections_dropped;
-      return false;
+      return drop();
     }
     counters_.bytes_received += static_cast<std::uint64_t>(got);
     client.bytes_received += static_cast<std::uint64_t>(got);
@@ -292,18 +308,16 @@ bool IngestServer::service_client(Client& client) {
               client.authenticated = true;
             } else {
               ++counters_.auth_failures;
-              ++counters_.connections_dropped;
-              return false;
+              return drop();
             }
           }
           continue;
         }
         if (!client.authenticated) {
-          // Trace before a successful HELLO: close without ingesting — this
+          // Trace before a successful HELLO: drop without ingesting — this
           // frame, the batch it rode in with, everything.
           ++counters_.auth_failures;
-          ++counters_.connections_dropped;
-          return false;
+          return drop();
         }
         ++client.frames_decoded;
         frame_batch_.push_back(std::move(frame.trace));
@@ -316,8 +330,7 @@ bool IngestServer::service_client(Client& client) {
       }
     } catch (const precondition_error&) {
       // Malformed stream: the framing is unrecoverable, drop the connection.
-      ++counters_.connections_dropped;
-      return false;
+      return drop();
     }
   }
 }
@@ -394,17 +407,15 @@ void IngestServer::export_stats(bool final_export) {
   // what a later snapshot carries. Only the final export consumes them.
   std::vector<FleetEvent> events;
   if (final_export) fleet_.drain_events(events);
-  const std::string json =
+  std::string json =
       fleet_stats_json(fleet_.stats(), fleet_.options().backpressure,
                        fleet_.options().queue_capacity, events,
                        server_stats_json(counters_, connection_stats()));
+  json += '\n';
   const std::string tmp = options_.stats_path + ".tmp";
-  {
-    std::ofstream out{tmp, std::ios::binary};
-    EMTS_REQUIRE(out.good(), "ingest server: cannot open " + tmp);
-    out << json << '\n';
-    EMTS_REQUIRE(out.good(), "ingest server: stats write failed for " + tmp);
-  }
+  io::FileWriter file{tmp, "ingest server stats export"};
+  file.write(json);
+  file.close();
   io::durable_replace(tmp, options_.stats_path);
   ++counters_.stats_exports;
 }

@@ -13,7 +13,10 @@
 // CIDR/host allowlist checked at accept time, and — when the daemon is
 // configured with a shared secret — a HELLO auth frame that must be the
 // first frame on the connection; trace frames before a successful HELLO
-// close the connection without ingesting anything.
+// drop the connection without ingesting anything. Every connection the
+// daemon drops (over the client limit, outside the allowlist, refused auth,
+// undecodable bytes) is reset rather than closed, so a client that has
+// already sent its whole stream can still tell the drop from a clean end.
 //
 // The loop is cooperative and signal-driven. `stop` (set by SIGINT/SIGTERM
 // in the CLI) triggers a clean shutdown: drain every connection's kernel
@@ -95,7 +98,7 @@ struct ServerOptions {
   /// the grace window before a due snapshot/stats export is forced onto a
   /// busy loop.
   int poll_timeout_ms = 50;
-  /// Concurrent client connections; further accepts are closed immediately.
+  /// Concurrent client connections; further accepts are reset immediately.
   std::size_t max_clients = 64;
 };
 

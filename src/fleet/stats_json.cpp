@@ -76,8 +76,6 @@ std::string monitor_stats_json(core::MonitorState state,
   out += ',';
   append_u64(out, "traces_rejected", stats.traces_rejected);
   out += ',';
-  append_u64(out, "calibration_captures", stats.calibration_captures);
-  out += ',';
   append_u64(out, "scored_captures", stats.scored_captures);
   out += ',';
   append_u64(out, "per_trace_anomalies", stats.per_trace_anomalies);
@@ -179,8 +177,6 @@ std::string fleet_stats_json(const FleetStats& stats, BackpressurePolicy policy,
   append_u64(out, "backpressure_rejected", stats.backpressure_rejected);
   out += ',';
   append_u64(out, "traces_rejected_invalid", stats.traces_rejected_invalid);
-  out += ',';
-  append_u64(out, "devices_calibrating", stats.devices_calibrating);
   out += ',';
   append_u64(out, "devices_monitoring", stats.devices_monitoring);
   out += ',';

@@ -25,8 +25,11 @@ namespace emts::fleet {
 /// disappears — additions alone do not require a bump, but got one here
 /// (v1 -> v2) because the field itself is new, and again (v2 -> v3) when the
 /// incremental spectral pipeline added the spectral_recomputes /
-/// spectral_incremental_updates counters to every monitor object.
-inline constexpr std::uint32_t kStatsSchemaVersion = 3;
+/// spectral_incremental_updates counters to every monitor object. v4 drops
+/// the self-calibration keys (the monitor's calibration count, the fleet's
+/// calibrating-device count and the calibrating state label), because every
+/// monitor starts from a fitted detector stack.
+inline constexpr std::uint32_t kStatsSchemaVersion = 4;
 
 /// JSON string escaping (control characters to \uXXXX).
 std::string json_escape(const std::string& s);

@@ -20,8 +20,11 @@ constexpr char kMagic[4] = {'E', 'M', 'F', 'S'};
 // rebuild-cadence mirror and two MonitorStats counters to monitor states; v3
 // drops v2's incremental-spectral flag byte, because the incremental path is
 // the only one left; v4 replaces the byte-serial FNV-1a record checksum with
-// XXH64. Older containers are refused rather than guessed at.
-constexpr std::uint32_t kVersion = 4;
+// XXH64; v5 drops the self-calibration fields (the calibration-count mirror,
+// the pending calibration traces and their counter) and renumbers the state
+// and event-kind bytes without them. Older containers are refused rather
+// than guessed at.
+constexpr std::uint32_t kVersion = 5;
 // A fleet snapshot is an operational artifact, not a data lake: caps sized
 // generously above any believable deployment, tight enough that a corrupt
 // count is refused before it turns into an allocation.
@@ -66,7 +69,6 @@ std::vector<core::Trace> read_traces(util::ByteReader& in) {
 
 void write_monitor_state(util::ByteWriter& out, const core::MonitorStateImage& image) {
   out.f64(image.sample_rate);
-  out.u64(image.calibration_traces);
   out.u64(image.alarm_debounce);
   out.u64(image.spectral_window);
   out.u64(image.event_log_capacity);
@@ -95,7 +97,6 @@ void write_monitor_state(util::ByteWriter& out, const core::MonitorStateImage& i
     }
   }
 
-  write_traces(out, image.calibration);
   write_traces(out, image.window);
   out.u64(image.window_total_pushed);
   out.u64(image.spectral_count);
@@ -105,7 +106,6 @@ void write_monitor_state(util::ByteWriter& out, const core::MonitorStateImage& i
   const core::MonitorStats& s = image.stats;
   out.u64(s.traces_ingested);
   out.u64(s.traces_rejected);
-  out.u64(s.calibration_captures);
   out.u64(s.scored_captures);
   out.u64(s.per_trace_anomalies);
   out.u64(s.spectral_passes);
@@ -131,7 +131,6 @@ core::MonitorStateImage read_monitor_state(util::ByteReader& in) {
   image.sample_rate = in.f64();
   EMTS_REQUIRE(std::isfinite(image.sample_rate) && image.sample_rate > 0.0,
                "monitor state: bad sample rate");
-  image.calibration_traces = in.u64();
   image.alarm_debounce = in.u64();
   image.spectral_window = in.u64();
   image.event_log_capacity = in.u64();
@@ -178,7 +177,6 @@ core::MonitorStateImage read_monitor_state(util::ByteReader& in) {
     image.last_spectral = std::move(report);
   }
 
-  image.calibration = read_traces(in);
   image.window = read_traces(in);
   image.window_total_pushed = in.u64();
   image.spectral_count = in.u64();
@@ -192,7 +190,6 @@ core::MonitorStateImage read_monitor_state(util::ByteReader& in) {
   core::MonitorStats& s = image.stats;
   s.traces_ingested = in.u64();
   s.traces_rejected = in.u64();
-  s.calibration_captures = in.u64();
   s.scored_captures = in.u64();
   s.per_trace_anomalies = in.u64();
   s.spectral_passes = in.u64();
@@ -292,13 +289,21 @@ void save_fleet_snapshot(const std::string& path, const FleetSnapshot& snapshot,
   SnapshotSaveStats local{};
   try {
     // Each dirty device is encoded into its own cache entry, which keeps its
-    // capacity, so a cut whose records did not grow allocates no record.
+    // capacity, so a cut whose records did not grow allocates no record. A
+    // new entry is counted first and allocated once at its exact size, so a
+    // cold cut does not grow every record by doubling.
     for (const FleetSnapshot::Device& device : snapshot.devices) {
       if (device.dirty) {
-        std::string& record = cache.records[device.device_id];
-        record.clear();
-        util::ByteWriter out{record};
-        encode_device_record(out, device);
+        const auto [entry, created] = cache.records.try_emplace(device.device_id);
+        std::string& record = entry->second;
+        const auto encode = [&](util::ByteWriter& out) { encode_device_record(out, device); };
+        if (created) {
+          util::encode_exact(record, encode);
+        } else {
+          record.clear();
+          util::ByteWriter out{record};
+          encode(out);
+        }
         ++local.records_rewritten;
         continue;
       }
@@ -339,7 +344,8 @@ FleetSnapshot load_fleet_snapshot(const std::string& path) {
   const std::uint32_t version = in.u32();
   EMTS_REQUIRE(version == kVersion,
                "load_fleet_snapshot: unsupported version " + std::to_string(version) +
-                   " (expected 4; v1-v3 snapshots carry the FNV-1a record checksum)");
+                   " (expected 5; v1-v3 snapshots carry the FNV-1a record checksum, v4"
+                   " the self-calibration fields)");
 
   FleetSnapshot snapshot;
   snapshot.shards = in.u32();

@@ -154,24 +154,25 @@ TEST(Integration, ExternalProbeSeparatesWorseThanSensor) {
 TEST(Integration, RuntimeMonitorRaisesAlarmWhenTrojanActivates) {
   Chip& c = chip();
   core::RuntimeMonitor::Options opt;
-  opt.calibration_traces = 24;
   opt.alarm_debounce = 3;
-  core::RuntimeMonitor monitor{c.sample_rate(), opt};
 
-  bool alarmed = false;
-  monitor.on_alarm([&](const core::TrustReport&) { alarmed = true; });
-
-  // Deployment: calibration on the trusted window, then normal operation.
+  // Deployment (Fig. 1): calibration on the trusted window, then normal
+  // operation under the monitor.
   std::uint64_t t = 60000;
-  for (int i = 0; i < 30; ++i) monitor.push(c.capture(true, t++).onchip_v);
+  const auto golden = capture_set(c, Pickup::kOnChipSensor, 24, t);
+  t += 24;
+  core::RuntimeMonitor monitor{c.sample_rate(), core::TrustEvaluator::calibrate(golden), opt};
+  for (int i = 0; i < 6; ++i) monitor.push(c.capture(true, t++).onchip_v);
   ASSERT_EQ(monitor.state(), core::MonitorState::kMonitoring);
-  ASSERT_FALSE(alarmed);
+  ASSERT_EQ(monitor.stats().alarms_latched, 0u);
 
   // The attacker triggers T2 in the field.
   c.arm(TrojanKind::kT2Leakage);
-  for (int i = 0; i < 8 && !alarmed; ++i) monitor.push(c.capture(true, t++).onchip_v);
+  for (int i = 0; i < 8 && monitor.state() != core::MonitorState::kAlarm; ++i) {
+    monitor.push(c.capture(true, t++).onchip_v);
+  }
   c.disarm_all();
-  EXPECT_TRUE(alarmed);
+  EXPECT_EQ(monitor.stats().alarms_latched, 1u);
   EXPECT_EQ(monitor.state(), core::MonitorState::kAlarm);
 }
 

@@ -43,10 +43,21 @@ Trace infected_trace(emts::Rng& rng) {
 
 RuntimeMonitor::Options small_options() {
   RuntimeMonitor::Options opt;
-  opt.calibration_traces = 16;
   opt.alarm_debounce = 3;
   opt.spectral_window = 8;
   return opt;
+}
+
+// Fig. 1's order: the first kBringUp golden captures of `rng`'s stream fit
+// the detector stack, and the monitor built around it scores what follows.
+constexpr std::size_t kBringUp = 16;
+
+RuntimeMonitor fitted_on_bring_up(emts::Rng& rng,
+                                  const RuntimeMonitor::Options& opt = small_options()) {
+  TraceSet golden;
+  golden.sample_rate = kFs;
+  for (std::size_t i = 0; i < kBringUp; ++i) golden.add(golden_trace(rng));
+  return RuntimeMonitor{kFs, TrustEvaluator::calibrate(golden), opt};
 }
 
 // ---------- TrustEvaluator ----------
@@ -99,29 +110,18 @@ TEST(VerdictLabels, AreDistinct) {
 
 // ---------- RuntimeMonitor ----------
 
-TEST(RuntimeMonitor, CalibratesThenMonitors) {
-  RuntimeMonitor monitor{kFs, small_options()};
-  emts::Rng rng{10};
-  EXPECT_EQ(monitor.state(), MonitorState::kCalibrating);
-  for (int i = 0; i < 15; ++i) {
-    EXPECT_EQ(monitor.push(golden_trace(rng)), MonitorState::kCalibrating);
-  }
-  EXPECT_EQ(monitor.push(golden_trace(rng)), MonitorState::kMonitoring);
-  EXPECT_NE(monitor.evaluator(), nullptr);
-}
-
 TEST(RuntimeMonitor, StaysCalmOnGoldenStream) {
-  RuntimeMonitor monitor{kFs, small_options()};
   emts::Rng rng{11};
+  RuntimeMonitor monitor = fitted_on_bring_up(rng);
   for (int i = 0; i < 60; ++i) monitor.push(golden_trace(rng));
   EXPECT_NE(monitor.state(), MonitorState::kAlarm);
   EXPECT_EQ(monitor.traces_seen(), 60u);
 }
 
 TEST(RuntimeMonitor, AlarmsAfterDebouncedAnomalies) {
-  RuntimeMonitor monitor{kFs, small_options()};
   emts::Rng rng{12};
-  for (int i = 0; i < 20; ++i) monitor.push(golden_trace(rng));
+  RuntimeMonitor monitor = fitted_on_bring_up(rng);
+  for (int i = 0; i < 4; ++i) monitor.push(golden_trace(rng));
   EXPECT_EQ(monitor.state(), MonitorState::kMonitoring);
   // The Trojan activates: alarm after exactly `debounce` anomalous captures.
   monitor.push(infected_trace(rng));
@@ -133,32 +133,18 @@ TEST(RuntimeMonitor, AlarmsAfterDebouncedAnomalies) {
 }
 
 TEST(RuntimeMonitor, SingleGlitchDoesNotAlarm) {
-  RuntimeMonitor monitor{kFs, small_options()};
   emts::Rng rng{13};
-  for (int i = 0; i < 20; ++i) monitor.push(golden_trace(rng));
+  RuntimeMonitor monitor = fitted_on_bring_up(rng);
+  for (int i = 0; i < 4; ++i) monitor.push(golden_trace(rng));
   monitor.push(infected_trace(rng));  // one-off glitch
   for (int i = 0; i < 10; ++i) monitor.push(golden_trace(rng));
   EXPECT_EQ(monitor.state(), MonitorState::kMonitoring);
 }
 
-TEST(RuntimeMonitor, AlarmCallbackFiresOnce) {
-  RuntimeMonitor monitor{kFs, small_options()};
-  emts::Rng rng{14};
-  int fired = 0;
-  monitor.on_alarm([&](const TrustReport& report) {
-    ++fired;
-    EXPECT_EQ(report.verdict, Verdict::kCompromised);
-  });
-  for (int i = 0; i < 20; ++i) monitor.push(golden_trace(rng));
-  for (int i = 0; i < 8; ++i) monitor.push(infected_trace(rng));
-  EXPECT_EQ(monitor.state(), MonitorState::kAlarm);
-  EXPECT_EQ(fired, 1);
-}
-
 TEST(RuntimeMonitor, AcknowledgeResumesMonitoring) {
-  RuntimeMonitor monitor{kFs, small_options()};
   emts::Rng rng{15};
-  for (int i = 0; i < 20; ++i) monitor.push(golden_trace(rng));
+  RuntimeMonitor monitor = fitted_on_bring_up(rng);
+  for (int i = 0; i < 4; ++i) monitor.push(golden_trace(rng));
   for (int i = 0; i < 5; ++i) monitor.push(infected_trace(rng));
   ASSERT_EQ(monitor.state(), MonitorState::kAlarm);
   monitor.acknowledge_alarm();
@@ -169,15 +155,15 @@ TEST(RuntimeMonitor, AcknowledgeResumesMonitoring) {
 }
 
 TEST(RuntimeMonitor, AcknowledgeWithoutAlarmRejected) {
-  RuntimeMonitor monitor{kFs, small_options()};
+  emts::Rng rng{14};
+  RuntimeMonitor monitor = fitted_on_bring_up(rng);
   EXPECT_THROW(monitor.acknowledge_alarm(), emts::precondition_error);
 }
 
 TEST(RuntimeMonitor, LastScoreTracksMostRecentCapture) {
-  RuntimeMonitor monitor{kFs, small_options()};
   emts::Rng rng{16};
-  for (int i = 0; i < 16; ++i) monitor.push(golden_trace(rng));
-  EXPECT_FALSE(monitor.last_score().has_value());  // still calibrating at 16th
+  RuntimeMonitor monitor = fitted_on_bring_up(rng);
+  EXPECT_FALSE(monitor.last_score().has_value());  // nothing scored yet
   monitor.push(golden_trace(rng));
   ASSERT_TRUE(monitor.last_score().has_value());
   const double golden_score = *monitor.last_score();
@@ -186,13 +172,11 @@ TEST(RuntimeMonitor, LastScoreTracksMostRecentCapture) {
 }
 
 TEST(RuntimeMonitor, RejectsBadOptions) {
+  const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 9));
   RuntimeMonitor::Options bad = small_options();
-  bad.calibration_traces = 2;
-  EXPECT_THROW((RuntimeMonitor{kFs, bad}), emts::precondition_error);
-  bad = small_options();
   bad.alarm_debounce = 0;
-  EXPECT_THROW((RuntimeMonitor{kFs, bad}), emts::precondition_error);
-  EXPECT_THROW((RuntimeMonitor{0.0, small_options()}), emts::precondition_error);
+  EXPECT_THROW((RuntimeMonitor{kFs, evaluator, bad}), emts::precondition_error);
+  EXPECT_THROW((RuntimeMonitor{0.0, evaluator, small_options()}), emts::precondition_error);
 }
 
 TEST(RuntimeMonitor, PreFittedStartsMonitoringImmediately) {
@@ -200,7 +184,7 @@ TEST(RuntimeMonitor, PreFittedStartsMonitoringImmediately) {
   RuntimeMonitor monitor{kFs, evaluator, small_options()};
   EXPECT_EQ(monitor.state(), MonitorState::kMonitoring);
   EXPECT_EQ(monitor.traces_seen(), 0u);  // cold start: zero calibration captures
-  ASSERT_NE(monitor.evaluator(), nullptr);
+  EXPECT_EQ(monitor.evaluator().sample_rate(), kFs);
 
   // First push is already scored, not swallowed by calibration.
   emts::Rng rng{18};
@@ -231,9 +215,8 @@ TEST(RuntimeMonitor, PreFittedRejectsSampleRateMismatch) {
 TEST(RuntimeMonitor, AcknowledgeFullyRearmsTheLoop) {
   RuntimeMonitor::Options opt = small_options();
   opt.alarm_debounce = 1;  // the least forgiving re-arm scenario
-  RuntimeMonitor monitor{kFs, opt};
   emts::Rng rng{30};
-  for (int i = 0; i < 16; ++i) monitor.push(golden_trace(rng));
+  RuntimeMonitor monitor = fitted_on_bring_up(rng, opt);
   ASSERT_EQ(monitor.state(), MonitorState::kMonitoring);
 
   for (int i = 0; i < 8 && monitor.state() != MonitorState::kAlarm; ++i) {
@@ -260,26 +243,22 @@ TEST(RuntimeMonitor, AcknowledgeFullyRearmsTheLoop) {
 }
 
 TEST(RuntimeMonitor, StatsAndEventsTrackTheStream) {
-  RuntimeMonitor monitor{kFs, small_options()};
   emts::Rng rng{31};
-  for (int i = 0; i < 32; ++i) monitor.push(golden_trace(rng));
+  RuntimeMonitor monitor = fitted_on_bring_up(rng);
+  for (int i = 0; i < 16; ++i) monitor.push(golden_trace(rng));
 
   const MonitorStats& stats = monitor.stats();
-  EXPECT_EQ(stats.traces_ingested, 32u);
-  EXPECT_EQ(stats.calibration_captures, 16u);
+  EXPECT_EQ(stats.traces_ingested, 16u);
   EXPECT_EQ(stats.scored_captures, 16u);
   EXPECT_EQ(stats.spectral_passes, 2u);  // 16 monitored pushes / window of 8
   EXPECT_EQ(stats.alarms_latched, 0u);
   EXPECT_EQ(stats.events_dropped, 0u);
-  EXPECT_EQ(stats.push_latency.count(), 32u);
+  EXPECT_EQ(stats.push_latency.count(), 16u);
   EXPECT_EQ(stats.spectral_latency.count(), 2u);
   EXPECT_GE(stats.push_latency.max_ns(), stats.push_latency.min_ns());
 
   const auto events = monitor.drain_events();
   ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.front().kind, MonitorEventKind::kCalibrated);
-  EXPECT_EQ(events.front().trace_index, 16u);
-  EXPECT_DOUBLE_EQ(events.front().value, 16.0);
   std::size_t spectral_events = 0;
   for (const auto& e : events) {
     if (e.kind == MonitorEventKind::kSpectralPass) {
@@ -295,11 +274,11 @@ TEST(RuntimeMonitor, StatsAndEventsTrackTheStream) {
 TEST(RuntimeMonitor, EventLogOverflowDropsTheOldest) {
   RuntimeMonitor::Options opt = small_options();
   opt.event_log_capacity = 1;
-  RuntimeMonitor monitor{kFs, opt};
   emts::Rng rng{32};
-  for (int i = 0; i < 32; ++i) monitor.push(golden_trace(rng));
-  // Calibrated + two spectral passes competed for one slot.
-  EXPECT_EQ(monitor.stats().events_dropped, 2u);
+  RuntimeMonitor monitor = fitted_on_bring_up(rng, opt);
+  for (int i = 0; i < 16; ++i) monitor.push(golden_trace(rng));
+  // Two spectral passes competed for one slot.
+  EXPECT_EQ(monitor.stats().events_dropped, 1u);
   const auto events = monitor.drain_events();
   ASSERT_EQ(events.size(), 1u);
   EXPECT_EQ(events.front().kind, MonitorEventKind::kSpectralPass);
@@ -518,21 +497,6 @@ TEST(RuntimeMonitor, RejectsShapeMismatchWithoutPoisoningTheStack) {
   EXPECT_EQ(shape_events, monitor.stats().traces_rejected);
 }
 
-TEST(RuntimeMonitor, RejectsShapeMismatchWhileCalibrating) {
-  RuntimeMonitor monitor{kFs, small_options()};
-  emts::Rng rng{62};
-  monitor.push(golden_trace(rng));
-  // Previously this ragged capture would flow into the calibration set and
-  // throw from deep inside TraceSet::add; now it is a structured rejection.
-  Trace ragged(kLen + 1, 0.01);
-  EXPECT_EQ(monitor.push(ragged), MonitorState::kCalibrating);
-  EXPECT_EQ(monitor.stats().traces_rejected, 1u);
-  EXPECT_EQ(monitor.stats().calibration_captures, 1u);
-  // Calibration still completes on the good stream.
-  for (int i = 0; i < 20; ++i) monitor.push(golden_trace(rng));
-  EXPECT_EQ(monitor.state(), MonitorState::kMonitoring);
-}
-
 TEST(RuntimeMonitor, PreFittedVetsTheFirstCaptureShape) {
   const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 63));
   RuntimeMonitor monitor{kFs, evaluator, small_options()};
@@ -594,10 +558,11 @@ TEST(TrustEvaluator, AcceptsTraceLengthMatchesFittedShape) {
 TEST(RuntimeMonitor, EventOverflowAccountingStaysExactAcrossInterleavedDrains) {
   RuntimeMonitor::Options opt = small_options();
   opt.event_log_capacity = 3;
-  opt.calibration_traces = 1000;  // stay calibrating: rejections are the only events
-  RuntimeMonitor monitor{kFs, opt};
   emts::Rng rng{71};
-  monitor.push(golden_trace(rng));  // pins the stream shape; records no event
+  RuntimeMonitor monitor = fitted_on_bring_up(rng, opt);
+  // Pins the stream shape and records no event: rejections are the only
+  // events, because no rejected trace reaches the spectral window.
+  monitor.push(golden_trace(rng));
 
   std::uint64_t recorded = 0;
   std::uint64_t drained_total = 0;
@@ -634,8 +599,6 @@ TEST(RuntimeMonitor, EventOverflowAccountingStaysExactAcrossInterleavedDrains) {
 }
 
 TEST(RuntimeMonitor, StateLabelsAreDistinct) {
-  EXPECT_STRNE(monitor_state_label(MonitorState::kCalibrating),
-               monitor_state_label(MonitorState::kMonitoring));
   EXPECT_STRNE(monitor_state_label(MonitorState::kMonitoring),
                monitor_state_label(MonitorState::kAlarm));
 }
@@ -643,57 +606,17 @@ TEST(RuntimeMonitor, StateLabelsAreDistinct) {
 // ---------- export/restore at the core level ----------
 
 TEST(RuntimeMonitor, ExportStateMirrorsOptionsAndStream) {
-  RuntimeMonitor monitor{kFs, small_options()};
   emts::Rng rng{60};
+  RuntimeMonitor monitor = fitted_on_bring_up(rng);
   for (int i = 0; i < 5; ++i) monitor.push(golden_trace(rng));
 
   const MonitorStateImage image = monitor.export_state();
   EXPECT_EQ(image.sample_rate, kFs);
-  EXPECT_EQ(image.calibration_traces, 16u);
   EXPECT_EQ(image.alarm_debounce, 3u);
   EXPECT_EQ(image.spectral_window, 8u);
-  EXPECT_EQ(image.state, MonitorState::kCalibrating);
+  EXPECT_EQ(image.state, MonitorState::kMonitoring);
   EXPECT_EQ(image.traces_seen, 5u);
-  EXPECT_EQ(image.calibration.size(), 5u);
   EXPECT_EQ(image.stats.traces_ingested, 5u);
-}
-
-TEST(RuntimeMonitor, RestoredCalibratingMonitorFinishesIdentically) {
-  // Export mid-calibration, restore into a fresh self-calibrating monitor,
-  // and finish the stream in both worlds: the fitted detector stacks and
-  // every subsequent score must coincide exactly.
-  emts::Rng rng_ref{61};
-  emts::Rng rng_cut{61};
-  RuntimeMonitor reference{kFs, small_options()};
-  RuntimeMonitor exporter{kFs, small_options()};
-  for (int i = 0; i < 9; ++i) {
-    reference.push(golden_trace(rng_ref));
-    exporter.push(golden_trace(rng_cut));
-  }
-  RuntimeMonitor restored{kFs, small_options()};
-  restored.restore_state(exporter.export_state());
-  EXPECT_EQ(restored.state(), MonitorState::kCalibrating);
-  EXPECT_EQ(restored.traces_seen(), 9u);
-
-  for (int i = 0; i < 20; ++i) {
-    const Trace t = golden_trace(rng_ref);
-    reference.push(t);
-    restored.push(t);
-    EXPECT_EQ(restored.state(), reference.state());
-    EXPECT_EQ(restored.last_score(), reference.last_score());
-  }
-  EXPECT_EQ(reference.state(), MonitorState::kMonitoring);
-}
-
-TEST(RuntimeMonitor, RestoreRefusesCalibratingImageOnPreFittedMonitor) {
-  RuntimeMonitor calibrating{kFs, small_options()};
-  emts::Rng rng{62};
-  calibrating.push(golden_trace(rng));
-  const MonitorStateImage image = calibrating.export_state();
-
-  const TrustEvaluator evaluator = TrustEvaluator::calibrate(make_set(30, false, 63));
-  RuntimeMonitor pre_fitted{kFs, evaluator, small_options()};
-  EXPECT_THROW(pre_fitted.restore_state(image), emts::precondition_error);
 }
 
 }  // namespace

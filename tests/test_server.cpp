@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -329,8 +330,31 @@ TEST_F(ServerTest, ShutdownWritesSnapshotAndStats) {
   std::ifstream stats_file{stats_path_};
   std::stringstream stats;
   stats << stats_file.rdbuf();
-  EXPECT_NE(stats.str().find("\"schema_version\":3"), std::string::npos);
+  EXPECT_NE(stats.str().find("\"schema_version\":4"), std::string::npos);
   EXPECT_NE(stats.str().find("\"chip-01\""), std::string::npos);
+}
+
+// The stats export writes through the one checked file writer, so an
+// export that cannot open its file fails the run naming the file and the
+// OS error.
+TEST_F(ServerTest, StatsExportIntoAMissingDirectoryNamesThePath) {
+  FleetMonitor fleet{fleet_options()};
+  fleet.add_device("chip-00", fitted());
+  ServerOptions options;
+  options.socket_path = socket_path_;
+  options.stats_path = stats_path_ + ".missing/stats.json";
+  IngestServer server{fleet, options};
+
+  const std::atomic<bool> stop{true};
+  std::atomic<bool> snapshot_request{false};
+  try {
+    server.run(stop, snapshot_request);
+    FAIL() << "an export into a missing directory succeeded";
+  } catch (const emts::precondition_error& error) {
+    const std::string message = error.what();
+    EXPECT_NE(message.find(options.stats_path), std::string::npos) << message;
+    EXPECT_NE(message.find(std::strerror(ENOENT)), std::string::npos) << message;
+  }
 }
 
 TEST_F(ServerTest, StopAcceptsAndDrainsBackloggedConnections) {

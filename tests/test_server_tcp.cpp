@@ -12,6 +12,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -111,15 +112,17 @@ void send_all(int fd, const char* data, std::size_t size) {
   }
 }
 
-/// Like send_all, but tolerates the peer closing mid-write — the *expected*
-/// outcome on rejection paths — and suppresses SIGPIPE via MSG_NOSIGNAL.
-void send_until_closed(int fd, const char* data, std::size_t size) {
+/// Like send_all, but tolerates the peer dropping the connection mid-write —
+/// the *expected* outcome on rejection paths — and suppresses SIGPIPE via
+/// MSG_NOSIGNAL. Returns the errno that stopped it, or 0 when all was sent.
+int send_until_closed(int fd, const char* data, std::size_t size) {
   std::size_t sent = 0;
   while (sent < size) {
     const ssize_t n = ::send(fd, data + sent, size - sent, MSG_NOSIGNAL);
-    if (n <= 0) return;
+    if (n <= 0) return n < 0 ? errno : EIO;
     sent += static_cast<std::size_t>(n);
   }
+  return 0;
 }
 
 std::string encode_frames(const std::string& device_id, const core::TraceSet& batch) {
@@ -131,14 +134,23 @@ std::string encode_frames(const std::string& device_id, const core::TraceSet& ba
   return bytes;
 }
 
-/// Blocks (bounded) until the server closes the connection; a clean close is
-/// the observable contract for every rejection path.
-void expect_server_closes(int fd) {
+/// Blocks (bounded) until the server resets the connection: every rejection
+/// path drops the client with a reset, so a client that has already written
+/// or half-closed its whole stream cannot mistake the drop for a clean end
+/// of stream. The reset is reported once, so when `send_error` shows that a
+/// send already received it, there is nothing left to read.
+void expect_server_resets(int fd, int send_error = 0) {
+  if (send_error == ECONNRESET) return;
   timeval timeout{};
   timeout.tv_sec = 30;
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   char byte = 0;
-  EXPECT_EQ(::recv(fd, &byte, 1, 0), 0) << "server did not close the connection";
+  const ssize_t got = ::recv(fd, &byte, 1, 0);
+  const int error = errno;
+  EXPECT_EQ(got, -1) << "server ended the stream instead of resetting it";
+  if (got < 0) {
+    EXPECT_EQ(error, ECONNRESET) << std::strerror(error);
+  }
 }
 
 class TcpServerTest : public ::testing::Test {
@@ -222,7 +234,7 @@ TEST_F(TcpServerTest, AllowlistRejectionIsCountedAndClosesImmediately) {
   std::thread serve{[&] { server.run(stop, snapshot_request); }};
 
   const int fd = connect_tcp(port_);  // SYN handshake succeeds...
-  expect_server_closes(fd);           // ...then the ACL closes it unread.
+  expect_server_resets(fd);           // ...then the ACL resets it unread.
   ::close(fd);
   stop = true;
   serve.join();
@@ -275,8 +287,7 @@ TEST_F(TcpServerTest, WrongHelloTokenClosesWithoutIngesting) {
   io::wire::encode_hello_frame("open-says-who", bytes);
   bytes += encode_frames("chip-00", make_set(2, 5));
   const int fd = connect_tcp(port_);
-  send_until_closed(fd, bytes.data(), bytes.size());
-  expect_server_closes(fd);
+  expect_server_resets(fd, send_until_closed(fd, bytes.data(), bytes.size()));
   ::close(fd);
   stop = true;
   serve.join();
@@ -302,8 +313,7 @@ TEST_F(TcpServerTest, TraceBeforeHelloClosesWithoutIngesting) {
   // Valid framing, valid device — but no HELLO first.
   const std::string bytes = encode_frames("chip-00", make_set(1, 6));
   const int fd = connect_tcp(port_);
-  send_until_closed(fd, bytes.data(), bytes.size());
-  expect_server_closes(fd);
+  expect_server_resets(fd, send_until_closed(fd, bytes.data(), bytes.size()));
   ::close(fd);
   stop = true;
   serve.join();
@@ -311,6 +321,39 @@ TEST_F(TcpServerTest, TraceBeforeHelloClosesWithoutIngesting) {
   EXPECT_EQ(server.counters().auth_failures, 1u);
   EXPECT_EQ(server.counters().frames_accepted, 0u);
   EXPECT_EQ(fleet.stats().traces_processed, 0u);
+}
+
+// A refused client whose whole stream fits in the socket buffers sees no
+// failed write. It half-closes and reads instead, and the daemon's reset
+// must tell it apart from a daemon that read its stream to the end.
+TEST_F(TcpServerTest, WrongHelloIsResetAfterTheClientHalfCloses) {
+  FleetMonitor fleet{fleet_options()};
+  fleet.add_device("chip-00", fitted());
+  ServerOptions options;
+  options.listen_address = listen_;
+  options.auth_secret = "sesame";
+  IngestServer server{fleet, options};
+  std::atomic<bool> stop{false};
+  std::atomic<bool> snapshot_request{false};
+  std::thread serve{[&] { server.run(stop, snapshot_request); }};
+
+  // A short trace keeps the HELLO and the frame in one segment, so the
+  // server has read everything by the time it refuses the HELLO.
+  std::string bytes;
+  io::wire::encode_hello_frame("open-says-who", bytes);
+  const core::Trace trace(16, 0.5);
+  io::wire::encode_trace_frame("chip-00", kFs, trace.data(), trace.size(), bytes);
+  const int fd = connect_tcp(port_);
+  const int send_error = send_until_closed(fd, bytes.data(), bytes.size());
+  ::shutdown(fd, SHUT_WR);
+  expect_server_resets(fd, send_error);
+  ::close(fd);
+  stop = true;
+  serve.join();
+
+  EXPECT_EQ(server.counters().auth_failures, 1u);
+  EXPECT_EQ(server.counters().connections_dropped, 1u);
+  EXPECT_EQ(server.counters().frames_accepted, 0u);
 }
 
 TEST_F(TcpServerTest, CorrectHelloAuthenticatesAndIngests) {

@@ -95,7 +95,6 @@ void expect_stats_eq(const core::MonitorStats& a, const core::MonitorStats& b,
                      bool compare_latency) {
   EXPECT_EQ(a.traces_ingested, b.traces_ingested);
   EXPECT_EQ(a.traces_rejected, b.traces_rejected);
-  EXPECT_EQ(a.calibration_captures, b.calibration_captures);
   EXPECT_EQ(a.scored_captures, b.scored_captures);
   EXPECT_EQ(a.per_trace_anomalies, b.per_trace_anomalies);
   EXPECT_EQ(a.spectral_passes, b.spectral_passes);
@@ -129,7 +128,6 @@ void expect_events_eq(const std::vector<core::MonitorEvent>& a,
 void expect_image_eq(const core::MonitorStateImage& a, const core::MonitorStateImage& b,
                      bool compare_latency = true) {
   EXPECT_EQ(a.sample_rate, b.sample_rate);
-  EXPECT_EQ(a.calibration_traces, b.calibration_traces);
   EXPECT_EQ(a.alarm_debounce, b.alarm_debounce);
   EXPECT_EQ(a.spectral_window, b.spectral_window);
   EXPECT_EQ(a.event_log_capacity, b.event_log_capacity);
@@ -153,7 +151,6 @@ void expect_image_eq(const core::MonitorStateImage& a, const core::MonitorStateI
       EXPECT_EQ(x.ratio, y.ratio);
     }
   }
-  EXPECT_EQ(a.calibration, b.calibration);
   EXPECT_EQ(a.window, b.window);
   EXPECT_EQ(a.window_total_pushed, b.window_total_pushed);
   EXPECT_EQ(a.spectral_count, b.spectral_count);
@@ -207,27 +204,13 @@ TEST(MonitorStateSerialization, RoundTripsBitIdentically) {
   expect_image_eq(image, loaded);
 }
 
-TEST(MonitorStateSerialization, SelfCalibratingImageRoundTrips) {
-  core::RuntimeMonitor::Options options = small_options();
-  options.calibration_traces = 16;
-  core::RuntimeMonitor monitor{kFs, options};
-  monitor.push_batch(make_set(5, false, 4));  // mid-calibration
-  ASSERT_EQ(monitor.state(), core::MonitorState::kCalibrating);
-
-  const core::MonitorStateImage image = monitor.export_state();
-  EXPECT_EQ(image.calibration.size(), 5u);
-  const std::string bytes = state_bytes(image);
-  util::ByteReader in{bytes};
-  expect_image_eq(image, read_monitor_state(in));
-}
-
 TEST(MonitorStateSerialization, CorruptStateTagThrows) {
   core::RuntimeMonitor monitor{kFs, fitted(), small_options()};
   monitor.push_batch(make_set(3, false, 5));
   std::string bytes = state_bytes(monitor.export_state());
-  // The state tag sits after the f64 rate, four u64 mirrors and the rebuild
+  // The state tag sits after the f64 rate, three u64 mirrors and the rebuild
   // cadence (u64).
-  bytes[8 + 4 * 8 + 8] = 7;
+  bytes[8 + 3 * 8 + 8] = 7;
   util::ByteReader corrupt{bytes};
   EXPECT_THROW(read_monitor_state(corrupt), emts::precondition_error);
 }
@@ -246,11 +229,11 @@ TEST(MonitorStateSerialization, TruncatedStreamThrows) {
 TEST(MonitorStateSerialization, TraceCountTheBytesCannotBackIsRefusedBeforeAllocating) {
   core::RuntimeMonitor monitor{kFs, fitted(), small_options()};
   std::string bytes = state_bytes(monitor.export_state());
-  // With no spectral report, the calibration trace count follows the 95
-  // bytes of option mirrors, loop state, last score and anomaly count.
-  ASSERT_EQ(read_le(bytes, 95, 4), 0u);
+  // With no spectral report, the window trace count follows the 87 bytes of
+  // option mirrors, loop state, last score and anomaly count.
+  ASSERT_EQ(read_le(bytes, 87, 4), 0u);
   const std::uint32_t count = 1u << 20;
-  std::memcpy(bytes.data() + 95, &count, sizeof count);
+  std::memcpy(bytes.data() + 87, &count, sizeof count);
   util::ByteReader corrupt{bytes};
   const std::uint64_t before = util::alloc::thread_counts().bytes;
   EXPECT_THROW(read_monitor_state(corrupt), emts::precondition_error);
@@ -333,19 +316,6 @@ TEST(MonitorRestore, RefusesOptionAndRateMismatch) {
   wrong_rate.sample_rate = kFs * 2;
   core::RuntimeMonitor fresh{kFs, fitted(), small_options()};
   EXPECT_THROW(fresh.restore_state(wrong_rate), emts::precondition_error);
-}
-
-TEST(MonitorRestore, RefusesEvaluatorPresenceMismatch) {
-  // A monitoring image needs a pre-fitted target; a self-calibrating target
-  // (no evaluator yet) must refuse it.
-  core::RuntimeMonitor monitor{kFs, fitted(), small_options()};
-  monitor.push_batch(make_set(3, false, 15));
-  const core::MonitorStateImage image = monitor.export_state();
-
-  core::RuntimeMonitor::Options options = small_options();
-  options.calibration_traces = 8;
-  core::RuntimeMonitor self_calibrating{kFs, options};
-  EXPECT_THROW(self_calibrating.restore_state(image), emts::precondition_error);
 }
 
 // ---------- EMFS container ----------
@@ -465,9 +435,10 @@ TEST_F(SnapshotFile, DeviceCountTheBytesCannotBackIsRefusedBeforeAllocating) {
 
 TEST_F(SnapshotFile, RefusesV1Container) {
   // v1 predates the spectral accumulator, v2 still carries the removed
-  // incremental-spectral flag byte, and v1-v3 checksum records with FNV-1a;
-  // the loader must name the version instead of misparsing the record bytes.
-  for (const std::uint32_t old_version : {1u, 2u, 3u}) {
+  // incremental-spectral flag byte, v1-v3 checksum records with FNV-1a, and
+  // v4 carries the removed self-calibration fields; the loader must name the
+  // version instead of misparsing the record bytes.
+  for (const std::uint32_t old_version : {1u, 2u, 3u, 4u}) {
     save_fleet_snapshot(path_, sample_snapshot());
     std::fstream file{path_, std::ios::binary | std::ios::in | std::ios::out};
     file.seekp(4);  // version u32 right after the 4-byte magic
@@ -915,6 +886,23 @@ TEST_F(SnapshotFile, WarmCacheAwareSaveOfRecordsThatDidNotGrowRequestsUnder64KiB
   EXPECT_LT(requested, 65536u) << cold.size() << "-byte container";
   EXPECT_EQ(stats.records_rewritten, 16u);
   EXPECT_EQ(read_bytes(path_), cold);
+}
+
+// A cold cut counts each new cache entry first and allocates it once at its
+// exact size. Growing every new entry by doubling, the first cut of this
+// 604 KB container requested 3.9x its size.
+TEST_F(SnapshotFile, ColdCacheAwareSaveRequestsLessThanTwiceItsSize) {
+  if (!util::alloc::counting_active()) {
+    GTEST_SKIP() << "allocation hooks disabled in this build (sanitizer)";
+  }
+  const FleetSnapshot snapshot = sixteen_devices();
+  FleetSnapshotRecordCache cache;
+  const std::uint64_t before = util::alloc::thread_counts().bytes;
+  save_fleet_snapshot(path_, snapshot, cache);
+  const std::uint64_t requested = util::alloc::thread_counts().bytes - before;
+  const std::uint64_t size = std::filesystem::file_size(path_);
+  EXPECT_LT(requested, 2 * size + 65536) << size << " bytes";
+  EXPECT_EQ(cache.records.size(), 16u);
 }
 
 // ---------- a failed save leaves no stale record behind ----------

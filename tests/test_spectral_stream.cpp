@@ -230,7 +230,6 @@ TraceSet make_set(std::size_t n, bool infected, std::uint64_t seed) {
 
 RuntimeMonitor::Options small_options() {
   RuntimeMonitor::Options opt;
-  opt.calibration_traces = 16;
   opt.alarm_debounce = 3;
   opt.spectral_window = 8;
   return opt;
@@ -562,9 +561,10 @@ TEST(RuntimeMonitorIncremental, SteadyStatePushStaysAllocationFree) {
 }
 
 TEST(RuntimeMonitorIncremental, RejectsZeroRebuildCadence) {
+  const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 990));
   RuntimeMonitor::Options bad = small_options();
   bad.spectral_rebuild_every = 0;
-  EXPECT_THROW((RuntimeMonitor{kFs, bad}), emts::precondition_error);
+  EXPECT_THROW((RuntimeMonitor{kFs, evaluator, bad}), emts::precondition_error);
 }
 
 }  // namespace

@@ -133,8 +133,10 @@ void print_usage(std::FILE* stream) {
                "shard/queue/policy default to the snapshot's layout unless overridden.\n"
                "--pin pins each shard worker to a core (Linux, best-effort; only\n"
                "useful while shards <= hardware cores).\n"
+               "replay-client exits 0 once the daemon has read its whole stream, and\n"
+               "3 when the daemon drops it (a refused --auth-secret, bad framing).\n"
                "\n"
-               "--json emits stats schema_version 3 — field-by-field reference in\n"
+               "--json emits stats schema_version 4 — field-by-field reference in\n"
                "docs/STATS_SCHEMA.md; binary container layouts in docs/FORMATS.md.\n"
                "\n"
                "array drives the on-die N x M sensor grid: `calibrate` fits one\n"
@@ -254,9 +256,8 @@ void print_latency_line(const char* label, const util::LatencyHistogram& h) {
 
 void print_monitor_stats(const core::MonitorStats& stats,
                          const std::vector<core::MonitorEvent>& events) {
-  std::printf("  ingested %llu (calibration %llu, scored %llu, rejected %llu)\n",
+  std::printf("  ingested %llu (scored %llu, rejected %llu)\n",
               static_cast<unsigned long long>(stats.traces_ingested),
-              static_cast<unsigned long long>(stats.calibration_captures),
               static_cast<unsigned long long>(stats.scored_captures),
               static_cast<unsigned long long>(stats.traces_rejected));
   std::printf("  anomalies: per-trace %llu, windowed %llu (of %llu spectral passes)\n",
@@ -430,8 +431,8 @@ int cmd_monitor(const std::vector<std::string>& args) {
   auto evaluator = io::load_calibration(model_path);
   core::RuntimeMonitor monitor{evaluator.sample_rate(), std::move(evaluator)};
   if (!json) {
-    std::printf("cold start from %s: state %s, %zu calibration captures\n", model_path.c_str(),
-                core::monitor_state_label(monitor.state()), monitor.traces_seen());
+    std::printf("cold start from %s: state %s\n", model_path.c_str(),
+                core::monitor_state_label(monitor.state()));
   }
 
   sim::Chip chip{silicon ? sim::make_silicon_config(sim::SiliconOptions{})
@@ -574,8 +575,8 @@ int cmd_fleet(const std::vector<std::string>& args) {
                 static_cast<unsigned long long>(session.monitor.traces_rejected),
                 static_cast<unsigned long long>(session.monitor.alarms_latched));
   }
-  std::printf("verdict: %zu alarmed, %zu monitoring, %zu calibrating\n", stats.devices_alarm,
-              stats.devices_monitoring, stats.devices_calibrating);
+  std::printf("verdict: %zu alarmed, %zu monitoring\n", stats.devices_alarm,
+              stats.devices_monitoring);
 
   if (show_stats) {
     for (std::size_t s = 0; s < stats.shards.size(); ++s) {
@@ -765,8 +766,8 @@ int cmd_serve(const std::vector<std::string>& args) {
               static_cast<unsigned long long>(counters.connections_accepted),
               static_cast<unsigned long long>(counters.snapshots_written),
               static_cast<unsigned long long>(counters.stats_exports));
-  std::printf("verdict: %zu alarmed, %zu monitoring, %zu calibrating\n", stats.devices_alarm,
-              stats.devices_monitoring, stats.devices_calibrating);
+  std::printf("verdict: %zu alarmed, %zu monitoring\n", stats.devices_alarm,
+              stats.devices_monitoring);
   return stats.devices_alarm > 0 ? 1 : 0;
 }
 
@@ -927,6 +928,21 @@ int cmd_replay_client(const std::vector<std::string>& args) {
         ::nanosleep(&pause, nullptr);
       }
     }
+  }
+  // Half-close, then wait for the daemon to close its side. The writes alone
+  // cannot tell a refused client (a wrong --auth-secret, a frame the daemon
+  // cannot parse) when the whole stream fits in the socket buffers: the
+  // daemon resets a connection it drops, and closes one it read to the end.
+  // ENOTCONN means the reset already arrived; the read below reports it.
+  if (::shutdown(fd, SHUT_WR) != 0 && errno != ENOTCONN) {
+    fail("half-close of", errno, !auth_secret.empty());
+  }
+  for (;;) {
+    char drain[256];
+    const ssize_t got = ::read(fd, drain, sizeof drain);
+    if (got == 0) break;
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) fail("end of stream from", errno, !auth_secret.empty());
   }
   ::close(fd);
 
