@@ -17,10 +17,10 @@
 // amplitude spectrum once (one half-size real-split FFT), caches it in the
 // ring, and updates a running per-bin sum, so the window-boundary pass is an
 // O(bins) mean + classify instead of W FFTs — flattening the push-latency
-// tail from ~450x p50 to within ~10x. Windowed reports match
-// SpectralDetector::analyze() over the same window to floating-point
-// rounding: anomaly kinds and frequencies are identical because
-// classification is tolerance-based, and at a drift-bounding rebuild (every
+// tail from ~450x p50 to within ~10x. Windowed reports equal
+// SpectralDetector::analyze() over the same window bit for bit: analyze()
+// runs the same SpectrumAnalyzer transform, sums in the same order and
+// classifies with the same step. At a drift-bounding rebuild (every
 // spectral_rebuild_every incremental updates) the accumulator is re-summed
 // bit-exactly from the cached spectra. MonitorStats and the drainable event
 // log expose what the loop did without perturbing it.

@@ -38,23 +38,38 @@ SpectralDetector SpectralDetector::calibrate(const TraceSet& golden, const Optio
 SpectralReport SpectralDetector::analyze(const TraceSet& suspect) const {
   EMTS_REQUIRE(!suspect.empty(), "spectral analysis needs traces");
   suspect.validate();
-  EMTS_REQUIRE(std::abs(suspect.sample_rate - sample_rate_) < 1e-6 * sample_rate_,
+  return analyze_traces(suspect.traces, suspect.sample_rate);
+}
+
+SpectralReport SpectralDetector::analyze(const Trace& trace) const {
+  return analyze_traces({&trace, 1}, sample_rate_);
+}
+
+SpectralReport SpectralDetector::analyze_traces(std::span<const Trace> traces,
+                                                double sample_rate) const {
+  EMTS_REQUIRE(std::abs(sample_rate - sample_rate_) < 1e-6 * sample_rate_,
                "suspect sample rate differs from calibration");
-  const dsp::Spectrum spectrum =
-      dsp::mean_spectrum(suspect.traces, suspect.sample_rate, options_.spectrum);
+  SpectralScratch scratch = make_scratch();
+  scratch.analyzer.ensure_stream(traces.front().size(), sample_rate);
+  std::vector<double> amp;
+  for (const Trace& trace : traces) scratch.analyzer.stream_push(trace, amp);
+  classify(scratch);
+  return std::move(scratch.report);
+}
+
+void SpectralDetector::classify(SpectralScratch& scratch) const {
+  const dsp::Spectrum& spectrum = scratch.analyzer.stream_mean();
   EMTS_REQUIRE(spectrum.size() == golden_.size(),
                "suspect trace length differs from calibration");
-
-  SpectralReport report;
   // Peaks must clear the *suspect's own* floor as well as the golden floor:
   // a Trojan that merely lifts the broadband floor (spread-spectrum leaks
   // like T3) raises the median with it and creates no spot — exactly the
   // paper's observation that T3 evades the spectral method.
-  const double floor_level = std::max(noise_floor_, stats::median(spectrum.amplitude));
-  const auto suspect_peaks =
-      dsp::find_peaks(spectrum, options_.new_spot_factor * floor_level);
-  match_peaks(suspect_peaks, report);
-  return report;
+  scratch.floor_scratch.assign(spectrum.amplitude.begin(), spectrum.amplitude.end());
+  const double floor_level =
+      std::max(noise_floor_, stats::median_in_place(scratch.floor_scratch));
+  dsp::find_peaks_into(spectrum, options_.new_spot_factor * floor_level, scratch.peaks);
+  match_peaks(scratch.peaks, scratch.report);
 }
 
 void SpectralDetector::stream_observe(TraceRing& window, double sample_rate,
@@ -94,15 +109,7 @@ const SpectralReport& SpectralDetector::stream_finish(const TraceRing& window,
     scratch.analyzer.stream_mark_rebuilt();
     rebuilt = true;
   }
-  const dsp::Spectrum& spectrum = scratch.analyzer.stream_mean();
-  EMTS_REQUIRE(spectrum.size() == golden_.size(),
-               "suspect trace length differs from calibration");
-  // Same floor rule as analyze(), through the scratch buffers.
-  scratch.floor_scratch.assign(spectrum.amplitude.begin(), spectrum.amplitude.end());
-  const double floor_level =
-      std::max(noise_floor_, stats::median_in_place(scratch.floor_scratch));
-  dsp::find_peaks_into(spectrum, options_.new_spot_factor * floor_level, scratch.peaks);
-  match_peaks(scratch.peaks, scratch.report);
+  classify(scratch);
   return scratch.report;
 }
 
@@ -141,13 +148,6 @@ void SpectralDetector::match_peaks(const std::vector<dsp::SpectralPeak>& peaks,
 
   std::sort(report.anomalies.begin(), report.anomalies.end(),
             [](const SpectralAnomaly& a, const SpectralAnomaly& b) { return a.ratio > b.ratio; });
-}
-
-SpectralReport SpectralDetector::analyze(const Trace& trace) const {
-  TraceSet set;
-  set.sample_rate = sample_rate_;
-  set.add(trace);
-  return analyze(set);
 }
 
 double SpectralDetector::score(const Trace& trace) const {

@@ -14,13 +14,14 @@
 //
 // The "spectral" stage. As a Detector it is *windowed*: its natural grain is
 // a whole capture window (mean spectrum), which analyze(TraceSet) and the
-// monitor's stream_observe/stream_finish pair classify at once;
+// monitor's stream_observe/stream_finish pair classify with one shared step;
 // score(trace) is the strongest anomaly ratio of that single trace (0 when
 // clean) against a threshold of 0.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -82,9 +83,10 @@ class SpectralDetector : public Detector {
   /// Analyzes one trace.
   SpectralReport analyze(const Trace& trace) const;
 
-  /// Caller-owned working state for the incremental runtime path: the
-  /// streaming spectrum analyzer plus every scratch buffer one spectral pass
-  /// needs. Create via make_scratch(); one scratch serves one stream.
+  /// Working state for spectral passes: the streaming spectrum analyzer
+  /// plus every scratch buffer one pass needs. Create via make_scratch();
+  /// one scratch serves one stream. The monitor owns one per stream, and
+  /// analyze() builds one per call.
   struct SpectralScratch {
     explicit SpectralScratch(const dsp::SpectrumOptions& options) : analyzer{options} {}
 
@@ -108,11 +110,10 @@ class SpectralDetector : public Detector {
   /// running mean spectrum against the golden spots. When the accumulator
   /// has absorbed >= rebuild_every incremental updates since the last exact
   /// rebuild, the sum is first rebuilt bit-exactly from the cached per-slot
-  /// spectra (bounding floating-point drift) and `rebuilt` is set. Per-push
-  /// amplitudes match amplitude_spectrum to floating-point rounding, so
-  /// anomaly kinds, bins and verdicts agree with analyze() over a TraceSet
-  /// holding the window's traces; at a rebuild point the mean is
-  /// bit-identical to a fresh accumulation of the cached spectra.
+  /// spectra (bounding floating-point drift) and `rebuilt` is set. analyze()
+  /// pushes a TraceSet through the same analyzer transform in the same order
+  /// and classifies with the same step, so the report equals analyze() over
+  /// a TraceSet holding the window's traces bit for bit, rebuilt or not.
   const SpectralReport& stream_finish(const TraceRing& window, double sample_rate,
                                       SpectralScratch& scratch, std::uint64_t rebuild_every,
                                       bool& rebuilt) const;
@@ -132,6 +133,14 @@ class SpectralDetector : public Detector {
 
  private:
   SpectralDetector(const Options& options, dsp::Spectrum golden, double sample_rate);
+
+  /// Pushes equal-length traces through a fresh scratch analyzer and
+  /// classifies their mean: analyze() for a set or for one trace.
+  SpectralReport analyze_traces(std::span<const Trace> traces, double sample_rate) const;
+
+  /// The one classify step, shared by analyze() and stream_finish():
+  /// classifies the scratch analyzer's mean into scratch.report.
+  void classify(SpectralScratch& scratch) const;
 
   /// Classifies suspect peaks against the golden spots into `report`
   /// (cleared first), sorted strongest-ratio first.

@@ -17,16 +17,6 @@ std::size_t next_power_of_two(std::size_t n) {
   return p;
 }
 
-void fft_in_place(std::vector<cplx>& data) { FftPlan{data.size()}.forward(data); }
-
-std::vector<cplx> fft_real(const std::vector<double>& signal) {
-  EMTS_REQUIRE(!signal.empty(), "fft_real requires a non-empty signal");
-  std::vector<cplx> data(next_power_of_two(signal.size()), cplx{0.0, 0.0});
-  for (std::size_t i = 0; i < signal.size(); ++i) data[i] = cplx{signal[i], 0.0};
-  fft_in_place(data);
-  return data;
-}
-
 FftPlan::FftPlan(std::size_t n) : n_{n} {
   EMTS_REQUIRE(is_power_of_two(n), "FftPlan requires a power-of-two length");
 

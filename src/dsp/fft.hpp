@@ -1,6 +1,10 @@
-// Iterative radix-2 Cooley–Tukey FFT, implemented from scratch.
-// Used by the spectral Trojan detector (paper Sec. III-E / Fig. 4 / Fig. 6 i–l)
-// to transform measured EM traces into the frequency domain.
+// Iterative radix-2 Cooley–Tukey FFT, implemented from scratch. FftPlan is
+// the library's only FFT, and dsp::SpectrumAnalyzer (dsp/spectrum.hpp) is
+// the only library code that builds one: amplitude and mean spectra,
+// spectrogram frames and the runtime monitor's running mean all run its
+// half-size real-split transform. That is how the spectral Trojan detector
+// (paper Sec. III-E / Fig. 4 / Fig. 6 i–l) sees EM traces in the frequency
+// domain.
 #pragma once
 
 #include <complex>
@@ -18,16 +22,8 @@ bool is_power_of_two(std::size_t n);
 /// std::size_t exists (n above 2^63 on 64-bit hosts).
 std::size_t next_power_of_two(std::size_t n);
 
-/// In-place forward FFT through a plan built for this call. Requires
-/// power-of-two size.
-void fft_in_place(std::vector<cplx>& data);
-
-/// Forward FFT of a real signal; zero-pads to the next power of two.
-/// Returns the full complex spectrum (size = padded length).
-std::vector<cplx> fft_real(const std::vector<double>& signal);
-
-/// Precomputed forward FFT of one fixed power-of-two size, and the library's
-/// only FFT kernel: the bit-reversal permutation and the twiddle factors
+/// Precomputed forward FFT of one fixed power-of-two size: the bit-reversal
+/// permutation and the twiddle factors
 /// e^{-2πik/n} (k < n/2, each from cos/sin directly) are cached at
 /// construction, so forward() performs no allocations and no trigonometry.
 class FftPlan {

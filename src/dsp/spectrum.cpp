@@ -27,51 +27,21 @@ double Spectrum::bin_width() const {
 Spectrum amplitude_spectrum(const std::vector<double>& signal, double sample_rate,
                             const SpectrumOptions& options) {
   EMTS_REQUIRE(!signal.empty(), "amplitude_spectrum requires a non-empty signal");
-  EMTS_REQUIRE(sample_rate > 0.0, "sample_rate must be positive");
-
-  std::vector<double> work = signal;
-  if (options.remove_mean) {
-    double mean = 0.0;
-    for (double v : work) mean += v;
-    mean /= static_cast<double>(work.size());
-    for (double& v : work) v -= mean;
-  }
-
-  const auto window = make_window(options.window, work.size());
-  work = apply_window(work, window);
-  const double gain = coherent_gain(window);
-
-  const auto full = fft_real(work);
-  const std::size_t n = full.size();
-  const std::size_t bins = n / 2 + 1;
-
-  Spectrum out;
-  out.frequency.resize(bins);
-  out.amplitude.resize(bins);
-  // Zero padding stretches the transform but not the physical duration; bins
-  // are spaced by fs/n_padded while amplitude correction uses the window sum.
-  for (std::size_t k = 0; k < bins; ++k) {
-    out.frequency[k] = sample_rate * static_cast<double>(k) / static_cast<double>(n);
-    const double mag = std::abs(full[k]);
-    const bool interior = (k != 0) && (k != n / 2);
-    out.amplitude[k] = (interior ? 2.0 : 1.0) * mag / gain;
-  }
-  return out;
+  return mean_spectrum({signal}, sample_rate, options);
 }
 
 Spectrum mean_spectrum(const std::vector<std::vector<double>>& signals, double sample_rate,
                        const SpectrumOptions& options) {
   EMTS_REQUIRE(!signals.empty(), "mean_spectrum requires at least one trace");
-  Spectrum acc = amplitude_spectrum(signals.front(), sample_rate, options);
-  for (std::size_t i = 1; i < signals.size(); ++i) {
-    EMTS_REQUIRE(signals[i].size() == signals.front().size(),
+  SpectrumAnalyzer analyzer{options};
+  analyzer.ensure_stream(signals.front().size(), sample_rate);
+  std::vector<double> amp;
+  for (const std::vector<double>& signal : signals) {
+    EMTS_REQUIRE(signal.size() == signals.front().size(),
                  "mean_spectrum requires equal-length traces");
-    const Spectrum s = amplitude_spectrum(signals[i], sample_rate, options);
-    for (std::size_t k = 0; k < acc.amplitude.size(); ++k) acc.amplitude[k] += s.amplitude[k];
+    analyzer.stream_push(signal, amp);
   }
-  const double inv = 1.0 / static_cast<double>(signals.size());
-  for (double& a : acc.amplitude) a *= inv;
-  return acc;
+  return analyzer.stream_mean();
 }
 
 std::vector<SpectralPeak> find_peaks(const Spectrum& spectrum, double min_amplitude,
@@ -108,8 +78,6 @@ void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
 SpectrumAnalyzer::SpectrumAnalyzer(const SpectrumOptions& options) : options_{options} {}
 
 void SpectrumAnalyzer::transform_into_amp(const std::vector<double>& signal) {
-  // Detrend + window, mirroring amplitude_spectrum step for step (same
-  // summation order, same window product).
   work_.assign(signal.begin(), signal.end());
   if (options_.remove_mean) {
     double mean = 0.0;

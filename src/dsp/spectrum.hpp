@@ -35,11 +35,15 @@ struct SpectrumOptions {
 };
 
 /// Computes the one-sided amplitude spectrum. `sample_rate` in Hz.
-/// The signal is zero-padded to a power of two.
+/// The signal is zero-padded to a power of two. Runs one SpectrumAnalyzer,
+/// so the bins equal its stream_transform() bit for bit.
 Spectrum amplitude_spectrum(const std::vector<double>& signal, double sample_rate,
                             const SpectrumOptions& options = {});
 
-/// Averaged amplitude spectrum over several traces of equal length.
+/// Averaged amplitude spectrum over several traces of equal length: one
+/// SpectrumAnalyzer pushes every trace and takes stream_mean(), so the
+/// result equals the monitor's running mean over the same traces bit for
+/// bit.
 Spectrum mean_spectrum(const std::vector<std::vector<double>>& signals, double sample_rate,
                        const SpectrumOptions& options = {});
 
@@ -63,21 +67,22 @@ std::vector<SpectralPeak> find_peaks(const Spectrum& spectrum, double min_amplit
 void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
                      std::vector<SpectralPeak>& peaks, std::size_t max_peaks = 32);
 
-/// Incremental mean spectrum over a stream of equal-length signals: the
-/// runtime monitor's spectral path. Caches the window coefficients, one
-/// half-size FFT plan and every working buffer for one trace length, so a
-/// push performs zero heap allocations after the first (warm-up) pass.
+/// The library's only amplitude-spectrum routine: the runtime monitor's
+/// incremental mean, calibration, offline analysis and the spectrogram all
+/// run through it. Caches the window coefficients, one half-size FFT plan
+/// and every working buffer for one trace length, so a push performs zero
+/// heap allocations after the first (warm-up) pass.
 ///
 /// Each push is one real-split FFT (even samples in the real lane, odd in the
 /// imaginary lane of an N/2 complex transform) whose amplitudes land in a
 /// caller-owned buffer and are added into a running per-bin sum.
 /// stream_mean() divides the sum by the live count, so a window boundary
-/// costs one O(bins) pass instead of W FFTs. Per-push amplitudes match
-/// amplitude_spectrum to floating-point rounding (a few ULPs per bin); an
-/// exact rebuild from the cached amplitudes (stream_reset +
-/// stream_accumulate in arrival order) bounds accumulator drift and is
-/// bit-identical to re-summing the same values. The free amplitude_spectrum
-/// / mean_spectrum functions stay the offline path and the test oracle.
+/// costs one O(bins) pass instead of W FFTs. amplitude_spectrum and
+/// mean_spectrum are this analyzer run once per call, so a stream's mean
+/// equals mean_spectrum over the same traces bit for bit. An exact rebuild
+/// from the cached amplitudes (stream_reset + stream_accumulate in arrival
+/// order) bounds accumulator drift and is bit-identical to re-summing the
+/// same values. The tests check the transform against an O(n^2) DFT.
 ///
 /// ensure_stream() prepares the caches for a trace length / sample rate;
 /// resizing the accumulator is only legal while it is empty
@@ -121,8 +126,10 @@ class SpectrumAnalyzer {
   std::size_t warmups() const { return warmups_; }
 
  private:
-  /// Detrend + window one signal into work_ (same arithmetic order as
-  /// amplitude_spectrum), then the real-split half-size FFT into amp_.
+  /// Detrend + window one signal into work_, then the real-split half-size
+  /// FFT into amp_. Every amplitude in the library comes from here, so any
+  /// two paths that push the same traces in the same order agree bit for
+  /// bit.
   void transform_into_amp(const std::vector<double>& signal);
 
   SpectrumOptions options_;

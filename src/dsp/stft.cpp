@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dsp/fft.hpp"
+#include "dsp/spectrum.hpp"
 #include "util/assert.hpp"
 
 namespace emts::dsp {
@@ -41,34 +42,20 @@ Spectrogram stft(const std::vector<double>& signal, double sample_rate,
                "hop must be in (0, window_length]");
   EMTS_REQUIRE(signal.size() >= options.window_length, "signal shorter than one window");
 
-  const auto window = make_window(options.window, options.window_length);
-  const double gain = coherent_gain(window);
-  const std::size_t bins = options.window_length / 2 + 1;
-
   Spectrogram spec;
   spec.sample_rate = sample_rate;
   spec.window_length = options.window_length;
   spec.hop = options.hop;
 
-  const FftPlan plan{options.window_length};
+  SpectrumAnalyzer analyzer{SpectrumOptions{options.window, options.remove_mean}};
+  analyzer.ensure_stream(options.window_length, sample_rate);
+  std::vector<double> frame;
   for (std::size_t start = 0; start + options.window_length <= signal.size();
        start += options.hop) {
-    std::vector<cplx> frame(options.window_length);
-    double mean = 0.0;
-    if (options.remove_mean) {
-      for (std::size_t i = 0; i < options.window_length; ++i) mean += signal[start + i];
-      mean /= static_cast<double>(options.window_length);
-    }
-    for (std::size_t i = 0; i < options.window_length; ++i) {
-      frame[i] = cplx{(signal[start + i] - mean) * window[i], 0.0};
-    }
-    plan.forward(frame);
-
-    std::vector<double> mags(bins);
-    for (std::size_t b = 0; b < bins; ++b) {
-      const bool interior = (b != 0) && (b != options.window_length / 2);
-      mags[b] = (interior ? 2.0 : 1.0) * std::abs(frame[b]) / gain;
-    }
+    const auto first = signal.begin() + static_cast<std::ptrdiff_t>(start);
+    frame.assign(first, first + static_cast<std::ptrdiff_t>(options.window_length));
+    std::vector<double> mags;
+    analyzer.stream_transform(frame, mags);
     spec.magnitude.push_back(std::move(mags));
   }
   return spec;

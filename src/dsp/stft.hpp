@@ -41,8 +41,11 @@ struct StftOptions {
   bool remove_mean = true;
 };
 
-/// Computes the magnitude spectrogram. Requires signal.size() >=
-/// window_length, power-of-two window, and 0 < hop <= window_length.
+/// Computes the magnitude spectrogram. Every frame runs through one
+/// SpectrumAnalyzer built for window_length (`window` and `remove_mean` are
+/// its SpectrumOptions), so a frame's bins equal amplitude_spectrum of that
+/// frame. Requires signal.size() >= window_length, power-of-two window, and
+/// 0 < hop <= window_length.
 Spectrogram stft(const std::vector<double>& signal, double sample_rate,
                  const StftOptions& options = {});
 

@@ -32,14 +32,6 @@ std::vector<double> make_window(WindowKind kind, std::size_t n) {
   return w;
 }
 
-std::vector<double> apply_window(const std::vector<double>& signal,
-                                 const std::vector<double>& window) {
-  EMTS_REQUIRE(signal.size() == window.size(), "apply_window: size mismatch");
-  std::vector<double> out(signal.size());
-  for (std::size_t i = 0; i < signal.size(); ++i) out[i] = signal[i] * window[i];
-  return out;
-}
-
 double coherent_gain(const std::vector<double>& window) {
   return std::accumulate(window.begin(), window.end(), 0.0);
 }

@@ -12,10 +12,6 @@ enum class WindowKind { kRectangular, kHann, kHamming, kBlackman };
 /// Window coefficients of length n (periodic form, suited to FFT analysis).
 std::vector<double> make_window(WindowKind kind, std::size_t n);
 
-/// Element-wise product of signal and window; requires equal sizes.
-std::vector<double> apply_window(const std::vector<double>& signal,
-                                 const std::vector<double>& window);
-
 /// Sum of window coefficients (amplitude-correction denominator).
 double coherent_gain(const std::vector<double>& window);
 

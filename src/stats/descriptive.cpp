@@ -44,12 +44,17 @@ double max_value(const std::vector<double>& v) {
 double quantile_in_place(std::vector<double>& v, double p) {
   EMTS_REQUIRE(!v.empty(), "quantile of an empty vector");
   EMTS_REQUIRE(p >= 0.0 && p <= 1.0, "quantile p must be in [0, 1]");
-  std::sort(v.begin(), v.end());
   const double pos = p * static_cast<double>(v.size() - 1);
   const auto lo = static_cast<std::size_t>(pos);
   const std::size_t hi = std::min(lo + 1, v.size() - 1);
   const double frac = pos - static_cast<double>(lo);
-  return v[lo] + frac * (v[hi] - v[lo]);
+  // The lo-th order statistic by selection, and the next one as the minimum
+  // of what selection left above it: the values a full sort would put at lo
+  // and hi, at O(n) instead of O(n log n).
+  const auto lower = v.begin() + static_cast<std::ptrdiff_t>(lo);
+  std::nth_element(v.begin(), lower, v.end());
+  const double upper = hi == lo ? *lower : *std::min_element(lower + 1, v.end());
+  return *lower + frac * (upper - *lower);
 }
 
 double median_in_place(std::vector<double>& v) { return quantile_in_place(v, 0.5); }

@@ -25,9 +25,10 @@ double quantile(std::vector<double> v, double p);
 
 double median(std::vector<double> v);
 
-/// In-place forms: sort the caller's buffer instead of copying it, so a hot
-/// loop can reuse one scratch vector with zero allocations. Results are
-/// bit-identical to quantile()/median() on the same values.
+/// In-place forms: select within the caller's buffer instead of copying it,
+/// so a hot loop can reuse one scratch vector with zero allocations. The
+/// buffer is left reordered, not sorted. Results are bit-identical to
+/// quantile()/median() on the same values.
 double quantile_in_place(std::vector<double>& v, double p);
 double median_in_place(std::vector<double>& v);
 

@@ -15,7 +15,12 @@
 #include <vector>
 
 #include "array/artifact.hpp"
+#include "array/calibration.hpp"
+#include "array/capture.hpp"
+#include "array/grid.hpp"
 #include "core/monitor.hpp"
+#include "sim/chip.hpp"
+#include "sim/engine.hpp"
 #include "util/alloc_counter.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
@@ -222,6 +227,48 @@ TEST_F(CalibrationArtifactTest, RejectsUnknownDetectorName) {
   file.write("euclidoon", 9);
   file.close();
   EXPECT_THROW(load_calibration(path_), emts::precondition_error);
+}
+
+// ---------- repeated calibration is deterministic ----------
+
+std::string encode_calibration(const core::TrustEvaluator& evaluator) {
+  std::string bytes;
+  util::ByteWriter out{bytes};
+  save_calibration(out, evaluator);
+  return bytes;
+}
+
+// Calibrating the same traces twice must give the same artifact bytes, so
+// two calibrations compare with `cmp` and equal ones are equal bytes.
+// Covers the default stack, the three-stage stack and an EMAA.
+TEST_F(CalibrationArtifactTest, RepeatedCalibrationEncodesToTheSameBytes) {
+  const core::TraceSet golden = make_set(30, false, 60);
+  EXPECT_EQ(encode_calibration(core::TrustEvaluator::calibrate(golden)),
+            encode_calibration(core::TrustEvaluator::calibrate(golden)))
+      << "default stack";
+
+  core::TrustEvaluator::Options three_stage;
+  three_stage.detectors = {"euclidean", "spectral", "ron"};
+  EXPECT_EQ(encode_calibration(core::TrustEvaluator::calibrate(golden, three_stage)),
+            encode_calibration(core::TrustEvaluator::calibrate(golden, three_stage)))
+      << "euclidean,spectral,ron";
+
+  const sim::Chip chip{sim::make_default_config()};
+  array::GridSpec spec;
+  spec.nx = 2;
+  spec.ny = 2;
+  const array::SensorGrid grid{chip.floorplan(), spec};
+  const array::ArrayCapture capture{grid};
+  array::ArrayCalibrationOptions options;
+  options.windows = 16;
+  auto encode_array = [&] {
+    std::string bytes;
+    util::ByteWriter out{bytes};
+    array::save_array_calibration(
+        out, array::calibrate_array(capture, sim::CaptureEngine::shared(), chip, options));
+    return bytes;
+  };
+  EXPECT_EQ(encode_array(), encode_array()) << "2x2 array";
 }
 
 // ---------- seeded mutants of EMCA and EMAA ----------

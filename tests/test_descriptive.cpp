@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "util/assert.hpp"
 #include "util/rng.hpp"
@@ -71,6 +73,33 @@ TEST(Descriptive, QuantileRejectsBadP) {
 
 TEST(Descriptive, MedianUnsortedInput) {
   EXPECT_DOUBLE_EQ(median({9, 1, 5}), 5.0);
+}
+
+// quantile_in_place selects instead of sorting; every value must still be
+// the one linear interpolation over a full sort gives, bit for bit.
+TEST(Descriptive, QuantileInPlaceMatchesAFullSortBitForBit) {
+  auto full_sort_quantile = [](std::vector<double> v, double p) {
+    std::sort(v.begin(), v.end());
+    const double pos = p * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(pos);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+  };
+  emts::Rng rng{4242};
+  std::vector<std::size_t> sizes{1, 2, 3, 4, 2048, 2049};
+  for (int i = 0; i < 60; ++i) sizes.push_back(1 + rng.next_u64() % 2049);
+  for (std::size_t n : sizes) {
+    // Values from a pool of n / 4 + 1 draws, so most sizes repeat values.
+    std::vector<double> pool(n / 4 + 1);
+    for (double& v : pool) v = rng.gaussian();
+    std::vector<double> values(n);
+    for (double& v : values) v = pool[rng.next_u64() % pool.size()];
+    for (double p : {0.0, 0.1, 0.25, 0.5, 0.9, 0.99, 1.0}) {
+      std::vector<double> scratch = values;
+      EXPECT_EQ(quantile_in_place(scratch, p), full_sort_quantile(values, p))
+          << "n " << n << " p " << p;
+    }
+  }
 }
 
 TEST(Descriptive, PerfectPositiveAndNegativeCorrelation) {

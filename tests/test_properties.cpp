@@ -15,28 +15,12 @@
 #include "stats/descriptive.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+#include "dft_oracle.hpp"
 
 namespace emts {
 namespace {
 
 // ---------- FFT vs naive DFT ----------
-
-std::vector<dsp::cplx> naive_dft(const std::vector<dsp::cplx>& x) {
-  const std::size_t n = x.size();
-  std::vector<dsp::cplx> out(n);
-  for (std::size_t k = 0; k < n; ++k) {
-    dsp::cplx acc{0.0, 0.0};
-    for (std::size_t t = 0; t < n; ++t) {
-      // Reduce k·t mod n first: the angle then stays below 2π, so the
-      // reference keeps full precision at the monitor's plan size.
-      const double angle =
-          -2.0 * units::pi * static_cast<double>((k * t) % n) / static_cast<double>(n);
-      acc += x[t] * dsp::cplx{std::cos(angle), std::sin(angle)};
-    }
-    out[k] = acc;
-  }
-  return out;
-}
 
 class FftVsDft : public ::testing::TestWithParam<std::size_t> {};
 
@@ -47,8 +31,8 @@ TEST_P(FftVsDft, AgreesWithQuadraticReference) {
   for (auto& v : x) v = dsp::cplx{rng.gaussian(), rng.gaussian()};
 
   auto fast = x;
-  dsp::fft_in_place(fast);
-  const auto slow = naive_dft(x);
+  dsp::FftPlan{n}.forward(fast);
+  const auto slow = oracle::naive_dft(x);
   for (std::size_t k = 0; k < n; ++k) {
     EXPECT_NEAR(std::abs(fast[k] - slow[k]), 0.0, 1e-8) << "bin " << k;
   }

@@ -1,11 +1,10 @@
 // The incremental spectral pipeline, layer by layer: the analyzer's
 // streaming mean-spectrum mode (one real-split FFT per push plus a running
-// per-bin sum), the ring's per-slot spectrum cache, the detector's
-// stream_observe/stream_finish pair, and the monitor's windowed reports
-// against the offline oracle (SpectralDetector::analyze over the same
-// window, built on the free mean_spectrum) over long randomized streams —
-// including ring wraparound, alarm re-arm and snapshot/restore cut
-// mid-window.
+// per-bin sum) against an O(n^2) DFT oracle, the ring's per-slot spectrum
+// cache, the detector's stream_observe/stream_finish pair, and the monitor's
+// windowed reports against SpectralDetector::analyze over the same window,
+// bit for bit, over long randomized streams — including ring wraparound,
+// alarm re-arm and snapshot/restore cut mid-window.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +22,7 @@
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
+#include "dft_oracle.hpp"
 
 namespace emts::dsp {
 namespace {
@@ -47,55 +47,51 @@ double peak_amplitude(const std::vector<double>& amplitude) {
   return peak;
 }
 
-// The real-split transform computes the same spectrum through a half-size
-// FFT, so it matches amplitude_spectrum to floating-point rounding (a few
-// ULPs per bin), not bitwise.
-TEST(SpectrumStream, TransformMatchesAmplitudeSpectrumToRounding) {
+// The real-split transform against a direct DFT that shares no FFT code
+// with it: equal to rounding (1e-12 × peak). amplitude_spectrum runs the
+// same analyzer, so it equals the transform bit for bit.
+TEST(SpectrumStream, TransformMatchesDftOracleToRounding) {
   emts::Rng rng{901};
-  for (std::size_t n : {64u, 512u, 1000u, 4096u}) {  // 1000: zero-padding; 4096: a capture
-    std::vector<double> sig(n);
-    for (double& v : sig) v = rng.gaussian();
-    const Spectrum copied = amplitude_spectrum(sig, 1000.0);
+  auto expect_matches_oracle = [](const std::vector<double>& sig, const SpectrumOptions& options) {
+    const std::size_t n = sig.size();
+    const std::vector<double> reference = oracle::dft_amplitude_spectrum(sig, options);
 
-    SpectrumAnalyzer analyzer;
+    SpectrumAnalyzer analyzer{options};
     analyzer.ensure_stream(n, 1000.0);
     std::vector<double> amp;
     analyzer.stream_transform(sig, amp);
 
-    ASSERT_EQ(amp.size(), copied.size()) << "length " << n;
-    const double peak = peak_amplitude(copied.amplitude);
-    for (std::size_t k = 0; k < copied.size(); ++k) {
-      EXPECT_NEAR(amp[k], copied.amplitude[k], 1e-12 * peak) << "n " << n << " bin " << k;
+    ASSERT_EQ(amp.size(), reference.size()) << "length " << n;
+    const double peak = peak_amplitude(reference);
+    for (std::size_t k = 0; k < reference.size(); ++k) {
+      EXPECT_NEAR(amp[k], reference[k], 1e-12 * peak) << "n " << n << " bin " << k;
     }
+    EXPECT_EQ(amplitude_spectrum(sig, 1000.0, options).amplitude, amp) << "length " << n;
+  };
+
+  for (std::size_t n : {64u, 512u, 1000u, 4096u}) {  // 1000: zero-padding; 4096: a capture
+    std::vector<double> sig(n);
+    for (double& v : sig) v = rng.gaussian();
+    expect_matches_oracle(sig, SpectrumOptions{});
   }
 
   // Tiny lengths, rectangular and not detrended so the bins are non-zero:
   // n = 1 takes the closed form (a 1-point FFT is the sample itself), n = 2
   // and 3 the smallest half-size plans.
-  const SpectrumOptions raw{WindowKind::kRectangular, false};
   for (std::size_t n : {1u, 2u, 3u}) {
     std::vector<double> sig(n);
     for (double& v : sig) v = rng.gaussian();
-    const Spectrum copied = amplitude_spectrum(sig, 1000.0, raw);
-
-    SpectrumAnalyzer analyzer{raw};
-    analyzer.ensure_stream(n, 1000.0);
-    std::vector<double> amp;
-    analyzer.stream_transform(sig, amp);
-
-    ASSERT_EQ(amp.size(), copied.size()) << "length " << n;
-    const double peak = peak_amplitude(copied.amplitude);
-    for (std::size_t k = 0; k < copied.size(); ++k) {
-      EXPECT_NEAR(amp[k], copied.amplitude[k], 1e-12 * peak) << "n " << n << " bin " << k;
-    }
+    expect_matches_oracle(sig, SpectrumOptions{WindowKind::kRectangular, false});
   }
 }
 
-TEST(SpectrumStream, PushedMeanMatchesMeanSpectrumToRounding) {
+// The running mean against the DFT oracle's mean, to rounding; mean_spectrum
+// runs the same pushes, so it equals the running mean bit for bit.
+TEST(SpectrumStream, PushedMeanMatchesDftOracleToRounding) {
   emts::Rng rng{902};
   std::vector<std::vector<double>> signals;
   for (int t = 0; t < 7; ++t) signals.push_back(noisy_tone(rng, 125.0, 1000.0, 512));
-  const Spectrum copied = mean_spectrum(signals, 1000.0);
+  const std::vector<double> reference = oracle::dft_mean_spectrum(signals);
 
   SpectrumAnalyzer analyzer;
   analyzer.ensure_stream(512, 1000.0);
@@ -105,11 +101,12 @@ TEST(SpectrumStream, PushedMeanMatchesMeanSpectrumToRounding) {
   EXPECT_EQ(analyzer.stream_updates_since_rebuild(), signals.size());
   const Spectrum& streamed = analyzer.stream_mean();
 
-  ASSERT_EQ(streamed.size(), copied.size());
-  const double peak = peak_amplitude(copied.amplitude);
-  for (std::size_t k = 0; k < copied.size(); ++k) {
-    EXPECT_NEAR(streamed.amplitude[k], copied.amplitude[k], 1e-12 * peak) << "bin " << k;
+  ASSERT_EQ(streamed.size(), reference.size());
+  const double peak = peak_amplitude(reference);
+  for (std::size_t k = 0; k < reference.size(); ++k) {
+    EXPECT_NEAR(streamed.amplitude[k], reference[k], 1e-12 * peak) << "bin " << k;
   }
+  EXPECT_EQ(mean_spectrum(signals, 1000.0).amplitude, streamed.amplitude);
 }
 
 // The drift-bounding rebuild — reset, then re-accumulate the cached per-push
@@ -243,14 +240,10 @@ void expect_reports_equivalent(const SpectralReport& incremental,
     const SpectralAnomaly& rhs = batch.anomalies[a];
     EXPECT_EQ(lhs.kind, rhs.kind) << context << " anomaly " << a;
     EXPECT_EQ(lhs.frequency_hz, rhs.frequency_hz) << context << " anomaly " << a;
-    // Golden amplitudes come straight from calibration state — exact.
     EXPECT_EQ(lhs.golden_amplitude, rhs.golden_amplitude) << context << " anomaly " << a;
-    // Suspect amplitudes ride different FFT factorizations: equal to rounding.
-    EXPECT_NEAR(lhs.suspect_amplitude, rhs.suspect_amplitude,
-                1e-9 * std::abs(rhs.suspect_amplitude))
-        << context << " anomaly " << a;
-    EXPECT_NEAR(lhs.ratio, rhs.ratio, 1e-9 * std::max(1.0, std::abs(rhs.ratio)))
-        << context << " anomaly " << a;
+    // Both paths run the same transform and sum in the same order: exact.
+    EXPECT_EQ(lhs.suspect_amplitude, rhs.suspect_amplitude) << context << " anomaly " << a;
+    EXPECT_EQ(lhs.ratio, rhs.ratio) << context << " anomaly " << a;
   }
 }
 
@@ -333,13 +326,13 @@ TEST(SpectralDetectorStream, StreamFinishMatchesAnalyze) {
   }
 }
 
-// ---------- RuntimeMonitor: windowed reports vs the offline oracle ----------
+// ---------- RuntimeMonitor: windowed reports vs analyze() ----------
 
 // One long randomized stream through a monitor: at every window boundary the
-// monitor's report (running accumulator) must match SpectralDetector::analyze
-// over the same window (the free mean_spectrum oracle) — anomaly kinds and
-// frequencies exactly, ratios to rounding. Covers dozens of window
-// boundaries, ring reuse, alarm re-arm and both anomaly kinds.
+// monitor's report (running accumulator) must equal SpectralDetector::analyze
+// over the same window bit for bit, every anomaly field included. Covers
+// dozens of window boundaries, ring reuse, alarm re-arm and both anomaly
+// kinds.
 TEST(RuntimeMonitorIncremental, LongRandomizedStreamMatchesBatchPath) {
   const auto evaluator = TrustEvaluator::calibrate(make_set(30, false, 920));
   RuntimeMonitor monitor{kFs, evaluator, small_options()};
@@ -361,10 +354,10 @@ TEST(RuntimeMonitorIncremental, LongRandomizedStreamMatchesBatchPath) {
     if (monitor.stats().spectral_passes != passes) {
       ASSERT_EQ(window.size(), small_options().spectral_window) << "push " << i;
       ASSERT_TRUE(monitor.last_spectral().has_value()) << "push " << i;
-      const SpectralReport oracle = evaluator.spectral().analyze(window);
-      expect_reports_equivalent(*monitor.last_spectral(), oracle, "windowed report");
+      const SpectralReport batch = evaluator.spectral().analyze(window);
+      expect_reports_equivalent(*monitor.last_spectral(), batch, "windowed report");
       ++compared;
-      if (oracle.anomalous()) ++anomalous;
+      if (batch.anomalous()) ++anomalous;
       window.traces.clear();
     }
     if (state == MonitorState::kAlarm) {

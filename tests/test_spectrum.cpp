@@ -117,6 +117,10 @@ TEST(Spectrum, MeanSpectrumRejectsRaggedInput) {
                emts::precondition_error);
 }
 
+TEST(Spectrum, AmplitudeSpectrumRejectsEmptyInput) {
+  EXPECT_THROW(amplitude_spectrum({}, 1000.0), emts::precondition_error);
+}
+
 TEST(FindPeaks, DetectsInjectedTonesInBinOrder) {
   const double fs = 1024.0;
   const std::size_t n = 2048;

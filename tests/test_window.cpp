@@ -57,20 +57,6 @@ TEST(Window, RejectsZeroLength) {
   EXPECT_THROW(make_window(WindowKind::kHann, 0), emts::precondition_error);
 }
 
-TEST(Window, ApplyWindowMultipliesElementwise) {
-  const std::vector<double> sig{1, 2, 3, 4};
-  const std::vector<double> win{0.5, 1.0, 0.0, 2.0};
-  const auto out = apply_window(sig, win);
-  EXPECT_DOUBLE_EQ(out[0], 0.5);
-  EXPECT_DOUBLE_EQ(out[1], 2.0);
-  EXPECT_DOUBLE_EQ(out[2], 0.0);
-  EXPECT_DOUBLE_EQ(out[3], 8.0);
-}
-
-TEST(Window, ApplyWindowRejectsMismatch) {
-  EXPECT_THROW(apply_window({1, 2}, {1}), emts::precondition_error);
-}
-
 TEST(Window, CoherentGainOfHannIsHalfLength) {
   const auto w = make_window(WindowKind::kHann, 256);
   EXPECT_NEAR(coherent_gain(w), 128.0, 1e-9);
