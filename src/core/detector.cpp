@@ -6,11 +6,16 @@
 #include "core/euclidean.hpp"
 #include "core/ron.hpp"
 #include "core/spectral.hpp"
+#include "stats/descriptive.hpp"
 #include "util/assert.hpp"
 
 namespace emts::core {
 
 bool Detector::is_anomalous(const Trace& trace) const { return score(trace) > threshold(); }
+
+double Detector::score_buffered(const Trace& trace, ScoreScratch& scratch) const {
+  return score_buffered(trace, stats::mean(trace), scratch);
+}
 
 DetectorReport Detector::evaluate_set(const TraceSet& suspect, double alarm_fraction) const {
   EMTS_REQUIRE(!suspect.empty(), "evaluate_set needs traces");

@@ -58,15 +58,21 @@ class Detector {
   /// Per-trace anomaly score; larger = more suspicious.
   virtual double score(const Trace& trace) const = 0;
 
-  /// score() writing every intermediate into caller-owned buffers. Returns a
-  /// value bit-identical to score(trace); overrides must preserve that
-  /// equality — the streaming monitor relies on it. The default ignores the
-  /// scratch and delegates, so detectors without a buffered path stay
-  /// correct (merely not allocation-free).
-  virtual double score_buffered(const Trace& trace, ScoreScratch& scratch) const {
+  /// score() writing every intermediate into caller-owned buffers. `mean`
+  /// is the trace's mean as stats::mean(trace) computes it (the runtime
+  /// monitor's input gate sums every capture once and hands the mean to
+  /// each stage). Returns a value bit-identical to score(trace); overrides
+  /// must preserve that equality — the streaming monitor relies on it. The
+  /// default ignores the mean and the scratch and delegates, so detectors
+  /// without a buffered path stay correct (merely not allocation-free).
+  virtual double score_buffered(const Trace& trace, double mean, ScoreScratch& scratch) const {
+    (void)mean;
     (void)scratch;
     return score(trace);
   }
+
+  /// score_buffered computing the trace's mean itself.
+  double score_buffered(const Trace& trace, ScoreScratch& scratch) const;
 
   /// Score level above which a single trace counts as anomalous.
   virtual double threshold() const = 0;

@@ -74,8 +74,10 @@ double EuclideanDetector::score(const Trace& trace) const {
   return linalg::euclidean_distance(embed(preprocessor_.features(trace)), golden_centroid_);
 }
 
-double EuclideanDetector::score_buffered(const Trace& trace, ScoreScratch& scratch) const {
-  preprocessor_.features_into(trace, scratch.work, scratch.aux, scratch.aux2, scratch.features);
+double EuclideanDetector::score_buffered(const Trace& trace, double mean,
+                                         ScoreScratch& scratch) const {
+  preprocessor_.features_into(trace, mean, scratch.work, scratch.aux, scratch.aux2,
+                              scratch.features);
   pca_.project_into(scratch.features, scratch.embedding);
   if (include_residual_) {
     pca_.reconstruct_into(scratch.embedding, scratch.recon);

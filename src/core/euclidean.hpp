@@ -53,7 +53,8 @@ class EuclideanDetector : public Detector {
 
   /// score() through caller-owned buffers: bit-identical values, zero heap
   /// allocations once the scratch is warm for the stream's trace length.
-  double score_buffered(const Trace& trace, ScoreScratch& scratch) const override;
+  using Detector::score_buffered;
+  double score_buffered(const Trace& trace, double mean, ScoreScratch& scratch) const override;
 
   /// Serializes the full fitted model; load() restores a detector whose
   /// score()/threshold() are bit-identical to this one.

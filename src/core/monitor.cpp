@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "dsp/fft.hpp"
+#include "stats/descriptive.hpp"
 #include "util/assert.hpp"
 
 namespace emts::core {
@@ -103,7 +104,7 @@ MonitorState RuntimeMonitor::push_batch(const TraceSet& batch) {
   return state_;
 }
 
-bool RuntimeMonitor::admit_trace(const Trace& trace) {
+std::optional<double> RuntimeMonitor::admit_trace(const Trace& trace) {
   // Shape gate. The first capture pins the stream length once the fitted
   // stack has vetted it against its feature shape, so a wrong-length first
   // capture cannot pin a shape the detectors would choke on (or silently
@@ -113,28 +114,31 @@ bool RuntimeMonitor::admit_trace(const Trace& trace) {
       ++stats_.traces_rejected;
       record_event(MonitorEventKind::kTraceRejectedShape,
                    static_cast<double>(trace.size()));
-      return false;
+      return std::nullopt;
     }
   } else if (!evaluator_.accepts_trace_length(trace.size())) {
     ++stats_.traces_rejected;
     record_event(MonitorEventKind::kTraceRejectedShape,
                  static_cast<double>(trace.size()));
-    return false;
+    return std::nullopt;
   }
 
   // Finiteness gate: one NaN poisons every running statistic downstream
   // (PCA projection, spectral mean, latched scores), so it must never reach
-  // the preprocessor.
+  // the preprocessor. The same loop sums the capture front to back, as
+  // stats::mean does.
+  double sum = 0.0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
     if (!std::isfinite(trace[i])) {
       ++stats_.traces_rejected;
       record_event(MonitorEventKind::kTraceRejectedNonFinite, static_cast<double>(i));
-      return false;
+      return std::nullopt;
     }
+    sum += trace[i];
   }
 
   if (expected_length_ == 0) expected_length_ = trace.size();
-  return true;
+  return sum / static_cast<double>(trace.size());
 }
 
 MonitorState RuntimeMonitor::ingest(const Trace& trace) {
@@ -143,7 +147,8 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
   ++traces_seen_;
   ++stats_.traces_ingested;
 
-  if (!admit_trace(trace)) {
+  const std::optional<double> mean = admit_trace(trace);
+  if (!mean.has_value()) {
     stats_.push_latency.record(util::monotonic_ns() - t0);
     return state_;
   }
@@ -156,7 +161,7 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
   double anomaly_score = 0.0;
   for (const auto& detector : evaluator_.detectors()) {
     if (detector->windowed()) continue;
-    const double s = detector->score_buffered(trace, scratch_);
+    const double s = detector->score_buffered(trace, *mean, scratch_);
     if (first_score) {
       last_score_ = s;
       first_score = false;
@@ -179,7 +184,7 @@ MonitorState RuntimeMonitor::ingest(const Trace& trace) {
     // Pay this trace's FFT now (flat per-push cost) and fold its amplitudes
     // into the running window sum; the boundary pass below is then O(bins).
     window_.push(trace);
-    spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
+    spectral_->stream_observe(window_, *mean, sample_rate_, *spectral_scratch_);
     ++stats_.spectral_incremental_updates;
     windowed_anomaly = window_.size() >= options_.spectral_window && run_windowed_pass();
   }
@@ -312,10 +317,11 @@ void RuntimeMonitor::restore_state(const MonitorStateImage& image) {
   if (spectral_ != nullptr) {
     for (const Trace& trace : image.window) {
       window_.push(trace);
-      // Replay the per-slot spectrum caches deterministically; the
-      // accumulator itself is then overwritten verbatim from the image
-      // below, so a continued stream is bit-identical even mid-drift.
-      spectral_->stream_observe(window_, sample_rate_, *spectral_scratch_);
+      // Replay the per-slot spectrum caches deterministically, with the
+      // mean the input gate computed for the live push; the accumulator
+      // itself is then overwritten verbatim from the image below, so a
+      // continued stream is bit-identical even mid-drift.
+      spectral_->stream_observe(window_, stats::mean(trace), sample_rate_, *spectral_scratch_);
     }
     spectral_scratch_->analyzer.stream_restore(image.spectral_sum,
                                                image.spectral_count,

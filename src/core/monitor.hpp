@@ -10,8 +10,11 @@
 // The hot path is streaming-grade: captures land in a fixed-capacity
 // TraceRing, per-trace detectors score through reusable ScoreScratch
 // buffers, and the spectral pass runs through a cached SpectrumAnalyzer —
-// after one warm-up window, a push performs zero heap allocations. Per-trace
-// scores stay bit-identical to the copying Detector::score() path.
+// after one warm-up window, a push performs zero heap allocations. The input
+// gate's finiteness loop also sums the capture, and that one mean feeds the
+// preprocessor and the analyzer, so each stage makes one pass over the
+// samples. Per-trace scores stay bit-identical to the copying
+// Detector::score() path.
 //
 // The spectral pass is incremental: each push computes the incoming trace's
 // amplitude spectrum once (one half-size real-split FFT), caches it in the
@@ -223,8 +226,10 @@ class RuntimeMonitor {
 
  private:
   void validate_options() const;
-  /// Non-throwing input gate; records the rejection event when it fails.
-  bool admit_trace(const Trace& trace);
+  /// Non-throwing input gate. Returns the capture's mean, summed by the
+  /// finiteness loop in stats::mean's order so every stage reuses it, or
+  /// nullopt after recording the rejection event.
+  std::optional<double> admit_trace(const Trace& trace);
   MonitorState ingest(const Trace& trace);
   /// Classifies the full window with the spectral stage and starts the
   /// next one; returns whether the window was anomalous. Requires a

@@ -4,6 +4,7 @@
 
 #include "dsp/filter.hpp"
 #include "dsp/resample.hpp"
+#include "stats/descriptive.hpp"
 #include "util/assert.hpp"
 #include "util/binio.hpp"
 
@@ -29,14 +30,38 @@ void Preprocessor::features_into(const Trace& trace, std::vector<double>& work,
                                  std::vector<double>& aux, std::vector<double>& aux2,
                                  std::vector<double>& features) const {
   EMTS_REQUIRE(!trace.empty(), "cannot preprocess an empty trace");
-  work.assign(trace.begin(), trace.end());
+  features_into(trace, stats::mean(trace), work, aux, aux2, features);
+}
 
-  if (options_.remove_mean) {
-    double mean = 0.0;
-    for (double v : work) mean += v;
-    mean /= static_cast<double>(work.size());
-    for (double& v : work) v -= mean;
+void Preprocessor::features_into(const Trace& trace, double mean, std::vector<double>& work,
+                                 std::vector<double>& aux, std::vector<double>& aux2,
+                                 std::vector<double>& features) const {
+  EMTS_REQUIRE(!trace.empty(), "cannot preprocess an empty trace");
+  const double offset = options_.remove_mean ? mean : 0.0;
+  const std::size_t n = trace.size();
+
+  if (options_.smooth_window == 1 && !options_.normalize_rms) {
+    // One pass: each block mean sums the detrended samples in the order
+    // decimate_mean_into would sum the detrended copy.
+    const std::size_t f = options_.decimation;
+    if (f == 1) {
+      features.resize(n);
+      for (std::size_t i = 0; i < n; ++i) features[i] = trace[i] - offset;
+    } else {
+      features.resize(n / f);
+      for (std::size_t b = 0; b < features.size(); ++b) {
+        const double* block = trace.data() + b * f;
+        double acc = 0.0;
+        for (std::size_t i = 0; i < f; ++i) acc += block[i] - offset;
+        features[b] = acc / static_cast<double>(f);
+      }
+    }
+    EMTS_REQUIRE(!features.empty(), "decimation left no features");
+    return;
   }
+
+  work.resize(n);
+  for (std::size_t i = 0; i < n; ++i) work[i] = trace[i] - offset;
 
   if (options_.smooth_window > 1) {
     // aux holds the prefix sums, aux2 the smoothed signal; the swap keeps

@@ -34,8 +34,16 @@ class Preprocessor {
 
   /// features() writing every intermediate into caller-owned buffers
   /// (`work`, `aux`, `aux2` are scratch; `features` receives the result).
-  /// Bit-identical to features(trace); zero allocations once the buffers'
-  /// capacity is warm — the streaming monitor's per-push path.
+  /// `mean` is the trace's mean summed in stats::mean's order (the runtime
+  /// monitor's input gate computes it); it is subtracted only when
+  /// remove_mean is set. Bit-identical to features(trace); zero allocations
+  /// once the buffers' capacity is warm — the streaming monitor's per-push
+  /// path. Without smoothing or RMS normalisation the block means come
+  /// straight from the trace and `work` is not touched.
+  void features_into(const Trace& trace, double mean, std::vector<double>& work,
+                     std::vector<double>& aux, std::vector<double>& aux2,
+                     std::vector<double>& features) const;
+  /// features_into computing the trace's mean itself.
   void features_into(const Trace& trace, std::vector<double>& work, std::vector<double>& aux,
                      std::vector<double>& aux2, std::vector<double>& features) const;
 

@@ -75,13 +75,19 @@ void SpectralDetector::classify(SpectralScratch& scratch) const {
 void SpectralDetector::stream_observe(TraceRing& window, double sample_rate,
                                       SpectralScratch& scratch) const {
   EMTS_REQUIRE(!window.empty(), "stream_observe on an empty window");
+  stream_observe(window, stats::mean(window.newest()), sample_rate, scratch);
+}
+
+void SpectralDetector::stream_observe(TraceRing& window, double newest_mean, double sample_rate,
+                                      SpectralScratch& scratch) const {
+  EMTS_REQUIRE(!window.empty(), "stream_observe on an empty window");
   EMTS_REQUIRE(std::abs(sample_rate - sample_rate_) < 1e-6 * sample_rate_,
                "suspect sample rate differs from calibration");
   scratch.analyzer.ensure_stream(window.newest().size(), sample_rate);
   if (!window.spectrum_cache_enabled()) {
     window.enable_spectrum_cache(scratch.analyzer.stream_bins());
   }
-  scratch.analyzer.stream_push(window.newest(), window.newest_spectrum());
+  scratch.analyzer.stream_push(window.newest(), newest_mean, window.newest_spectrum());
 }
 
 const SpectralReport& SpectralDetector::stream_finish(const TraceRing& window,

@@ -103,7 +103,12 @@ class SpectralDetector : public Detector {
   /// computes the newest trace's amplitude spectrum (one half-size real-split
   /// FFT), caches it in the ring's per-slot spectrum cache (enabled here on
   /// first use), and adds it into the scratch analyzer's running sum. Zero
-  /// heap allocations once scratch and ring cache are warm.
+  /// heap allocations once scratch and ring cache are warm. `newest_mean` is
+  /// stats::mean(window.newest()), which the runtime monitor's input gate
+  /// has already summed.
+  void stream_observe(TraceRing& window, double newest_mean, double sample_rate,
+                      SpectralScratch& scratch) const;
+  /// stream_observe computing the newest trace's mean itself.
   void stream_observe(TraceRing& window, double sample_rate, SpectralScratch& scratch) const;
 
   /// Incremental path, step 2 — call at the window boundary: classifies the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 
 #include "dsp/fft.hpp"
 #include "util/assert.hpp"
@@ -77,55 +78,58 @@ void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
 
 SpectrumAnalyzer::SpectrumAnalyzer(const SpectrumOptions& options) : options_{options} {}
 
-void SpectrumAnalyzer::transform_into_amp(const std::vector<double>& signal) {
-  work_.assign(signal.begin(), signal.end());
-  if (options_.remove_mean) {
-    double mean = 0.0;
-    for (double v : work_) mean += v;
-    mean /= static_cast<double>(work_.size());
-    for (double& v : work_) v -= mean;
-  }
-  for (std::size_t i = 0; i < work_.size(); ++i) work_[i] *= window_[i];
+namespace {
 
+// The signal's mean, summed in stats::mean's order (dsp sits below stats).
+double signal_mean(const std::vector<double>& signal) {
+  double acc = 0.0;
+  for (double v : signal) acc += v;
+  return acc / static_cast<double>(signal.size());
+}
+
+}  // namespace
+
+void SpectrumAnalyzer::transform_into_amp(const std::vector<double>& signal, double mean) {
+  const double offset = options_.remove_mean ? mean : 0.0;
+  const std::size_t n = signal.size();
   if (padded_ < 2) {
     // A 1-point transform is the sample itself; bin 0 is not interior.
-    amp_[0] = std::fabs(work_[0]) / gain_;
+    amp_[0] = std::fabs((signal[0] - offset) * window_[0]) * inv_gain_;
     return;
   }
   // Real-split: even samples ride the real lane, odd samples the imaginary
-  // lane of one N/2 complex FFT. Conjugate symmetry untangles the two real
-  // half-streams E (even) and O (odd), and the classic decimation-in-time
-  // recombination X[k] = E[k] + e^{-2πik/N}·O[k] yields the length-N real
-  // transform for k = 0..N/2 — one flat-latency FFT per push.
-  const std::size_t half = padded_ / 2;
-  data_half_.assign(half, cplx{0.0, 0.0});
-  const std::size_t n = work_.size();
-  for (std::size_t i = 0; i < half; ++i) {
-    const double re = (2 * i < n) ? work_[2 * i] : 0.0;
-    const double im = (2 * i + 1 < n) ? work_[2 * i + 1] : 0.0;
-    data_half_[i] = cplx{re, im};
-  }
+  // lane of one N/2 complex FFT. As doubles ([complex.numbers]) that lane
+  // layout is the signal itself, so the detrended, windowed samples go
+  // straight into the buffer and only the zero-padding tail is cleared.
+  double* z = reinterpret_cast<double*>(data_half_.data());
+  for (std::size_t i = 0; i < n; ++i) z[i] = (signal[i] - offset) * window_[i];
+  std::fill(z + n, z + padded_, 0.0);
   plan_half_->forward(data_half_);
 
-  const std::size_t bins = half + 1;
-  for (std::size_t k = 0; k < bins; ++k) {
-    const std::size_t kk = k < half ? k : 0;     // k = half wraps to bin 0
-    const std::size_t mm = k == 0 ? 0 : half - k;  // mirror bin; k = 0 and half -> 0
-    const double zr = data_half_[kk].real();
-    const double zi = data_half_[kk].imag();
-    const double mr = data_half_[mm].real();
-    const double mi = -data_half_[mm].imag();  // conj(Z[half-k])
-    const double er = 0.5 * (zr + mr);         // E[k] = (Z[k] + conj(Z[m])) / 2
+  // Conjugate symmetry untangles the two real half-streams E (even) and O
+  // (odd), and the classic decimation-in-time recombination
+  // X[k] = E[k] + e^{-2πik/N}·O[k] yields the length-N real transform for
+  // k = 0..N/2 — one flat-latency FFT per push. At k = 0 and k = N/2 both
+  // halves come from Z[0]: X = Re Z[0] ± Im Z[0].
+  const std::size_t half = padded_ / 2;
+  amp_[0] = std::fabs(z[0] + z[1]) * inv_gain_;
+  amp_[half] = std::fabs(z[0] - z[1]) * inv_gain_;
+  for (std::size_t k = 1; k < half; ++k) {
+    const std::size_t m = half - k;  // mirror bin
+    const double zr = z[2 * k];
+    const double zi = z[2 * k + 1];
+    const double mr = z[2 * m];
+    const double mi = -z[2 * m + 1];     // conj(Z[half-k])
+    const double er = 0.5 * (zr + mr);   // E[k] = (Z[k] + conj(Z[m])) / 2
     const double ei = 0.5 * (zi + mi);
-    const double odd_r = 0.5 * (zi - mi);      // O[k] = -i (Z[k] - conj(Z[m])) / 2
+    const double odd_r = 0.5 * (zi - mi);  // O[k] = -i (Z[k] - conj(Z[m])) / 2
     const double odd_i = -0.5 * (zr - mr);
     const double tr = stream_tw_[k].real();
     const double ti = stream_tw_[k].imag();
     const double xr = er + tr * odd_r - ti * odd_i;
     const double xi = ei + tr * odd_i + ti * odd_r;
-    const double mag = std::sqrt(xr * xr + xi * xi);  // no hypot: amplitudes cannot overflow
-    const bool interior = (k != 0) && (k != half);
-    amp_[k] = (interior ? 2.0 : 1.0) * mag / gain_;
+    // No hypot: amplitudes cannot overflow.
+    amp_[k] = std::sqrt(xr * xr + xi * xi) * twice_inv_gain_;
   }
 }
 
@@ -133,11 +137,21 @@ void SpectrumAnalyzer::ensure_stream(std::size_t trace_length, double sample_rat
   EMTS_REQUIRE(trace_length > 0, "SpectrumAnalyzer requires a non-empty signal");
   EMTS_REQUIRE(sample_rate > 0.0, "sample_rate must be positive");
   if (trace_length != signal_length_ || sample_rate != sample_rate_) {
+    std::vector<double> window = make_window(options_.window, trace_length);
+    const double gain = coherent_gain(window);
+    // Every amplitude is scaled by 1/gain: a zero gain would turn the
+    // spectrum into NaN and a negative one (Blackman at length 1 sums to
+    // -1.4e-17) would flip its sign.
+    EMTS_REQUIRE(gain > 0.0, std::string{"SpectrumAnalyzer: the "} +
+                                 window_label(options_.window) + " window of length " +
+                                 std::to_string(trace_length) +
+                                 " has no positive coherent gain");
     ++warmups_;
     signal_length_ = trace_length;
     sample_rate_ = sample_rate;
-    window_ = make_window(options_.window, trace_length);
-    gain_ = coherent_gain(window_);
+    window_ = std::move(window);
+    inv_gain_ = 1.0 / gain;
+    twice_inv_gain_ = 2.0 / gain;
     padded_ = next_power_of_two(trace_length);
 
     const std::size_t bins = padded_ / 2 + 1;
@@ -151,9 +165,9 @@ void SpectrumAnalyzer::ensure_stream(std::size_t trace_length, double sample_rat
     const std::size_t half = padded_ / 2;
     if (half >= 1 && (!plan_half_.has_value() || plan_half_->size() != half)) {
       plan_half_.emplace(half);
-      data_half_.reserve(half);
-      stream_tw_.resize(half + 1);
-      for (std::size_t k = 0; k <= half; ++k) {
+      data_half_.resize(half);
+      stream_tw_.resize(half);
+      for (std::size_t k = 0; k < half; ++k) {
         const double angle =
             -2.0 * units::pi * static_cast<double>(k) / static_cast<double>(padded_);
         stream_tw_[k] = cplx{std::cos(angle), std::sin(angle)};
@@ -170,22 +184,35 @@ void SpectrumAnalyzer::ensure_stream(std::size_t trace_length, double sample_rat
   }
 }
 
-void SpectrumAnalyzer::stream_transform(const std::vector<double>& signal,
+void SpectrumAnalyzer::stream_transform(const std::vector<double>& signal, double mean,
                                         std::vector<double>& amp_out) {
+  // Unprepared, the length check below would pass an empty signal through
+  // to a 1-point transform over empty buffers.
+  EMTS_REQUIRE(signal_length_ != 0, "SpectrumAnalyzer::stream_transform before ensure_stream()");
   EMTS_REQUIRE(signal.size() == signal_length_,
                "SpectrumAnalyzer::stream_transform: trace length differs from ensure_stream()");
-  transform_into_amp(signal);
+  transform_into_amp(signal, mean);
   amp_out.assign(amp_.begin(), amp_.end());
 }
 
-void SpectrumAnalyzer::stream_push(const std::vector<double>& signal,
+void SpectrumAnalyzer::stream_transform(const std::vector<double>& signal,
+                                        std::vector<double>& amp_out) {
+  stream_transform(signal, signal_mean(signal), amp_out);
+}
+
+void SpectrumAnalyzer::stream_push(const std::vector<double>& signal, double mean,
                                    std::vector<double>& amp_out) {
-  stream_transform(signal, amp_out);
+  stream_transform(signal, mean, amp_out);
   EMTS_REQUIRE(stream_sum_.size() == amp_out.size(),
                "SpectrumAnalyzer::stream_push before ensure_stream()");
   for (std::size_t k = 0; k < stream_sum_.size(); ++k) stream_sum_[k] += amp_out[k];
   ++stream_count_;
   ++stream_updates_;
+}
+
+void SpectrumAnalyzer::stream_push(const std::vector<double>& signal,
+                                   std::vector<double>& amp_out) {
+  stream_push(signal, signal_mean(signal), amp_out);
 }
 
 void SpectrumAnalyzer::stream_accumulate(const std::vector<double>& amp) {

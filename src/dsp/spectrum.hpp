@@ -75,7 +75,10 @@ void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
 ///
 /// Each push is one real-split FFT (even samples in the real lane, odd in the
 /// imaginary lane of an N/2 complex transform) whose amplitudes land in a
-/// caller-owned buffer and are added into a running per-bin sum.
+/// caller-owned buffer and are added into a running per-bin sum. One pass
+/// detrends, windows and packs the signal straight into the FFT buffer; the
+/// caller may hand in the signal's mean (the runtime monitor sums each
+/// capture once, in its input gate) or let the analyzer compute it.
 /// stream_mean() divides the sum by the live count, so a window boundary
 /// costs one O(bins) pass instead of W FFTs. amplitude_spectrum and
 /// mean_spectrum are this analyzer run once per call, so a stream's mean
@@ -84,8 +87,9 @@ void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
 /// order) bounds accumulator drift and is bit-identical to re-summing the
 /// same values. The tests check the transform against an O(n^2) DFT.
 ///
-/// ensure_stream() prepares the caches for a trace length / sample rate;
-/// resizing the accumulator is only legal while it is empty
+/// ensure_stream() prepares the caches for a trace length / sample rate and
+/// refuses a window whose coherent gain is not positive (Hann and Blackman
+/// at length 1); resizing the accumulator is only legal while it is empty
 /// (stream_count() == 0) — shape changes mid-stream are a caller bug.
 class SpectrumAnalyzer {
  public:
@@ -95,9 +99,17 @@ class SpectrumAnalyzer {
 
   void ensure_stream(std::size_t trace_length, double sample_rate);
   /// Amplitude spectrum of one signal into `amp_out` (resized to bins).
+  /// `mean` is the signal's mean summed in stats::mean's order; it is
+  /// subtracted only when options().remove_mean is set.
+  void stream_transform(const std::vector<double>& signal, double mean,
+                        std::vector<double>& amp_out);
+  /// stream_transform computing the signal's mean itself.
   void stream_transform(const std::vector<double>& signal, std::vector<double>& amp_out);
   /// stream_transform + add the amplitudes into the running sum. Counts as
   /// one incremental update toward the drift-bounding rebuild cadence.
+  void stream_push(const std::vector<double>& signal, double mean,
+                   std::vector<double>& amp_out);
+  /// stream_push computing the signal's mean itself.
   void stream_push(const std::vector<double>& signal, std::vector<double>& amp_out);
   /// Adds an already-computed amplitude vector into the running sum without
   /// advancing the update counter (rebuild / restore path).
@@ -126,25 +138,25 @@ class SpectrumAnalyzer {
   std::size_t warmups() const { return warmups_; }
 
  private:
-  /// Detrend + window one signal into work_, then the real-split half-size
-  /// FFT into amp_. Every amplitude in the library comes from here, so any
-  /// two paths that push the same traces in the same order agree bit for
-  /// bit.
-  void transform_into_amp(const std::vector<double>& signal);
+  /// Detrend, window and even/odd-pack one signal straight into the FFT
+  /// buffer, then the real-split half-size FFT into amp_. Every amplitude in
+  /// the library comes from here, so any two paths that push the same
+  /// traces in the same order agree bit for bit.
+  void transform_into_amp(const std::vector<double>& signal, double mean);
 
   SpectrumOptions options_;
   std::size_t signal_length_ = 0;
   std::size_t padded_ = 0;            // signal_length_ zero-padded to 2^k
   double sample_rate_ = 0.0;
   std::vector<double> window_;        // coefficients for signal_length_
-  double gain_ = 0.0;                 // coherent gain of window_
-  std::vector<double> work_;          // detrended + windowed signal
+  double inv_gain_ = 0.0;             // 1 / coherent gain of window_ (DC, Nyquist)
+  double twice_inv_gain_ = 0.0;       // 2 / coherent gain (interior bins)
   std::vector<double> amp_;           // per-trace amplitude scratch
   Spectrum out_;                      // stream_mean() result buffer
   std::size_t warmups_ = 0;
   std::optional<FftPlan> plan_half_;  // N/2 plan for the real-split transform
   std::vector<cplx> data_half_;       // half-size FFT working buffer
-  std::vector<cplx> stream_tw_;       // untangle twiddles e^{-2πik/N}, half+1
+  std::vector<cplx> stream_tw_;       // untangle twiddles e^{-2πik/N}, k < half
   std::vector<double> stream_sum_;    // running per-bin amplitude sum
   std::size_t stream_count_ = 0;      // live traces in the running sum
   std::uint64_t stream_updates_ = 0;  // incremental ops since last rebuild

@@ -36,4 +36,18 @@ double coherent_gain(const std::vector<double>& window) {
   return std::accumulate(window.begin(), window.end(), 0.0);
 }
 
+const char* window_label(WindowKind kind) {
+  switch (kind) {
+    case WindowKind::kRectangular:
+      return "rectangular";
+    case WindowKind::kHann:
+      return "hann";
+    case WindowKind::kHamming:
+      return "hamming";
+    case WindowKind::kBlackman:
+      return "blackman";
+  }
+  return "?";
+}
+
 }  // namespace emts::dsp

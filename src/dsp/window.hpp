@@ -15,4 +15,7 @@ std::vector<double> make_window(WindowKind kind, std::size_t n);
 /// Sum of window coefficients (amplitude-correction denominator).
 double coherent_gain(const std::vector<double>& window);
 
+/// Lower-case window name ("hann", ...) for messages.
+const char* window_label(WindowKind kind);
+
 }  // namespace emts::dsp

@@ -109,13 +109,15 @@ std::vector<double> PcaModel::project(const std::vector<double>& sample) const {
 
 void PcaModel::project_into(const std::vector<double>& sample, std::vector<double>& out) const {
   EMTS_REQUIRE(sample.size() == input_dim(), "PCA project: dimension mismatch");
-  out.assign(components(), 0.0);
-  for (std::size_t c = 0; c < components(); ++c) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < input_dim(); ++j) {
-      acc += (sample[j] - mean_[j]) * basis_(j, c);
-    }
-    out[c] = acc;
+  const std::size_t k = components();
+  out.assign(k, 0.0);
+  // Row by row through the row-major basis: each out[c] still sums its
+  // terms in feature order, so the result equals the column-wise dot
+  // products bit for bit.
+  for (std::size_t j = 0; j < input_dim(); ++j) {
+    const double centered = sample[j] - mean_[j];
+    const double* row = basis_.row_data(j);
+    for (std::size_t c = 0; c < k; ++c) out[c] += centered * row[c];
   }
 }
 
@@ -141,11 +143,13 @@ std::vector<double> PcaModel::reconstruct(const std::vector<double>& projected) 
 void PcaModel::reconstruct_into(const std::vector<double>& projected,
                                 std::vector<double>& out) const {
   EMTS_REQUIRE(projected.size() == components(), "PCA reconstruct: dimension mismatch");
-  out.assign(mean_.begin(), mean_.end());
+  const std::size_t k = components();
+  out.resize(input_dim());
   for (std::size_t j = 0; j < input_dim(); ++j) {
+    const double* row = basis_.row_data(j);
     double acc = 0.0;
-    for (std::size_t c = 0; c < components(); ++c) acc += basis_(j, c) * projected[c];
-    out[j] += acc;
+    for (std::size_t c = 0; c < k; ++c) acc += row[c] * projected[c];
+    out[j] = mean_[j] + acc;
   }
 }
 

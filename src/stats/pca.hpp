@@ -55,6 +55,9 @@ class PcaModel {
 
   const std::vector<double>& feature_mean() const { return mean_; }
 
+  /// Principal directions: input_dim() x components(), one per column.
+  const linalg::Matrix& basis() const { return basis_; }
+
   /// Serializes the fitted model (mean, basis, eigenvalues) so a calibrated
   /// detector can ship without its training traces. load() restores a model
   /// whose project()/reconstruct() outputs are bit-identical to the saved one.

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "core/preprocess.hpp"
+#include "dsp/filter.hpp"
+#include "dsp/resample.hpp"
+#include "stats/descriptive.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 
@@ -85,6 +89,53 @@ TEST(Preprocessor, DecimationReducesDimension) {
   const auto f = pre.features(Trace(4096, 1.0));
   EXPECT_EQ(f.size(), 256u);
   EXPECT_EQ(pre.feature_dim(4096), 256u);
+}
+
+// features_into takes block means straight from the trace minus its mean,
+// and fills `work` only to smooth or normalise. Every option mix must equal
+// the separate passes it replaced (copy, subtract stats::mean, smooth,
+// normalise, decimate_mean_into) bit for bit, through both forms.
+TEST(Preprocessor, FeaturesEqualTheSeparatePassesBitwise) {
+  emts::Rng rng{3};
+  Trace t(1000);  // 62 blocks of 16; the partial tail block is dropped
+  for (double& v : t) v = rng.gaussian(0.4, 1.0);
+  const double mean = stats::mean(t);
+  for (bool remove_mean : {true, false}) {
+    for (std::size_t smooth : {std::size_t{1}, std::size_t{5}}) {
+      for (bool rms : {false, true}) {
+        for (std::size_t decimation : {std::size_t{1}, std::size_t{16}}) {
+          Preprocessor::Options opt{};
+          opt.remove_mean = remove_mean;
+          opt.smooth_window = smooth;
+          opt.normalize_rms = rms;
+          opt.decimation = decimation;
+
+          std::vector<double> work = t;
+          if (remove_mean) {
+            for (double& v : work) v -= mean;
+          }
+          if (smooth > 1) work = dsp::moving_average(work, smooth);
+          if (rms) {
+            double acc = 0.0;
+            for (double v : work) acc += v * v;
+            const double level = std::sqrt(acc / static_cast<double>(work.size()));
+            for (double& v : work) v /= level;
+          }
+          std::vector<double> expected = work;
+          if (decimation > 1) dsp::decimate_mean_into(work, decimation, expected);
+
+          const Preprocessor pre{opt};
+          std::vector<double> scratch;
+          std::vector<double> aux;
+          std::vector<double> aux2;
+          std::vector<double> features;
+          pre.features_into(t, mean, scratch, aux, aux2, features);
+          EXPECT_EQ(features, expected) << remove_mean << smooth << rms << decimation;
+          EXPECT_EQ(pre.features(t), expected) << remove_mean << smooth << rms << decimation;
+        }
+      }
+    }
+  }
 }
 
 TEST(Preprocessor, SmoothingReducesNoise) {

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "dft_oracle.hpp"
 #include "util/assert.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
@@ -111,6 +112,29 @@ TEST(Fft, ParsevalEnergyConserved) {
   for (const auto& x : data) freq_energy += std::norm(x);
   EXPECT_NEAR(freq_energy / static_cast<double>(n), time_energy, 1e-6 * time_energy);
 }
+
+// The kernel against a direct DFT that shares no FFT code with it, at every
+// power of two up to 4096 points: an even log2 runs radix-4 passes only, an
+// odd one a twiddle-free radix-2 pass first.
+class FftVsDft : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(FftVsDft, AgreesWithQuadraticReference) {
+  const std::size_t n = GetParam();
+  Rng rng{mix64(n)};
+  std::vector<cplx> x(n);
+  for (auto& v : x) v = cplx{rng.gaussian(), rng.gaussian()};
+
+  auto fast = x;
+  FftPlan{n}.forward(fast);
+  const auto slow = oracle::naive_dft(x);
+  for (std::size_t k = 0; k < n; ++k) {
+    EXPECT_NEAR(std::abs(fast[k] - slow[k]), 0.0, 1e-8) << "bin " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, FftVsDft,
+                         ::testing::Values<std::size_t>(1, 2, 4, 8, 16, 32, 64, 128, 256, 512,
+                                                        1024, 2048, 4096));
 
 TEST(FftPlan, RejectsBadSizes) {
   EXPECT_THROW(FftPlan{0}, emts::precondition_error);

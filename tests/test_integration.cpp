@@ -176,6 +176,34 @@ TEST(Integration, RuntimeMonitorRaisesAlarmWhenTrojanActivates) {
   EXPECT_EQ(monitor.state(), core::MonitorState::kAlarm);
 }
 
+// The monitor's input gate sums each capture once and hands that mean to
+// the preprocessor; the standalone score() computes it with stats::mean.
+// Both paths must give the same Euclidean score, bit for bit, on golden and
+// T2 captures.
+TEST(Integration, MonitorScoresEqualStandaloneEuclideanScores) {
+  Chip& c = chip();
+  std::uint64_t t = 80000;
+  const auto golden = capture_set(c, Pickup::kOnChipSensor, 24, t);
+  t += 24;
+  const auto evaluator = core::TrustEvaluator::calibrate(golden);
+  core::RuntimeMonitor monitor{c.sample_rate(), evaluator};
+  const core::EuclideanDetector& euclidean = evaluator.euclidean();
+  auto push_and_compare = [&](int pushes) {
+    for (int i = 0; i < pushes; ++i, ++t) {
+      const core::Trace trace = c.capture(true, t).onchip_v;
+      monitor.push(trace);
+      ASSERT_TRUE(monitor.last_score().has_value());
+      EXPECT_EQ(*monitor.last_score(), euclidean.score(trace)) << "capture " << t;
+    }
+  };
+  push_and_compare(20);
+  c.arm(TrojanKind::kT2Leakage);
+  push_and_compare(20);
+  c.disarm_all();
+  EXPECT_EQ(monitor.stats().scored_captures, 40u);
+  EXPECT_EQ(monitor.state(), core::MonitorState::kAlarm);
+}
+
 TEST(Integration, TrustEvaluatorEndToEndVerdicts) {
   Chip& c = chip();
   const auto eval =

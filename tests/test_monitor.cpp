@@ -521,14 +521,24 @@ TEST(RuntimeMonitor, RejectsNonFiniteSamples) {
   monitor.push(golden_trace(rng));
   const double before = *monitor.last_score();
 
+  const double inf = std::numeric_limits<double>::infinity();
   Trace nan_trace = golden_trace(rng);
   nan_trace[37] = std::nan("");
   Trace inf_trace = golden_trace(rng);
-  inf_trace[kLen - 1] = std::numeric_limits<double>::infinity();
+  inf_trace[kLen - 1] = inf;
+  Trace nan_first = golden_trace(rng);
+  nan_first[0] = std::nan("");
+  // The gate sums the capture in the same loop; it must still name the
+  // first bad sample, not a later one.
+  Trace inf_mid = golden_trace(rng);
+  inf_mid[kLen / 2] = -inf;
+  inf_mid[kLen / 2 + 3] = std::nan("");
   monitor.push(nan_trace);
   monitor.push(inf_trace);
+  monitor.push(nan_first);
+  monitor.push(inf_mid);
 
-  EXPECT_EQ(monitor.stats().traces_rejected, 2u);
+  EXPECT_EQ(monitor.stats().traces_rejected, 4u);
   EXPECT_EQ(*monitor.last_score(), before);  // nothing downstream moved
   EXPECT_EQ(monitor.stats().scored_captures, 1u);
 
@@ -537,9 +547,11 @@ TEST(RuntimeMonitor, RejectsNonFiniteSamples) {
   for (const auto& e : events) {
     if (e.kind == MonitorEventKind::kTraceRejectedNonFinite) rejected_at.push_back(e.value);
   }
-  ASSERT_EQ(rejected_at.size(), 2u);
+  ASSERT_EQ(rejected_at.size(), 4u);
   EXPECT_DOUBLE_EQ(rejected_at[0], 37.0);
   EXPECT_DOUBLE_EQ(rejected_at[1], static_cast<double>(kLen - 1));
+  EXPECT_DOUBLE_EQ(rejected_at[2], 0.0);
+  EXPECT_DOUBLE_EQ(rejected_at[3], static_cast<double>(kLen / 2));
 }
 
 TEST(TrustEvaluator, AcceptsTraceLengthMatchesFittedShape) {

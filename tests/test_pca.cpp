@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.hpp"
@@ -119,6 +120,47 @@ TEST(Pca, ProjectAllMatchesRowwiseProject) {
     const auto one = model.project({data(i, 0), data(i, 1)});
     for (std::size_t c = 0; c < model.components(); ++c) {
       EXPECT_NEAR(all(i, c), one[c], 1e-12);
+    }
+  }
+}
+
+// project_into and reconstruct_into walk the basis a row at a time; every
+// output still sums its terms in the order of the column-wise dot product,
+// so both equal that loop bit for bit, on the Gram and covariance paths.
+TEST(Pca, RowWiseProjectAndReconstructEqualColumnOrderLoopsBitwise) {
+  emts::Rng rng{29};
+  for (const auto& [n, d] : {std::pair<std::size_t, std::size_t>{40, 96}, {200, 16}}) {
+    Matrix data{n, d};
+    for (std::size_t i = 0; i < n; ++i)
+      for (std::size_t j = 0; j < d; ++j) data(i, j) = rng.gaussian(0.0, 1.0 + 0.1 * static_cast<double>(j));
+    const auto model = PcaModel::fit(data, 8);
+    const Matrix& basis = model.basis();
+    const std::vector<double>& mean = model.feature_mean();
+    const std::size_t k = model.components();
+
+    std::vector<double> projected;
+    std::vector<double> back;
+    for (int trial = 0; trial < 5; ++trial) {
+      std::vector<double> sample(d);
+      for (double& v : sample) v = rng.gaussian(0.0, 2.0);
+
+      std::vector<double> expected_projection(k);
+      for (std::size_t c = 0; c < k; ++c) {
+        double acc = 0.0;
+        for (std::size_t j = 0; j < d; ++j) acc += (sample[j] - mean[j]) * basis(j, c);
+        expected_projection[c] = acc;
+      }
+      model.project_into(sample, projected);
+      EXPECT_EQ(projected, expected_projection) << "n " << n << " trial " << trial;
+
+      std::vector<double> expected_back = mean;
+      for (std::size_t j = 0; j < d; ++j) {
+        double acc = 0.0;
+        for (std::size_t c = 0; c < k; ++c) acc += basis(j, c) * projected[c];
+        expected_back[j] += acc;
+      }
+      model.reconstruct_into(projected, back);
+      EXPECT_EQ(back, expected_back) << "n " << n << " trial " << trial;
     }
   }
 }

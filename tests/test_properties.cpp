@@ -4,9 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <complex>
 
-#include "dsp/fft.hpp"
 #include "em/biot_savart.hpp"
 #include "em/coil.hpp"
 #include "em/mutual.hpp"
@@ -15,30 +13,9 @@
 #include "stats/descriptive.hpp"
 #include "util/rng.hpp"
 #include "util/units.hpp"
-#include "dft_oracle.hpp"
 
 namespace emts {
 namespace {
-
-// ---------- FFT vs naive DFT ----------
-
-class FftVsDft : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(FftVsDft, AgreesWithQuadraticReference) {
-  const std::size_t n = GetParam();
-  Rng rng{mix64(n)};
-  std::vector<dsp::cplx> x(n);
-  for (auto& v : x) v = dsp::cplx{rng.gaussian(), rng.gaussian()};
-
-  auto fast = x;
-  dsp::FftPlan{n}.forward(fast);
-  const auto slow = oracle::naive_dft(x);
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(std::abs(fast[k] - slow[k]), 0.0, 1e-8) << "bin " << k;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sizes, FftVsDft, ::testing::Values<std::size_t>(2, 8, 32, 128, 2048));
 
 // ---------- EM reciprocity ----------
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -121,6 +122,36 @@ TEST(Spectrum, AmplitudeSpectrumRejectsEmptyInput) {
   EXPECT_THROW(amplitude_spectrum({}, 1000.0), emts::precondition_error);
 }
 
+// Every amplitude is scaled by 1/gain. The Hann and Blackman windows of
+// length 1 sum to 0 and to -1.4e-17, which turned a 1-sample spectrum into
+// NaN or a negative amplitude; the analyzer refuses them by name and length.
+TEST(Spectrum, RefusesAWindowWithoutPositiveGain) {
+  for (WindowKind kind : {WindowKind::kHann, WindowKind::kBlackman}) {
+    try {
+      amplitude_spectrum({0.7}, 1000.0, {kind, false});
+      ADD_FAILURE() << window_label(kind) << " window of length 1 was accepted";
+    } catch (const emts::precondition_error& error) {
+      const std::string message = error.what();
+      EXPECT_NE(message.find(window_label(kind)), std::string::npos) << message;
+      EXPECT_NE(message.find("length 1 "), std::string::npos) << message;
+    }
+  }
+  // Rectangular and Hamming windows of length 1 keep a positive gain.
+  EXPECT_DOUBLE_EQ(
+      amplitude_spectrum({0.7}, 1000.0, {WindowKind::kRectangular, false}).amplitude[0], 0.7);
+  EXPECT_DOUBLE_EQ(amplitude_spectrum({0.7}, 1000.0, {WindowKind::kHamming, false}).amplitude[0],
+                   0.7);
+
+  // A refused preparation leaves a prepared analyzer as it was.
+  SpectrumAnalyzer analyzer;
+  analyzer.ensure_stream(8, 1000.0);
+  EXPECT_THROW(analyzer.ensure_stream(1, 1000.0), emts::precondition_error);
+  EXPECT_EQ(analyzer.warmups(), 1u);
+  std::vector<double> amp;
+  analyzer.stream_transform(std::vector<double>(8, 1.0), amp);
+  EXPECT_EQ(amp.size(), 5u);
+}
+
 TEST(FindPeaks, DetectsInjectedTonesInBinOrder) {
   const double fs = 1024.0;
   const std::size_t n = 2048;
@@ -216,6 +247,18 @@ TEST(SpectrumAnalyzer, RewarmsOnShapeChangeOnly) {
   EXPECT_EQ(analyzer.warmups(), 2u);
   analyzer.ensure_stream(512, 2000.0);  // new rate
   EXPECT_EQ(analyzer.warmups(), 3u);
+}
+
+// An empty signal matched an unprepared analyzer's zero length and ran a
+// 1-point transform over empty buffers.
+TEST(SpectrumAnalyzer, RefusesTransformsBeforeEnsureStream) {
+  SpectrumAnalyzer analyzer;
+  std::vector<double> amp;
+  EXPECT_THROW(analyzer.stream_transform(std::vector<double>{}, amp), emts::precondition_error);
+  EXPECT_THROW(analyzer.stream_push(std::vector<double>{}, amp), emts::precondition_error);
+  EXPECT_THROW(analyzer.stream_transform(std::vector<double>(8, 1.0), amp),
+               emts::precondition_error);
+  EXPECT_TRUE(amp.empty());
 }
 
 TEST(FindPeaks, EmptyWhenThresholdAboveEverything) {
