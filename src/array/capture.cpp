@@ -29,38 +29,16 @@ Bundle BundleSet::bundle(std::size_t w) const {
 ArrayCapture::ArrayCapture(const SensorGrid& grid, const ArrayCaptureOptions& options)
     : grid_{grid}, options_{options}, chain_{options.chain, options.noise} {}
 
-std::uint64_t ArrayCapture::stream_label(const sim::Chip& chip, bool encrypting,
-                                         std::uint64_t trace_index) {
-  // Mirrors Chip::capture_stream_label exactly (the derivation is part of the
-  // capture contract — DESIGN.md §4): golden encrypting windows reduce to
-  // mix64(trace_index); idle and armed conditions decorrelate their noise.
-  std::uint64_t label = mix64(trace_index);
-  if (!encrypting) label = mix64(label ^ 0x1d1eULL);
-  if (const auto armed = chip.armed_kind()) {
-    label = mix64(label ^ (0xa63edULL + static_cast<std::uint64_t>(*armed)));
-  }
-  return label;
-}
-
 Bundle ArrayCapture::capture_bundle(const sim::Chip& chip, std::uint64_t trace_index,
                                     bool encrypting) const {
   // One physics evaluation feeds every coil, exactly like Chip::capture()
-  // feeding both pickups: compute the per-module currents once, then each
-  // sensor sums Faraday terms through its own sensitivity row.
-  const auto currents = chip.module_transients(encrypting, trace_index);
-  EMTS_REQUIRE(currents.size() == grid_.module_count(),
+  // feeding both pickups: compute the per-module current derivatives once,
+  // then each sensor sums Faraday terms through its own sensitivity row.
+  const auto didt = chip.current_derivatives(encrypting, trace_index);
+  EMTS_REQUIRE(didt.size() == grid_.module_count(),
                "sensor grid floorplan does not match the chip's floorplan");
 
-  std::vector<std::vector<double>> didt;
-  didt.reserve(currents.size());
-  for (const auto& c : currents) didt.push_back(c.derivative());
-
   const std::size_t n = chip.samples_per_trace();
-  const std::uint64_t label = stream_label(chip, encrypting, trace_index);
-  // stream_root_ is private to the chip, but it is Rng{config.seed} by
-  // construction; rebuilding it here keeps ArrayCapture a pure function of
-  // the same public capture identity.
-  const Rng root{chip.config().seed};
   const SensitivityMatrix& sens = grid_.sensitivity();
 
   Bundle bundle;
@@ -76,7 +54,7 @@ Bundle ArrayCapture::capture_bundle(const sim::Chip& chip, std::uint64_t trace_i
         emf[i] -= coupling_h * d[i];  // Faraday: v = -M dI/dt
       }
     }
-    Rng rng = root.fork(label ^ sensor_salt(s));
+    Rng rng = chip.capture_rng(encrypting, trace_index, sensor_salt(s));
     bundle.traces.push_back(chain_.measure(emf, chip.sample_rate(), rng));
   }
   return bundle;

@@ -76,12 +76,6 @@ class ArrayCapture {
                           bool encrypting = true) const;
 
  private:
-  /// Per-capture random stream label; mirrors sim::Chip's derivation so the
-  /// array's noise realizations are decorrelated across windows, conditions
-  /// and armed Trojans exactly like the spiral's.
-  static std::uint64_t stream_label(const sim::Chip& chip, bool encrypting,
-                                    std::uint64_t trace_index);
-
   const SensorGrid& grid_;
   ArrayCaptureOptions options_;
   sensor::MeasurementChain chain_;

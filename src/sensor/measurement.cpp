@@ -29,11 +29,13 @@ std::vector<double> MeasurementChain::measure(const std::vector<double>& emf_v,
   const std::size_t n = emf_v.size();
   std::vector<double> signal = emf_v;
 
-  // Coil-referred noise is injected before the amplifier.
-  const double env_rms = noise_.environment_rms_v * noise_.environment_pickup;
-  for (std::size_t i = 0; i < n; ++i) {
-    signal[i] += rng.gaussian(0.0, noise_.thermal_rms_v);
-    if (env_rms > 0.0) signal[i] += rng.gaussian(0.0, env_rms);
+  // Coil-referred noise is injected before the amplifier. Thermal and
+  // ambient noise are independent normals, so their sum is one normal with
+  // the root-sum-square rms: one draw per sample.
+  const double noise_rms = std::hypot(noise_.thermal_rms_v,
+                                      noise_.environment_rms_v * noise_.environment_pickup);
+  if (noise_rms > 0.0) {
+    for (double& v : signal) v += noise_rms * rng.gaussian();
   }
 
   // Narrowband interferers arrive with random phase each capture.

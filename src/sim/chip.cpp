@@ -232,61 +232,68 @@ std::vector<power::CurrentTrace> Chip::module_transients(bool encrypting,
   return currents;
 }
 
-std::vector<double> Chip::raw_emf(Pickup pickup, bool encrypting,
-                                  std::uint64_t trace_index) const {
+std::vector<std::vector<double>> Chip::current_derivatives(bool encrypting,
+                                                           std::uint64_t trace_index) const {
   const auto currents = module_transients(encrypting, trace_index);
+  std::vector<std::vector<double>> didt;
+  didt.reserve(currents.size());
+  for (const auto& c : currents) didt.push_back(c.derivative());
+  return didt;
+}
+
+std::vector<double> Chip::pickup_emf(Pickup pickup,
+                                     const std::vector<std::vector<double>>& didt) const {
   std::vector<double> emf(samples_per_trace(), 0.0);
   for (std::size_t m = 0; m < sources_.size(); ++m) {
     const double coupling_h =
         pickup == Pickup::kOnChipSensor ? sources_[m].m_onchip : sources_[m].m_external;
-    if (coupling_h == 0.0) continue;
-    const auto didt = currents[m].derivative();
     for (std::size_t i = 0; i < emf.size(); ++i) {
-      emf[i] -= coupling_h * didt[i];  // Faraday: v = -M dI/dt
+      emf[i] -= coupling_h * didt[m][i];  // Faraday: v = -M dI/dt
     }
   }
   return emf;
 }
 
-std::uint64_t Chip::capture_stream_label(bool encrypting, std::uint64_t trace_index) const {
-  // Splittable per-capture stream derivation: a pure function of
-  // (seed via stream_root_, trace_index, encrypting, armed Trojan). Folding
-  // the capture conditions in decorrelates the noise realizations of signal
-  // vs. idle windows and golden vs. infected populations at the same index.
-  // The golden encrypting case deliberately reduces to the historical
-  // mix64(trace_index) so calibration sets stay bit-identical across PRs.
+std::vector<double> Chip::raw_emf(Pickup pickup, bool encrypting,
+                                  std::uint64_t trace_index) const {
+  return pickup_emf(pickup, current_derivatives(encrypting, trace_index));
+}
+
+Rng Chip::capture_rng(bool encrypting, std::uint64_t trace_index, std::uint64_t salt) const {
+  // Splittable per-capture stream derivation; the golden encrypting case
+  // reduces to mix64(trace_index). A label fixes a stream, not a noise
+  // realization: changing the sampler or how a chain draws from its stream
+  // changes every capture's bits (DESIGN.md §4c).
   std::uint64_t label = mix64(trace_index);
   if (!encrypting) label = mix64(label ^ 0x1d1eULL);
   if (const auto armed = armed_kind()) {
     label = mix64(label ^ (0xa63edULL + static_cast<std::uint64_t>(*armed)));
   }
-  return label;
+  return stream_root_.fork(label ^ salt);
+}
+
+std::vector<double> Chip::measure_pickup(Pickup pickup,
+                                         const std::vector<std::vector<double>>& didt,
+                                         bool encrypting, std::uint64_t trace_index) const {
+  const bool onchip = pickup == Pickup::kOnChipSensor;
+  Rng rng = capture_rng(encrypting, trace_index, onchip ? 0x0c1ULL : 0xe72ULL);
+  const sensor::MeasurementChain& chain = onchip ? onchip_chain_ : external_chain_;
+  return chain.measure(pickup_emf(pickup, didt), sample_rate(), rng);
 }
 
 Acquisition Chip::capture(bool encrypting, std::uint64_t trace_index) const {
   // Both pickups observe the same physical currents; compute them once.
-  const auto currents = module_transients(encrypting, trace_index);
-  std::vector<std::vector<double>> didt;
-  didt.reserve(currents.size());
-  for (const auto& c : currents) didt.push_back(c.derivative());
-
-  const std::size_t n = samples_per_trace();
-  std::vector<double> emf_onchip(n, 0.0);
-  std::vector<double> emf_external(n, 0.0);
-  for (std::size_t m = 0; m < sources_.size(); ++m) {
-    for (std::size_t i = 0; i < n; ++i) {
-      emf_onchip[i] -= sources_[m].m_onchip * didt[m][i];
-      emf_external[i] -= sources_[m].m_external * didt[m][i];
-    }
-  }
-
+  const auto didt = current_derivatives(encrypting, trace_index);
   Acquisition acq;
-  const std::uint64_t label = capture_stream_label(encrypting, trace_index);
-  Rng onchip_rng = stream_root_.fork(label ^ 0x0c1ULL);
-  Rng external_rng = stream_root_.fork(label ^ 0xe72ULL);
-  acq.onchip_v = onchip_chain_.measure(emf_onchip, sample_rate(), onchip_rng);
-  acq.external_v = external_chain_.measure(emf_external, sample_rate(), external_rng);
+  acq.onchip_v = measure_pickup(Pickup::kOnChipSensor, didt, encrypting, trace_index);
+  acq.external_v = measure_pickup(Pickup::kExternalProbe, didt, encrypting, trace_index);
   return acq;
+}
+
+std::vector<double> Chip::capture(Pickup pickup, bool encrypting,
+                                  std::uint64_t trace_index) const {
+  return measure_pickup(pickup, current_derivatives(encrypting, trace_index), encrypting,
+                        trace_index);
 }
 
 }  // namespace emts::sim

@@ -76,11 +76,6 @@ struct Acquisition {
   const std::vector<double>& of(Pickup pickup) const {
     return pickup == Pickup::kOnChipSensor ? onchip_v : external_v;
   }
-  std::vector<double>& of(Pickup pickup) {
-    return pickup == Pickup::kOnChipSensor ? onchip_v : external_v;
-  }
-  /// Moves one pickup's trace out of the acquisition.
-  std::vector<double> take(Pickup pickup) { return std::move(of(pickup)); }
 };
 
 class Chip {
@@ -109,6 +104,17 @@ class Chip {
   /// concurrently on one chip as long as no arm()/disarm_all() races them.
   Acquisition capture(bool encrypting, std::uint64_t trace_index) const;
 
+  /// Records one window on one pickup only: bit-identical to
+  /// capture(encrypting, trace_index).of(pickup), without measuring the other.
+  std::vector<double> capture(Pickup pickup, bool encrypting, std::uint64_t trace_index) const;
+
+  /// The noise stream of one capture for one pickup or array coil, named by
+  /// `salt`: a pure function of (config.seed, trace_index, encrypting, armed
+  /// Trojan, salt). The label folds the capture conditions in, so signal vs.
+  /// idle windows and golden vs. infected populations at one index draw
+  /// decorrelated noise. Every measurement chain's draws come from here.
+  Rng capture_rng(bool encrypting, std::uint64_t trace_index, std::uint64_t salt) const;
+
   /// Induced emf at the coil terminals before the measurement chain — used
   /// by physics-level tests and the coupling benches.
   std::vector<double> raw_emf(Pickup pickup, bool encrypting, std::uint64_t trace_index) const;
@@ -133,6 +139,11 @@ class Chip {
   std::vector<power::CurrentTrace> module_transients(bool encrypting,
                                                      std::uint64_t trace_index) const;
 
+  /// dI/dt of every module_transients() trace: the one physics evaluation
+  /// that both pickups and every array coil of a window share.
+  std::vector<std::vector<double>> current_derivatives(bool encrypting,
+                                                       std::uint64_t trace_index) const;
+
   /// The plaintexts the AES core encrypts during window `trace_index`, in
   /// execution order (one per kCyclesPerEncryption slot; the window tail
   /// idles). With the fixed challenge workload this list is identical for
@@ -147,10 +158,15 @@ class Chip {
     double m_external = 0.0;  // coupling into the probe, H
   };
 
-  /// Label of the per-capture random stream: a splittable pure function of
-  /// (trace_index, encrypting, armed Trojan). The golden encrypting case
-  /// reduces to mix64(trace_index), keeping calibrated figures stable.
-  std::uint64_t capture_stream_label(bool encrypting, std::uint64_t trace_index) const;
+  /// Faraday emf induced in one pickup by the given current derivatives.
+  std::vector<double> pickup_emf(Pickup pickup,
+                                 const std::vector<std::vector<double>>& didt) const;
+
+  /// One pickup's recorded trace: its emf through its measurement chain,
+  /// with noise from the pickup's own capture stream.
+  std::vector<double> measure_pickup(Pickup pickup,
+                                     const std::vector<std::vector<double>>& didt,
+                                     bool encrypting, std::uint64_t trace_index) const;
 
   // The physics model below is immutable after construction; the only
   // mutable state is the Trojans' armed flag (arm()/disarm_all()). All

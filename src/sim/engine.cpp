@@ -135,7 +135,7 @@ core::TraceSet CaptureEngine::capture_batch(const Chip& chip, Pickup pickup, std
                                             std::uint64_t first_index, bool encrypting) const {
   std::vector<core::Trace> slots(count);
   parallel_for(count, [&](std::size_t i) {
-    slots[i] = chip.capture(encrypting, first_index + i).take(pickup);
+    slots[i] = chip.capture(pickup, encrypting, first_index + i);
   });
   core::TraceSet set;
   set.sample_rate = chip.sample_rate();
@@ -169,10 +169,10 @@ double CaptureEngine::snr_batch(const Chip& chip, Pickup pickup, std::size_t win
   // same indices the serial measured_snr_db helper always used.
   parallel_for(2 * windows, [&](std::size_t i) {
     if (i < windows) {
-      sig[i] = chip.capture(true, base + i).take(pickup);
+      sig[i] = chip.capture(pickup, true, base + i);
     } else {
       const std::size_t t = i - windows;
-      noi[t] = chip.capture(false, base + windows + t).take(pickup);
+      noi[t] = chip.capture(pickup, false, base + windows + t);
     }
   });
   std::vector<double> signal;

@@ -1,10 +1,47 @@
 #include "util/rng.hpp"
 
+#include <array>
 #include <cmath>
 
 #include "util/assert.hpp"
 
 namespace emts {
+
+namespace {
+
+// Ziggurat for the standard normal (Marsaglia & Tsang, J. Stat. Softw. 5(8),
+// 2000): 128 layers of equal area v under f(x) = exp(-x^2 / 2). Layer i is
+// the rectangle [0, x[i]) x [f[i], f[i + 1]); the base layer's part beyond r
+// stands for the tail, whose area is v - r f(r).
+constexpr std::size_t kZigguratLayers = 128;
+constexpr double kZigguratR = 3.442619855899;
+constexpr double kZigguratV = 9.91256303526217e-3;
+
+struct ZigguratTables {
+  std::array<double, kZigguratLayers + 1> x{};  // x[0] = v / f(r), x[1] = r, x[128] = 0
+  std::array<double, kZigguratLayers + 1> f{};  // f(x[i]); f[0] = 0, the axis
+};
+
+const ZigguratTables& ziggurat_tables() {
+  // Built once, on first use: a function-local static is thread-safe and
+  // has no static-initialisation-order hazard.
+  static const ZigguratTables tables = [] {
+    ZigguratTables t;
+    t.x[0] = kZigguratV / std::exp(-0.5 * kZigguratR * kZigguratR);
+    t.x[1] = kZigguratR;
+    for (std::size_t i = 1; i + 1 < kZigguratLayers; ++i) {
+      // x[i + 1] = f^-1(f(x[i]) + v / x[i]): layer i has area v.
+      t.x[i + 1] =
+          std::sqrt(-2.0 * std::log(kZigguratV / t.x[i] + std::exp(-0.5 * t.x[i] * t.x[i])));
+    }
+    t.x[kZigguratLayers] = 0.0;
+    for (std::size_t i = 1; i <= kZigguratLayers; ++i) t.f[i] = std::exp(-0.5 * t.x[i] * t.x[i]);
+    return t;
+  }();
+  return tables;
+}
+
+}  // namespace
 
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
@@ -51,21 +88,32 @@ std::uint32_t Rng::uniform_below(std::uint32_t n) {
 }
 
 double Rng::gaussian() {
-  if (has_cached_gaussian_) {
-    has_cached_gaussian_ = false;
-    return cached_gaussian_;
+  const ZigguratTables& z = ziggurat_tables();
+  for (;;) {
+    // One draw picks the layer (bits 0-6), the sign (bit 7) and a 53-bit
+    // uniform position across the layer (bits 11-63).
+    const std::uint64_t bits = next_u64();
+    const auto layer = static_cast<std::size_t>(bits & 0x7fu);
+    const bool negative = (bits & 0x80u) != 0;
+    const double x = static_cast<double>(bits >> 11) * 0x1.0p-53 * z.x[layer];
+    // Fast path: under the layer above, so under the curve at any height.
+    if (x < z.x[layer + 1]) return negative ? -x : x;
+    if (layer == 0) {
+      // The base layer's overhang is the tail beyond r (Marsaglia 1964):
+      // exponential proposals, accepted when 2y >= t^2.
+      double t = 0.0;
+      double y = 0.0;
+      do {
+        t = -std::log(1.0 - uniform()) / kZigguratR;
+        y = -std::log(1.0 - uniform());
+      } while (y + y < t * t);
+      return negative ? -(kZigguratR + t) : kZigguratR + t;
+    }
+    // Wedge between the layer's rectangle and the curve: accept if a uniform
+    // height in the layer lies under f(x); otherwise draw again.
+    const double height = z.f[layer] + uniform() * (z.f[layer + 1] - z.f[layer]);
+    if (height < std::exp(-0.5 * x * x)) return negative ? -x : x;
   }
-  // Box–Muller; u1 in (0,1] to keep log finite.
-  double u1 = 0.0;
-  do {
-    u1 = uniform();
-  } while (u1 <= 0.0);
-  const double u2 = uniform();
-  const double radius = std::sqrt(-2.0 * std::log(u1));
-  const double angle = 2.0 * 3.14159265358979323846 * u2;
-  cached_gaussian_ = radius * std::sin(angle);
-  has_cached_gaussian_ = true;
-  return radius * std::cos(angle);
 }
 
 double Rng::gaussian(double mean, double stddev) {

@@ -34,7 +34,9 @@ class Rng {
   /// Uniform integer in [0, n). Requires n > 0. Unbiased (rejection).
   std::uint32_t uniform_below(std::uint32_t n);
 
-  /// Standard normal draw (Box–Muller with caching).
+  /// Standard normal draw: a 128-layer ziggurat (Marsaglia & Tsang, J. Stat.
+  /// Softw. 5(8), 2000). About 97 % of draws cost one next_u64() and no
+  /// log, exp or trig; the rest take the wedge or tail path.
   double gaussian();
 
   /// Normal draw with the given mean and standard deviation.
@@ -53,8 +55,6 @@ class Rng {
  private:
   std::uint64_t state_;
   std::uint64_t inc_;
-  double cached_gaussian_ = 0.0;
-  bool has_cached_gaussian_ = false;
 };
 
 /// Stable 64-bit mix (SplitMix64 finalizer); used to derive seeds from labels.

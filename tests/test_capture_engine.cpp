@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -114,6 +115,33 @@ TEST(CaptureEngine, PairBatchMatchesSinglePickupBatches) {
                    engine.capture_batch(chip, sim::Pickup::kOnChipSensor, 12, 77));
   expect_identical(pair.external,
                    engine.capture_batch(chip, sim::Pickup::kExternalProbe, 12, 77));
+}
+
+// The single-pickup capture measures only the pickup it is asked for, from
+// the same physics and the same per-pickup noise stream as capture(): bit for
+// bit the pair's trace, for both pickups, encrypting and idle, golden and
+// with each Trojan armed.
+TEST(CaptureEngine, SinglePickupCaptureEqualsPairCapture) {
+  sim::Chip chip{sim::make_default_config()};
+  std::vector<std::optional<trojan::TrojanKind>> conditions{std::nullopt};
+  for (const auto kind : trojan::kAllTrojanKinds) conditions.emplace_back(kind);
+  for (const auto& armed : conditions) {
+    if (armed) {
+      chip.arm(*armed);
+    } else {
+      chip.disarm_all();
+    }
+    for (const bool encrypting : {true, false}) {
+      for (const std::uint64_t index : {3ull, 4099ull}) {
+        const sim::Acquisition pair = chip.capture(encrypting, index);
+        for (const auto pickup : {sim::Pickup::kOnChipSensor, sim::Pickup::kExternalProbe}) {
+          EXPECT_EQ(chip.capture(pickup, encrypting, index), pair.of(pickup))
+              << "armed " << (armed ? static_cast<int>(*armed) : -1) << " encrypting "
+              << encrypting << " index " << index << " pickup " << static_cast<int>(pickup);
+        }
+      }
+    }
+  }
 }
 
 // snr_batch is the paper's recipe (signal windows then idle windows) run

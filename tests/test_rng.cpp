@@ -8,6 +8,7 @@
 #include <bit>
 #include <cmath>
 #include <set>
+#include <vector>
 
 namespace emts {
 namespace {
@@ -87,6 +88,119 @@ TEST(Rng, GaussianMomentsMatchStandardNormal) {
   const double var = sumsq / n - mean * mean;
   EXPECT_NEAR(mean, 0.0, 0.01);
   EXPECT_NEAR(var, 1.0, 0.02);
+}
+
+// 10^6 standard normal draws from one seeded stream.
+std::vector<double> normal_draws(std::uint64_t seed) {
+  Rng rng{seed};
+  std::vector<double> z(1000000);
+  for (double& v : z) v = rng.gaussian();
+  return z;
+}
+
+// The ziggurat's base layer edge: draws beyond it come from the tail path.
+constexpr double kZigguratR = 3.442619855899;
+
+// Kolmogorov–Smirnov distance of a sorted sample from `cdf`.
+template <class Cdf>
+double ks_distance(const std::vector<double>& sorted, Cdf cdf) {
+  const double n = static_cast<double>(sorted.size());
+  double distance = 0.0;
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    const double f = cdf(sorted[i]);
+    distance = std::max({distance, static_cast<double>(i + 1) / n - f,
+                         f - static_cast<double>(i) / n});
+  }
+  return distance;
+}
+
+// KS critical value at alpha = 0.001: sqrt(-ln(alpha / 2) / 2) / sqrt(n).
+double ks_critical(std::size_t n) {
+  return std::sqrt(-0.5 * std::log(0.0005)) / std::sqrt(static_cast<double>(n));
+}
+
+TEST(Rng, GaussianPassesKolmogorovSmirnovAgainstPhi) {
+  std::vector<double> z = normal_draws(2028);
+  std::sort(z.begin(), z.end());
+  const auto phi = [](double x) { return 0.5 * std::erfc(-x / std::sqrt(2.0)); };
+  EXPECT_LT(ks_distance(z, phi), ks_critical(z.size()));
+}
+
+TEST(Rng, GaussianTailHasTheNormalShare) {
+  const std::vector<double> z = normal_draws(2029);
+  const double n = static_cast<double>(z.size());
+  double beyond = 0.0;
+  double largest = 0.0;
+  for (const double v : z) {
+    if (std::abs(v) > kZigguratR) beyond += 1.0;
+    largest = std::max(largest, std::abs(v));
+  }
+  const double p = std::erfc(kZigguratR / std::sqrt(2.0));  // 5.76e-4
+  EXPECT_NEAR(beyond, n * p, 5.0 * std::sqrt(n * p * (1.0 - p)));
+  EXPECT_GT(largest, 4.5);  // the tail path ran
+}
+
+// Draws beyond r come only from the tail path, whose accept step shapes them:
+// their conditional distribution must be the normal's tail. 10^7 draws give
+// about 5,800 tail draws; accepting every exponential proposal reads a KS
+// distance near 0.04 against a critical value of 0.026.
+TEST(Rng, GaussianTailFollowsTheNormalTailBeyondR) {
+  Rng rng{2032};
+  std::vector<double> tail;
+  for (int i = 0; i < 10000000; ++i) {
+    const double a = std::abs(rng.gaussian());
+    if (a > kZigguratR) tail.push_back(a);
+  }
+  ASSERT_GT(tail.size(), 5000u);
+  std::sort(tail.begin(), tail.end());
+  const double beyond_r = std::erfc(kZigguratR / std::sqrt(2.0));
+  const auto tail_cdf = [beyond_r](double a) {
+    return 1.0 - std::erfc(a / std::sqrt(2.0)) / beyond_r;
+  };
+  EXPECT_LT(ks_distance(tail, tail_cdf), ks_critical(tail.size()));
+}
+
+// Below r each band of |z| is drawn partly by the fast path and partly by
+// the wedge test of the layer whose edge falls inside it, so a wrong wedge
+// shows as a band share off Phi (up to 40 % off just below r) long before the
+// KS distance notices it.
+TEST(Rng, GaussianBandSharesMatchPhi) {
+  const std::vector<double> z = normal_draws(2031);
+  const std::vector<double> edges{0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, kZigguratR};
+  std::vector<double> counts(edges.size() - 1, 0.0);
+  for (const double v : z) {
+    const double a = std::abs(v);
+    for (std::size_t b = 0; b + 1 < edges.size(); ++b) {
+      if (a >= edges[b] && a < edges[b + 1]) counts[b] += 1.0;
+    }
+  }
+  const double n = static_cast<double>(z.size());
+  for (std::size_t b = 0; b + 1 < edges.size(); ++b) {
+    const double p =
+        std::erfc(edges[b] / std::sqrt(2.0)) - std::erfc(edges[b + 1] / std::sqrt(2.0));
+    EXPECT_NEAR(counts[b], n * p, 5.0 * std::sqrt(n * p * (1.0 - p)))
+        << "|z| in [" << edges[b] << ", " << edges[b + 1] << ")";
+  }
+}
+
+TEST(Rng, GaussianSignsAreBalanced) {
+  const std::vector<double> z = normal_draws(2030);
+  double positive = 0.0;
+  double tail = 0.0;
+  double tail_positive = 0.0;
+  for (const double v : z) {
+    if (v > 0.0) positive += 1.0;
+    if (std::abs(v) > kZigguratR) {
+      tail += 1.0;
+      if (v > 0.0) tail_positive += 1.0;
+    }
+  }
+  // Binomial(n, 1/2) counts: 5 sigma is 2.5 sqrt(n). The tail path returns
+  // through its own branch, so its signs are checked on their own.
+  const double n = static_cast<double>(z.size());
+  EXPECT_NEAR(positive, 0.5 * n, 2.5 * std::sqrt(n));
+  ASSERT_GT(tail, 0.0);
+  EXPECT_NEAR(tail_positive, 0.5 * tail, 2.5 * std::sqrt(tail));
 }
 
 TEST(Rng, GaussianScalesMeanAndStddev) {

@@ -56,6 +56,31 @@ TEST(MeasurementChain, NoiseHasConfiguredRms) {
   EXPECT_NEAR(stats::rms(out), 0.5e-3, 0.02e-3);
 }
 
+TEST(MeasurementChain, ThermalAndAmbientNoiseAddInQuadrature) {
+  ChainSpec chain = ideal_chain();
+  NoiseSpec noise = no_noise();
+  noise.thermal_rms_v = 0.3e-3;
+  noise.environment_rms_v = 1e-3;
+  noise.environment_pickup = 0.4;
+  const MeasurementChain mc{chain, noise};
+  emts::Rng rng{12};
+  const auto out = mc.measure(std::vector<double>(100000, 0.0), 1e9, rng);
+  const double expected = std::hypot(0.3e-3, 1e-3 * 0.4);  // 0.5 mV
+  EXPECT_NEAR(stats::rms(out), expected, 0.02 * expected);
+}
+
+TEST(MeasurementChain, NoiselessChainDrawsNothing) {
+  const MeasurementChain mc{ideal_chain(), no_noise()};
+  const std::vector<double> emf{0.1, -0.2, 0.3, 0.0, 0.05};
+  emts::Rng rng{13};
+  emts::Rng untouched = rng;
+  emts::Rng other{14};
+  const auto out = mc.measure(emf, 1e9, rng);
+  EXPECT_EQ(out, mc.measure(emf, 1e9, other));
+  for (std::size_t i = 0; i < emf.size(); ++i) EXPECT_NEAR(out[i], emf[i], 1e-9);
+  for (int i = 0; i < 8; ++i) EXPECT_EQ(rng.next_u64(), untouched.next_u64());
+}
+
 TEST(MeasurementChain, PickupFactorScalesAmbient) {
   ChainSpec chain = ideal_chain();
   NoiseSpec shielded = no_noise();
