@@ -1,5 +1,6 @@
 #include "array/capture.hpp"
 
+#include <span>
 #include <utility>
 
 #include "util/assert.hpp"
@@ -17,45 +18,29 @@ std::uint64_t sensor_salt(std::size_t sensor) {
 
 }  // namespace
 
-Bundle BundleSet::bundle(std::size_t w) const {
-  EMTS_ASSERT(w < windows());
-  Bundle out;
-  out.sample_rate = sample_rate;
-  out.traces.reserve(per_sensor.size());
-  for (const core::TraceSet& set : per_sensor) out.traces.push_back(set.traces[w]);
-  return out;
-}
-
 ArrayCapture::ArrayCapture(const SensorGrid& grid, const ArrayCaptureOptions& options)
     : grid_{grid}, options_{options}, chain_{options.chain, options.noise} {}
 
 Bundle ArrayCapture::capture_bundle(const sim::Chip& chip, std::uint64_t trace_index,
                                     bool encrypting) const {
   // One physics evaluation feeds every coil, exactly like Chip::capture()
-  // feeding both pickups: compute the per-module current derivatives once,
+  // feeding both pickups: take the per-module current derivatives once,
   // then each sensor sums Faraday terms through its own sensitivity row.
-  const auto didt = chip.current_derivatives(encrypting, trace_index);
+  const sim::ModuleDerivatives didt = chip.current_derivatives(encrypting, trace_index);
   EMTS_REQUIRE(didt.size() == grid_.module_count(),
                "sensor grid floorplan does not match the chip's floorplan");
 
-  const std::size_t n = chip.samples_per_trace();
-  const SensitivityMatrix& sens = grid_.sensitivity();
+  const std::size_t modules = didt.size();
+  const std::span<const double> sens{grid_.sensitivity().values()};  // sensors x modules
 
   Bundle bundle;
   bundle.sample_rate = chip.sample_rate();
   bundle.traces.reserve(grid_.sensor_count());
   for (std::size_t s = 0; s < grid_.sensor_count(); ++s) {
-    std::vector<double> emf(n, 0.0);
-    for (std::size_t m = 0; m < didt.size(); ++m) {
-      const double coupling_h = sens.at(s, m);
-      if (coupling_h == 0.0) continue;
-      const std::vector<double>& d = didt[m];
-      for (std::size_t i = 0; i < n; ++i) {
-        emf[i] -= coupling_h * d[i];  // Faraday: v = -M dI/dt
-      }
-    }
+    std::vector<double> emf(chip.samples_per_trace());
+    sim::faraday_emf(sens.subspan(s * modules, modules), didt, emf);
     Rng rng = chip.capture_rng(encrypting, trace_index, sensor_salt(s));
-    bundle.traces.push_back(chain_.measure(emf, chip.sample_rate(), rng));
+    bundle.traces.push_back(chain_.measure(std::move(emf), chip.sample_rate(), rng));
   }
   return bundle;
 }

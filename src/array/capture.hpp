@@ -1,10 +1,11 @@
 // Array acquisition: one (seed, trace_index) realization observed by every
-// grid coil at once. The physics of a window — the per-module transient
-// supply currents — is computed exactly once; each sensor then sees the same
-// switching activity through its own row of the sensitivity matrix plus its
-// own deterministic noise stream, so bundles are bit-reproducible across
-// runs and thread counts (the new CaptureEngine batch axis: N correlated
-// traces per window instead of one).
+// grid coil at once. The physics of a window — the per-module current
+// derivatives, read from the chip (see sim::Chip::current_derivatives) — is
+// taken exactly once; each sensor then sees the same switching activity
+// through its own row of the sensitivity matrix plus its own deterministic
+// noise stream, so bundles are bit-reproducible across runs and thread
+// counts (the CaptureEngine batch axis: N correlated traces per window
+// instead of one).
 #pragma once
 
 #include <cstdint>
@@ -34,9 +35,6 @@ struct BundleSet {
 
   std::size_t sensor_count() const { return per_sensor.size(); }
   std::size_t windows() const { return per_sensor.empty() ? 0 : per_sensor.front().size(); }
-
-  /// Bundle view of window `w` (copies the per-sensor traces).
-  Bundle bundle(std::size_t w) const;
 };
 
 struct ArrayCaptureOptions {

@@ -31,31 +31,33 @@ ArrayMonitor::ArrayMonitor(const SensorGrid& grid, const ArrayCalibration& calib
   spectral_latched_.assign(sessions_.size(), false);
 }
 
-core::MonitorState ArrayMonitor::push_bundle(const Bundle& bundle) {
-  EMTS_REQUIRE(bundle.sensor_count() == sessions_.size(),
-               "ArrayMonitor: bundle sensor count does not match the grid");
-  for (std::size_t s = 0; s < sessions_.size(); ++s) {
-    const std::uint64_t passes_before = sessions_[s].stats().spectral_passes;
-    sessions_[s].push(bundle.traces[s]);
-    residual_sums_[s] += residual_energy(bundle.traces[s], golden_means_[s]);
-    if (sessions_[s].stats().spectral_passes > passes_before) {
-      const auto& spectral = sessions_[s].last_spectral();
-      // anomalies are sorted strongest first, so front() carries the gate.
-      const bool anomalous = spectral.has_value() && spectral->anomalous() &&
-                             spectral->anomalies.front().ratio >= options_.spectral_ratio_gate;
-      spectral_runs_[s] = anomalous ? spectral_runs_[s] + 1 : 0;
-      if (spectral_runs_[s] >= options_.spectral_debounce) spectral_latched_[s] = true;
+core::MonitorState ArrayMonitor::push_bundles(const BundleSet& bundles) {
+  const std::size_t windows = bundles.windows();
+  if (windows > 0) {
+    EMTS_REQUIRE(bundles.sensor_count() == sessions_.size(),
+                 "ArrayMonitor: bundle sensor count does not match the grid");
+    for (const core::TraceSet& set : bundles.per_sensor) {
+      EMTS_REQUIRE(set.size() == windows, "ArrayMonitor: per-sensor window counts differ");
     }
   }
-  ++bundles_seen_;
+  for (std::size_t w = 0; w < windows; ++w) {
+    for (std::size_t s = 0; s < sessions_.size(); ++s) {
+      const core::Trace& trace = bundles.per_sensor[s].traces[w];
+      const std::uint64_t passes_before = sessions_[s].stats().spectral_passes;
+      sessions_[s].push(trace);
+      residual_sums_[s] += residual_energy(trace, golden_means_[s]);
+      if (sessions_[s].stats().spectral_passes > passes_before) {
+        const auto& spectral = sessions_[s].last_spectral();
+        // anomalies are sorted strongest first, so front() carries the gate.
+        const bool anomalous = spectral.has_value() && spectral->anomalous() &&
+                               spectral->anomalies.front().ratio >= options_.spectral_ratio_gate;
+        spectral_runs_[s] = anomalous ? spectral_runs_[s] + 1 : 0;
+        if (spectral_runs_[s] >= options_.spectral_debounce) spectral_latched_[s] = true;
+      }
+    }
+    ++bundles_seen_;
+  }
   return any_alarm() ? core::MonitorState::kAlarm : core::MonitorState::kMonitoring;
-}
-
-core::MonitorState ArrayMonitor::push_bundles(const BundleSet& bundles) {
-  core::MonitorState state =
-      any_alarm() ? core::MonitorState::kAlarm : core::MonitorState::kMonitoring;
-  for (std::size_t w = 0; w < bundles.windows(); ++w) state = push_bundle(bundles.bundle(w));
-  return state;
 }
 
 bool ArrayMonitor::any_alarm() const {

@@ -47,12 +47,10 @@ class ArrayMonitor {
   const SensorGrid& grid() const { return grid_; }
   std::size_t sensor_count() const { return sessions_.size(); }
 
-  /// Feeds one bundle: trace s goes to session s, in order, and each coil's
+  /// Feeds a batch window by window: window w's trace from sensor s goes to
+  /// session s, in sensor order, straight from the set, and each coil's
   /// residual energy against its golden mean joins the anomaly accumulator.
   /// Returns kAlarm if any session is alarmed, else kMonitoring.
-  core::MonitorState push_bundle(const Bundle& bundle);
-
-  /// Feeds a whole batch bundle-by-bundle (window order preserved).
   core::MonitorState push_bundles(const BundleSet& bundles);
 
   /// Any session latched in alarm, or any coil's spectral latch set (see

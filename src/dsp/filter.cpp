@@ -40,11 +40,6 @@ OnePoleLowPass::OnePoleLowPass(double cutoff_hz, double sample_rate) : alpha_{0.
   alpha_ = 1.0 - std::exp(-2.0 * units::pi * cutoff_hz / sample_rate);
 }
 
-double OnePoleLowPass::step(double x) {
-  state_ += alpha_ * (x - state_);
-  return state_;
-}
-
 std::vector<double> OnePoleLowPass::process(const std::vector<double>& signal) {
   reset();
   std::vector<double> out(signal.size());

@@ -23,7 +23,10 @@ class OnePoleLowPass {
   OnePoleLowPass(double cutoff_hz, double sample_rate);
 
   /// Processes one sample, carrying state across calls.
-  double step(double x);
+  double step(double x) {
+    state_ += alpha_ * (x - state_);
+    return state_;
+  }
 
   /// Filters a whole signal starting from zero state.
   std::vector<double> process(const std::vector<double>& signal);

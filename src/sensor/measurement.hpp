@@ -44,9 +44,10 @@ class MeasurementChain {
   MeasurementChain(const ChainSpec& chain, const NoiseSpec& noise);
 
   /// Processes an induced-emf waveform (volts at the coil terminals) into
-  /// the recorded trace. Noise draws come from `rng`, so captures are
+  /// the recorded trace, in place: move the emf in and the trace comes back
+  /// in its buffer. Noise draws come from `rng`, so captures are
   /// reproducible per trace seed.
-  std::vector<double> measure(const std::vector<double>& emf_v, double sample_rate,
+  std::vector<double> measure(std::vector<double> emf_v, double sample_rate,
                               emts::Rng& rng) const;
 
   const ChainSpec& chain() const { return chain_; }

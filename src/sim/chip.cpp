@@ -1,6 +1,7 @@
 #include "sim/chip.hpp"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "dsp/filter.hpp"
 #include "util/assert.hpp"
@@ -110,16 +111,36 @@ Chip::Chip(const ChipConfig& config)
   const em::FluxOptions flux_options{};
   Rng mismatch_rng = stream_root_.fork(0x7135ULL);
   for (const auto& loop : loops) {
-    ModuleSource source;
-    source.name = loop.module_name;
-    source.m_onchip = em::loop_coil_coupling(loop, onchip_coil_, flux_options);
-    source.m_external = em::loop_coil_coupling(loop, external_coil_, flux_options);
+    double m_onchip = em::loop_coil_coupling(loop, onchip_coil_, flux_options);
+    double m_external = em::loop_coil_coupling(loop, external_coil_, flux_options);
     if (config_.coupling_mismatch_sigma > 0.0) {
       // Independent per-module, per-coil inductance mismatch for this die.
-      source.m_onchip *= 1.0 + mismatch_rng.gaussian(0.0, config_.coupling_mismatch_sigma);
-      source.m_external *= 1.0 + mismatch_rng.gaussian(0.0, config_.coupling_mismatch_sigma);
+      m_onchip *= 1.0 + mismatch_rng.gaussian(0.0, config_.coupling_mismatch_sigma);
+      m_external *= 1.0 + mismatch_rng.gaussian(0.0, config_.coupling_mismatch_sigma);
     }
-    sources_.push_back(source);
+    module_names_.push_back(loop.module_name);
+    onchip_couplings_.push_back(m_onchip);
+    external_couplings_.push_back(m_external);
+  }
+
+  for (std::size_t u = 0; u < aes::kAesUnitCount; ++u) {
+    aes_modules_[u] = module_index(aes_unit_module_name(static_cast<aes::AesUnit>(u)));
+  }
+  for (std::size_t t = 0; t < trojans_.size(); ++t) {
+    trojan_modules_[t] = module_index(trojan_host_module(trojans_[t]->kind()));
+    // A synthesized host row starts from zero, so no AES unit may share it.
+    EMTS_ASSERT(std::find(aes_modules_.begin(), aes_modules_.end(), trojan_modules_[t]) ==
+                aes_modules_.end());
+  }
+
+  // Every Trojan is dormant here, and a dormant Trojan's current depends
+  // only on the window length; under the fixed challenge workload every
+  // encrypting window encrypts the same plaintexts. So these rows hold for
+  // every trace index (DESIGN.md §4c).
+  if (config_.fixed_challenge_workload) {
+    for (const power::CurrentTrace& current : module_transients(true, 0)) {
+      encrypting_didt_.push_back(current.derivative());
+    }
   }
 }
 
@@ -153,17 +174,21 @@ const trojan::Trojan& Chip::trojan_model(trojan::TrojanKind kind) const {
   return *trojans_[0];
 }
 
+std::size_t Chip::module_index(const std::string& module_name) const {
+  const auto it = std::find(module_names_.begin(), module_names_.end(), module_name);
+  if (it == module_names_.end()) throw precondition_error("no module named " + module_name);
+  return static_cast<std::size_t>(it - module_names_.begin());
+}
+
+const std::vector<double>& Chip::couplings(Pickup pickup) const {
+  return pickup == Pickup::kOnChipSensor ? onchip_couplings_ : external_couplings_;
+}
+
 double Chip::coupling(const std::string& module_name, Pickup pickup) const {
-  for (const ModuleSource& s : sources_) {
-    if (s.name == module_name) {
-      return pickup == Pickup::kOnChipSensor ? s.m_onchip : s.m_external;
-    }
-  }
-  throw precondition_error("no module named " + module_name);
+  return couplings(pickup)[module_index(module_name)];
 }
 
 std::vector<aes::Block> Chip::window_plaintexts(std::uint64_t trace_index) const {
-  // Mirrors the generation inside module_transients exactly.
   const std::uint64_t workload_label =
       config_.fixed_challenge_workload ? 0xae5ULL : (mix64(trace_index) ^ 0xae5ULL);
   Rng plaintext_rng = stream_root_.fork(workload_label);
@@ -177,33 +202,35 @@ std::vector<aes::Block> Chip::window_plaintexts(std::uint64_t trace_index) const
   return plaintexts;
 }
 
+void Chip::add_trojan_currents(std::size_t module, std::uint64_t trace_index,
+                               power::CurrentTrace& trace) const {
+  trojan::TraceContext context;
+  context.clock = config_.clock;
+  context.num_cycles = config_.trace_cycles;
+  context.key = config_.key;
+  context.trace_index = trace_index;
+  for (std::size_t t = 0; t < trojans_.size(); ++t) {
+    if (trojan_modules_[t] == module) trojans_[t]->contribute(context, trace);
+  }
+}
+
 std::vector<power::CurrentTrace> Chip::module_transients(bool encrypting,
                                                          std::uint64_t trace_index) const {
   std::vector<power::CurrentTrace> currents;
-  currents.reserve(sources_.size());
-  for (std::size_t i = 0; i < sources_.size(); ++i) {
+  currents.reserve(module_names_.size());
+  for (std::size_t i = 0; i < module_names_.size(); ++i) {
     currents.emplace_back(config_.clock, config_.trace_cycles);
   }
 
-  auto trace_of = [&](const char* name) -> power::CurrentTrace& {
-    for (std::size_t i = 0; i < sources_.size(); ++i) {
-      if (sources_[i].name == name) return currents[i];
-    }
-    EMTS_ASSERT(false);
-    return currents[0];
-  };
-
   // ---- AES units ----
-  const std::uint64_t workload_label =
-      config_.fixed_challenge_workload ? 0xae5ULL : (mix64(trace_index) ^ 0xae5ULL);
-  Rng plaintext_rng = stream_root_.fork(workload_label);
+  const std::vector<aes::Block> plaintexts =
+      encrypting ? window_plaintexts(trace_index) : std::vector<aes::Block>{};
+  std::size_t encryptions = 0;
   std::size_t cycle = 0;
   while (cycle < config_.trace_cycles) {
     std::vector<aes::CycleActivity> activity;
-    if (encrypting && cycle + aes::kCyclesPerEncryption <= config_.trace_cycles) {
-      aes::Block plaintext{};
-      for (auto& b : plaintext) b = static_cast<std::uint8_t>(plaintext_rng.next_u32());
-      activity = aes_model_.encrypt_activity(plaintext);
+    if (encryptions < plaintexts.size()) {
+      activity = aes_model_.encrypt_activity(plaintexts[encryptions++]);
     } else {
       activity.assign(1, aes::AesActivityModel::idle_cycle());
     }
@@ -212,45 +239,76 @@ std::vector<power::CurrentTrace> Chip::module_transients(bool encrypting,
       for (std::size_t u = 0; u < aes::kAesUnitCount; ++u) {
         const aes::UnitActivity& ua = activity[k][u];
         if (ua.toggles <= 0.0) continue;
-        trace_of(aes_unit_module_name(static_cast<aes::AesUnit>(u)))
-            .add_pulse({cycle + k, ua.toggles, ua.onset_ps, ua.spread_ps}, kChargePerToggleFc);
+        currents[aes_modules_[u]].add_pulse({cycle + k, ua.toggles, ua.onset_ps, ua.spread_ps},
+                                            kChargePerToggleFc);
       }
     }
     cycle += activity.size();
   }
 
   // ---- Trojans ----
-  trojan::TraceContext context;
-  context.clock = config_.clock;
-  context.num_cycles = config_.trace_cycles;
-  context.key = config_.key;
-  context.trace_index = trace_index;
-  for (const auto& t : trojans_) {
-    t->contribute(context, trace_of(trojan_host_module(t->kind())));
+  for (std::size_t m = 0; m < currents.size(); ++m) {
+    add_trojan_currents(m, trace_index, currents[m]);
   }
 
   return currents;
 }
 
-std::vector<std::vector<double>> Chip::current_derivatives(bool encrypting,
-                                                           std::uint64_t trace_index) const {
-  const auto currents = module_transients(encrypting, trace_index);
-  std::vector<std::vector<double>> didt;
-  didt.reserve(currents.size());
-  for (const auto& c : currents) didt.push_back(c.derivative());
+ModuleDerivatives Chip::current_derivatives(bool encrypting, std::uint64_t trace_index) const {
+  ModuleDerivatives didt;
+  if (!encrypting || encrypting_didt_.empty()) {
+    // Idle windows and random traffic: this window's physics, as computed.
+    for (const power::CurrentTrace& current : module_transients(encrypting, trace_index)) {
+      didt.owned_.push_back(current.derivative());
+    }
+    didt.rows_.assign(didt.owned_.begin(), didt.owned_.end());
+    return didt;
+  }
+
+  didt.rows_.assign(encrypting_didt_.begin(), encrypting_didt_.end());
+  for (std::size_t t = 0; t < trojans_.size(); ++t) {
+    if (!trojans_[t]->active()) continue;
+    const std::size_t host = trojan_modules_[t];
+    power::CurrentTrace current{config_.clock, config_.trace_cycles};
+    add_trojan_currents(host, trace_index, current);
+    didt.owned_.push_back(current.derivative());
+    didt.rows_[host] = didt.owned_.back();
+  }
   return didt;
 }
 
-std::vector<double> Chip::pickup_emf(Pickup pickup,
-                                     const std::vector<std::vector<double>>& didt) const {
-  std::vector<double> emf(samples_per_trace(), 0.0);
-  for (std::size_t m = 0; m < sources_.size(); ++m) {
-    const double coupling_h =
-        pickup == Pickup::kOnChipSensor ? sources_[m].m_onchip : sources_[m].m_external;
-    for (std::size_t i = 0; i < emf.size(); ++i) {
-      emf[i] -= coupling_h * didt[m][i];  // Faraday: v = -M dI/dt
-    }
+void faraday_emf(std::span<const double> couplings, const ModuleDerivatives& didt,
+                 std::span<double> out) {
+  EMTS_REQUIRE(couplings.size() == didt.size(), "faraday_emf: one coupling per module");
+  for (std::size_t m = 0; m < didt.size(); ++m) {
+    EMTS_REQUIRE(didt[m].size() == out.size(), "faraday_emf: row length mismatch");
   }
+  // Blocks of samples keep the accumulators in L1 and give the inner loop a
+  // fixed trip count, so it vectorizes; every sample still sees the same
+  // operations in the same order.
+  constexpr std::size_t kBlock = 256;
+  std::array<double, kBlock> acc{};
+  const auto fold = [&](std::size_t begin, auto len) {
+    for (std::size_t j = 0; j < len; ++j) acc[j] = 0.0;
+    for (std::size_t m = 0; m < couplings.size(); ++m) {
+      const double c = couplings[m];
+      if (c == 0.0) continue;
+      const double* d = didt[m].data() + begin;
+      for (std::size_t j = 0; j < len; ++j) acc[j] -= c * d[j];  // Faraday: v = -M dI/dt
+    }
+    double* dst = out.data() + begin;
+    for (std::size_t j = 0; j < len; ++j) dst[j] = acc[j];
+  };
+  std::size_t begin = 0;
+  for (; begin + kBlock <= out.size(); begin += kBlock) {
+    fold(begin, std::integral_constant<std::size_t, kBlock>{});
+  }
+  if (begin < out.size()) fold(begin, out.size() - begin);
+}
+
+std::vector<double> Chip::pickup_emf(Pickup pickup, const ModuleDerivatives& didt) const {
+  std::vector<double> emf(samples_per_trace());
+  faraday_emf(couplings(pickup), didt, emf);
   return emf;
 }
 
@@ -272,8 +330,7 @@ Rng Chip::capture_rng(bool encrypting, std::uint64_t trace_index, std::uint64_t 
   return stream_root_.fork(label ^ salt);
 }
 
-std::vector<double> Chip::measure_pickup(Pickup pickup,
-                                         const std::vector<std::vector<double>>& didt,
+std::vector<double> Chip::measure_pickup(Pickup pickup, const ModuleDerivatives& didt,
                                          bool encrypting, std::uint64_t trace_index) const {
   const bool onchip = pickup == Pickup::kOnChipSensor;
   Rng rng = capture_rng(encrypting, trace_index, onchip ? 0x0c1ULL : 0xe72ULL);

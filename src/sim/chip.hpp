@@ -16,6 +16,8 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "aes/activity.hpp"
@@ -78,6 +80,34 @@ struct Acquisition {
   }
 };
 
+/// dI/dt of every module during one window, in floorplan order: the one
+/// physics evaluation that both pickups and every array coil of the window
+/// share. Each row views either the chip's fixed-workload rows (valid while
+/// the chip lives) or a row this object owns, so it moves but never copies.
+class ModuleDerivatives {
+ public:
+  ModuleDerivatives() = default;
+  ModuleDerivatives(ModuleDerivatives&&) = default;
+  ModuleDerivatives& operator=(ModuleDerivatives&&) = default;
+  ModuleDerivatives(const ModuleDerivatives&) = delete;
+  ModuleDerivatives& operator=(const ModuleDerivatives&) = delete;
+
+  std::size_t size() const { return rows_.size(); }
+  std::span<const double> operator[](std::size_t module) const { return rows_[module]; }
+
+ private:
+  friend class Chip;
+  std::vector<std::span<const double>> rows_;
+  std::vector<std::vector<double>> owned_;  // the rows synthesized for this window
+};
+
+/// Faraday's law for one coil: out[i] = -sum_m couplings[m] * didt[m][i]
+/// (v = -M dI/dt). Each sample folds `acc -= c_m * d_m[i]` from 0.0 in
+/// floorplan order, skipping zero couplings (their terms change no bit), and
+/// is written once. Both pickups and every array coil go through it.
+void faraday_emf(std::span<const double> couplings, const ModuleDerivatives& didt,
+                 std::span<double> out);
+
 class Chip {
  public:
   explicit Chip(const ChipConfig& config);
@@ -135,37 +165,44 @@ class Chip {
   }
 
   /// Per-module transient supply currents of one window, in floorplan order:
-  /// the raw physical quantity every pickup's EMF derives from.
+  /// the raw physical quantity every pickup's EMF derives from, and the one
+  /// definition of a window's physics.
   std::vector<power::CurrentTrace> module_transients(bool encrypting,
                                                      std::uint64_t trace_index) const;
 
-  /// dI/dt of every module_transients() trace: the one physics evaluation
-  /// that both pickups and every array coil of a window share.
-  std::vector<std::vector<double>> current_derivatives(bool encrypting,
-                                                       std::uint64_t trace_index) const;
+  /// dI/dt of every module_transients() trace, as row views. Encrypting
+  /// windows under the fixed challenge workload are the same for every trace
+  /// index while every Trojan is dormant: those rows are built once, at
+  /// construction, and only an armed Trojan's host row is synthesized per
+  /// window. Idle windows and random traffic compute each window.
+  ModuleDerivatives current_derivatives(bool encrypting, std::uint64_t trace_index) const;
 
   /// The plaintexts the AES core encrypts during window `trace_index`, in
   /// execution order (one per kCyclesPerEncryption slot; the window tail
   /// idles). With the fixed challenge workload this list is identical for
-  /// every window. An attacker observing the bus gets exactly this view —
-  /// used by the CPA attack module.
+  /// every window. module_transients() encrypts exactly this list; an
+  /// attacker observing the bus gets the same view (the CPA attack module).
   std::vector<aes::Block> window_plaintexts(std::uint64_t trace_index) const;
 
  private:
-  struct ModuleSource {
-    std::string name;
-    double m_onchip = 0.0;    // coupling into the spiral, H
-    double m_external = 0.0;  // coupling into the probe, H
-  };
+  /// Index of a floorplan module in module_names_.
+  std::size_t module_index(const std::string& module_name) const;
+
+  /// The couplings (H) of every module into one pickup, floorplan order.
+  const std::vector<double>& couplings(Pickup pickup) const;
+
+  /// Adds the current of every Trojan hosted on module `module` during
+  /// window `trace_index`, in library order, to `trace`. module_transients()
+  /// and the armed host row of current_derivatives() both call it.
+  void add_trojan_currents(std::size_t module, std::uint64_t trace_index,
+                           power::CurrentTrace& trace) const;
 
   /// Faraday emf induced in one pickup by the given current derivatives.
-  std::vector<double> pickup_emf(Pickup pickup,
-                                 const std::vector<std::vector<double>>& didt) const;
+  std::vector<double> pickup_emf(Pickup pickup, const ModuleDerivatives& didt) const;
 
   /// One pickup's recorded trace: its emf through its measurement chain,
   /// with noise from the pickup's own capture stream.
-  std::vector<double> measure_pickup(Pickup pickup,
-                                     const std::vector<std::vector<double>>& didt,
+  std::vector<double> measure_pickup(Pickup pickup, const ModuleDerivatives& didt,
                                      bool encrypting, std::uint64_t trace_index) const;
 
   // The physics model below is immutable after construction; the only
@@ -177,14 +214,25 @@ class Chip {
   layout::Floorplan floorplan_;
   em::Coil onchip_coil_;
   em::Coil external_coil_;
-  std::vector<ModuleSource> sources_;  // AES units then Trojans, floorplan order
+  // One entry per placed module's supply loop, floorplan order.
+  std::vector<std::string> module_names_;
+  std::vector<double> onchip_couplings_;    // into the spiral, H
+  std::vector<double> external_couplings_;  // into the probe, H
   aes::AesActivityModel aes_model_;
   std::array<std::unique_ptr<trojan::Trojan>, 5> trojans_;
+  // Module index of each AES unit (AesUnit order) and of each trojans_[t]'s
+  // host, resolved once.
+  std::array<std::size_t, aes::kAesUnitCount> aes_modules_{};
+  std::array<std::size_t, 5> trojan_modules_{};
   sensor::MeasurementChain onchip_chain_;
   sensor::MeasurementChain external_chain_;
   // Root of all derived random streams, fixed at construction from
   // config.seed; only its const fork() is ever called afterwards.
   const Rng stream_root_;
+  // dI/dt of every module during an encrypting window with every Trojan
+  // dormant, one row per module, under the fixed challenge workload (empty
+  // under random traffic). Built in the constructor, read-only afterwards.
+  std::vector<std::vector<double>> encrypting_didt_;
 };
 
 }  // namespace emts::sim

@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <array>
+#include <bit>
 #include <cmath>
 
 #include "util/assert.hpp"
@@ -39,6 +40,13 @@ const ZigguratTables& ziggurat_tables() {
     return t;
   }();
   return tables;
+}
+
+// negative ? -x : x for x >= 0, by setting the sign bit: the sign is a fair
+// coin, so a branch on it would mispredict every other draw.
+inline double with_sign(double x, bool negative) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(x) |
+                               (static_cast<std::uint64_t>(negative) << 63));
 }
 
 }  // namespace
@@ -97,7 +105,7 @@ double Rng::gaussian() {
     const bool negative = (bits & 0x80u) != 0;
     const double x = static_cast<double>(bits >> 11) * 0x1.0p-53 * z.x[layer];
     // Fast path: under the layer above, so under the curve at any height.
-    if (x < z.x[layer + 1]) return negative ? -x : x;
+    if (x < z.x[layer + 1]) return with_sign(x, negative);
     if (layer == 0) {
       // The base layer's overhang is the tail beyond r (Marsaglia 1964):
       // exponential proposals, accepted when 2y >= t^2.
@@ -107,12 +115,12 @@ double Rng::gaussian() {
         t = -std::log(1.0 - uniform()) / kZigguratR;
         y = -std::log(1.0 - uniform());
       } while (y + y < t * t);
-      return negative ? -(kZigguratR + t) : kZigguratR + t;
+      return with_sign(kZigguratR + t, negative);
     }
     // Wedge between the layer's rectangle and the curve: accept if a uniform
     // height in the layer lies under f(x); otherwise draw again.
     const double height = z.f[layer] + uniform() * (z.f[layer + 1] - z.f[layer]);
-    if (height < std::exp(-0.5 * x * x)) return negative ? -x : x;
+    if (height < std::exp(-0.5 * x * x)) return with_sign(x, negative);
   }
 }
 

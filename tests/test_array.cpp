@@ -166,6 +166,36 @@ TEST(ArrayCapture, BundlesBitIdenticalAcrossRunsAndThreadCounts) {
   EXPECT_NE(a.per_sensor[0].traces[0], a.per_sensor[1].traces[0]);
 }
 
+TEST(ArrayCapture, ArmedBundlesBitIdenticalAcrossRunsAndThreadCounts) {
+  // An armed Trojan's host row is synthesized per window on whichever
+  // worker captures it: that must not depend on the thread count either.
+  const ArrayWorld& w = world();
+  const sim::Chip infected = armed_chip(trojan::TrojanKind::kT1AmLeak);
+  sim::EngineOptions serial;
+  serial.threads = 1;
+  sim::EngineOptions parallel;
+  parallel.threads = 4;
+  const sim::CaptureEngine engine1{serial};
+  const sim::CaptureEngine engine4{parallel};
+
+  const BundleSet a = w.capture.capture_batch(engine1, infected, 6, 777);
+  const BundleSet b = w.capture.capture_batch(engine4, infected, 6, 777);
+  const BundleSet c = w.capture.capture_batch(engine4, infected, 6, 777);
+  ASSERT_EQ(a.sensor_count(), b.sensor_count());
+  for (std::size_t s = 0; s < a.sensor_count(); ++s) {
+    for (std::size_t t = 0; t < a.windows(); ++t) {
+      EXPECT_EQ(a.per_sensor[s].traces[t], b.per_sensor[s].traces[t]);
+      EXPECT_EQ(b.per_sensor[s].traces[t], c.per_sensor[s].traces[t]);
+    }
+  }
+
+  const Bundle single = w.capture.capture_bundle(infected, 779);
+  for (std::size_t s = 0; s < single.sensor_count(); ++s) {
+    EXPECT_EQ(single.traces[s], a.per_sensor[s].traces[2]);
+  }
+  EXPECT_NE(a.per_sensor[0].traces[0], a.per_sensor[0].traces[1]);
+}
+
 TEST(ArrayCalibration, RefusesArmedChip) {
   const ArrayWorld& w = world();
   const sim::Chip infected = armed_chip(trojan::TrojanKind::kT4PowerHog);
@@ -225,6 +255,95 @@ TEST(ArrayMonitor, GoldenStreamNeverAlarmsOver64Windows) {
   }
 }
 
+// Monitor state a push can change, latency histograms aside.
+void expect_same_session(const core::RuntimeMonitor& got, const core::RuntimeMonitor& want) {
+  const core::MonitorStateImage a = got.export_state();
+  const core::MonitorStateImage b = want.export_state();
+  EXPECT_EQ(a.state, b.state);
+  EXPECT_EQ(a.traces_seen, b.traces_seen);
+  EXPECT_EQ(a.consecutive_anomalies, b.consecutive_anomalies);
+  EXPECT_EQ(a.alarm_latched_at, b.alarm_latched_at);
+  EXPECT_EQ(a.last_score, b.last_score);
+  ASSERT_EQ(a.last_spectral.has_value(), b.last_spectral.has_value());
+  if (a.last_spectral) {
+    ASSERT_EQ(a.last_spectral->anomalies.size(), b.last_spectral->anomalies.size());
+    for (std::size_t i = 0; i < a.last_spectral->anomalies.size(); ++i) {
+      EXPECT_EQ(a.last_spectral->anomalies[i].frequency_hz,
+                b.last_spectral->anomalies[i].frequency_hz);
+      EXPECT_EQ(a.last_spectral->anomalies[i].ratio, b.last_spectral->anomalies[i].ratio);
+    }
+  }
+  EXPECT_EQ(a.window, b.window);
+  EXPECT_EQ(a.spectral_count, b.spectral_count);
+  EXPECT_EQ(a.spectral_sum, b.spectral_sum);
+  EXPECT_EQ(a.stats.traces_ingested, b.stats.traces_ingested);
+  EXPECT_EQ(a.stats.scored_captures, b.stats.scored_captures);
+  EXPECT_EQ(a.stats.per_trace_anomalies, b.stats.per_trace_anomalies);
+  EXPECT_EQ(a.stats.spectral_passes, b.stats.spectral_passes);
+  EXPECT_EQ(a.stats.windowed_anomalies, b.stats.windowed_anomalies);
+  EXPECT_EQ(a.stats.spectral_incremental_updates, b.stats.spectral_incremental_updates);
+  EXPECT_EQ(a.stats.alarms_latched, b.stats.alarms_latched);
+  ASSERT_EQ(a.events.size(), b.events.size());
+  for (std::size_t i = 0; i < a.events.size(); ++i) {
+    EXPECT_EQ(a.events[i].kind, b.events[i].kind);
+    EXPECT_EQ(a.events[i].trace_index, b.events[i].trace_index);
+    EXPECT_EQ(a.events[i].value, b.events[i].value);
+  }
+}
+
+TEST(ArrayMonitor, EachCoilSessionEqualsAStandaloneMonitor) {
+  // push_bundles feeds coil s's traces straight from the set. Each session
+  // must equal a standalone monitor built from that coil's calibration and
+  // pushed the same traces, and the array's spectral latch and anomaly
+  // energy must follow from those pushes, across two push_bundles calls.
+  const ArrayWorld& w = world();
+  const sim::Chip infected = armed_chip(trojan::TrojanKind::kT4PowerHog);
+  const ArrayMonitor::Options options{};
+  for (const sim::Chip* chip : {&w.chip, &infected}) {
+    SCOPED_TRACE(chip == &w.chip ? "golden" : "T4");
+    const BundleSet first = w.capture.capture_batch(sim::CaptureEngine::shared(), *chip, 24, 30000);
+    const BundleSet second =
+        w.capture.capture_batch(sim::CaptureEngine::shared(), *chip, 24, 30024);
+    ArrayMonitor monitor{w.grid, w.calibration, options};
+    monitor.push_bundles(first);
+    const core::MonitorState state = monitor.push_bundles(second);
+
+    std::vector<double> expected_energy;
+    bool any_alarm = false;
+    for (std::size_t s = 0; s < monitor.sensor_count(); ++s) {
+      const SensorCalibration& sensor = w.calibration.sensors[s];
+      core::RuntimeMonitor standalone{w.calibration.sample_rate, sensor.evaluator,
+                                      options.session};
+      double residual = 0.0;
+      std::size_t run = 0;
+      bool latched = false;
+      for (const BundleSet* set : {&first, &second}) {
+        for (const core::Trace& trace : set->per_sensor[s].traces) {
+          const std::uint64_t passes = standalone.stats().spectral_passes;
+          standalone.push(trace);
+          residual += residual_energy(trace, sensor.golden_mean);
+          if (standalone.stats().spectral_passes == passes) continue;
+          const auto& spectral = standalone.last_spectral();
+          const bool anomalous = spectral && spectral->anomalous() &&
+                                 spectral->anomalies.front().ratio >= options.spectral_ratio_gate;
+          run = anomalous ? run + 1 : 0;
+          if (run >= options.spectral_debounce) latched = true;
+        }
+      }
+      SCOPED_TRACE("coil " + std::to_string(s));
+      expect_same_session(monitor.session(s), standalone);
+      EXPECT_EQ(monitor.spectral_alarmed(s), latched);
+      any_alarm = any_alarm || latched || standalone.state() == core::MonitorState::kAlarm;
+      expected_energy.push_back(
+          std::sqrt(std::max(0.0, residual / 48.0 - sensor.baseline_residual)));
+    }
+    EXPECT_EQ(monitor.anomaly_energy(), expected_energy);
+    EXPECT_EQ(monitor.any_alarm(), any_alarm);
+    EXPECT_EQ(state, any_alarm ? core::MonitorState::kAlarm : core::MonitorState::kMonitoring);
+    EXPECT_EQ(any_alarm, chip == &infected);
+  }
+}
+
 TEST(ArrayMonitor, RejectsMismatchedCalibration) {
   const ArrayWorld& w = world();
   GridSpec small;
@@ -232,6 +351,23 @@ TEST(ArrayMonitor, RejectsMismatchedCalibration) {
   small.ny = 2;
   const SensorGrid other{w.chip.floorplan(), small};
   EXPECT_THROW(ArrayMonitor(other, w.calibration), precondition_error);
+}
+
+TEST(ArrayMonitor, RefusesARaggedBundleSetBeforeAnyPush) {
+  // BundleSet's fields are public, so a caller can build one whose coils
+  // hold different window counts: push_bundles must refuse it whole.
+  const ArrayWorld& w = world();
+  ArrayMonitor monitor{w.grid, w.calibration};
+  monitor.push_bundles(w.capture.capture_batch(sim::CaptureEngine::shared(), w.chip, 2, 40000));
+  const std::vector<double> energy = monitor.anomaly_energy();
+
+  BundleSet ragged = w.capture.capture_batch(sim::CaptureEngine::shared(), w.chip, 3, 40002);
+  ragged.per_sensor[3].traces.pop_back();
+  EXPECT_THROW(monitor.push_bundles(ragged), precondition_error);
+  for (std::size_t s = 0; s < monitor.sensor_count(); ++s) {
+    EXPECT_EQ(monitor.session(s).traces_seen(), 2u) << "coil " << s;
+  }
+  EXPECT_EQ(monitor.anomaly_energy(), energy);
 }
 
 TEST(Localizer, NamesTheHostModuleForEveryTrojan) {
