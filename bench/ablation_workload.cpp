@@ -4,9 +4,8 @@
 // finds a robustness result: with the default mean-pooling preprocessing,
 // the data-dependent activity variation averages out below the noise floor,
 // so EDth and the detection margins barely move under random traffic. The
-// known-workload assumption buys repeatability (and matters for TVLA-style
-// per-sample analyses, see examples/leakage_assessment), but the Eq. 1
-// detector does not depend on it.
+// known-workload assumption buys repeatability (and matters for per-sample
+// analyses such as TVLA), but the Eq. 1 detector does not depend on it.
 #include <cmath>
 #include <cstdio>
 

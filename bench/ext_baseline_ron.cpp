@@ -26,7 +26,7 @@ int main() {
   const auto spectral = core::SpectralDetector::calibrate(golden_traces);
 
   // RON baseline: 4x4 oscillators, golden-calibrated z-test.
-  const baseline::RonNetwork ron{baseline::RonSpec{}, chip.config().die};
+  const baseline::RonNetwork ron{chip.config().die};
   Rng rng{0x30a};
   std::vector<baseline::RonReading> golden_readings;
   for (std::uint64_t t = 0; t < 24; ++t) {

@@ -62,25 +62,12 @@ void sub_bytes(Block& s) {
   for (auto& b : s) b = sbox(b);
 }
 
-void inv_sub_bytes(Block& s) {
-  for (auto& b : s) b = inv_sbox(b);
-}
-
 // State layout: s[r + 4c] is row r, column c (FIPS column-major order).
 void shift_rows(Block& s) {
   Block t = s;
   for (int r = 1; r < 4; ++r) {
     for (int c = 0; c < 4; ++c) {
       s[static_cast<std::size_t>(r + 4 * c)] = t[static_cast<std::size_t>(r + 4 * ((c + r) % 4))];
-    }
-  }
-}
-
-void inv_shift_rows(Block& s) {
-  Block t = s;
-  for (int r = 1; r < 4; ++r) {
-    for (int c = 0; c < 4; ++c) {
-      s[static_cast<std::size_t>(r + 4 * ((c + r) % 4))] = t[static_cast<std::size_t>(r + 4 * c)];
     }
   }
 }
@@ -93,21 +80,6 @@ void mix_columns(Block& s) {
     s[o + 1] = static_cast<std::uint8_t>(a0 ^ gf_mul(a1, 2) ^ gf_mul(a2, 3) ^ a3);
     s[o + 2] = static_cast<std::uint8_t>(a0 ^ a1 ^ gf_mul(a2, 2) ^ gf_mul(a3, 3));
     s[o + 3] = static_cast<std::uint8_t>(gf_mul(a0, 3) ^ a1 ^ a2 ^ gf_mul(a3, 2));
-  }
-}
-
-void inv_mix_columns(Block& s) {
-  for (int c = 0; c < 4; ++c) {
-    const std::size_t o = static_cast<std::size_t>(4 * c);
-    const std::uint8_t a0 = s[o], a1 = s[o + 1], a2 = s[o + 2], a3 = s[o + 3];
-    s[o] = static_cast<std::uint8_t>(gf_mul(a0, 14) ^ gf_mul(a1, 11) ^ gf_mul(a2, 13) ^
-                                     gf_mul(a3, 9));
-    s[o + 1] = static_cast<std::uint8_t>(gf_mul(a0, 9) ^ gf_mul(a1, 14) ^ gf_mul(a2, 11) ^
-                                         gf_mul(a3, 13));
-    s[o + 2] = static_cast<std::uint8_t>(gf_mul(a0, 13) ^ gf_mul(a1, 9) ^ gf_mul(a2, 14) ^
-                                         gf_mul(a3, 11));
-    s[o + 3] = static_cast<std::uint8_t>(gf_mul(a0, 11) ^ gf_mul(a1, 13) ^ gf_mul(a2, 9) ^
-                                         gf_mul(a3, 14));
   }
 }
 
@@ -232,19 +204,6 @@ RoundTrace encrypt_traced(const Key& key, const Block& plaintext) {
     trace.state[ri] = s;
   }
   return trace;
-}
-
-Block decrypt(const Key& key, const Block& ciphertext) {
-  const auto keys = expand_key(key);
-  Block s = ciphertext;
-  add_round_key(s, keys[kNumRounds]);
-  for (int r = kNumRounds - 1; r >= 0; --r) {
-    inv_shift_rows(s);
-    inv_sub_bytes(s);
-    add_round_key(s, keys[static_cast<std::size_t>(r)]);
-    if (r > 0) inv_mix_columns(s);
-  }
-  return s;
 }
 
 int hamming_distance(const Block& a, const Block& b) {

@@ -56,9 +56,6 @@ Block encrypt(const Key& key, const Block& plaintext);
 /// Block encryption with full intermediate capture.
 RoundTrace encrypt_traced(const Key& key, const Block& plaintext);
 
-/// Block decryption (used in tests to prove the cipher is a bijection).
-Block decrypt(const Key& key, const Block& ciphertext);
-
 /// Hamming distance between two blocks (bit flips between states: the core
 /// quantity of the switching-activity model).
 int hamming_distance(const Block& a, const Block& b);

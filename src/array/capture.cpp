@@ -16,10 +16,20 @@ std::uint64_t sensor_salt(std::size_t sensor) {
   return mix64(0xa77a1ULL + static_cast<std::uint64_t>(sensor));
 }
 
+// Measurement chain per micro-coil. It models an on-die differential
+// readout: higher gain than the spiral front-end (the micro-coil emf is
+// smaller) and a small ambient pickup (shielded, millimetre-scale loop).
+sensor::MeasurementChain coil_chain() {
+  sensor::NoiseSpec noise;
+  noise.thermal_rms_v = 2.0e-6;
+  noise.environment_rms_v = 115.0e-6;
+  noise.environment_pickup = 0.05;
+  return sensor::MeasurementChain{sensor::ChainSpec{200.0, 500e6, 1.0, 12}, noise};
+}
+
 }  // namespace
 
-ArrayCapture::ArrayCapture(const SensorGrid& grid, const ArrayCaptureOptions& options)
-    : grid_{grid}, options_{options}, chain_{options.chain, options.noise} {}
+ArrayCapture::ArrayCapture(const SensorGrid& grid) : grid_{grid}, chain_{coil_chain()} {}
 
 Bundle ArrayCapture::capture_bundle(const sim::Chip& chip, std::uint64_t trace_index,
                                     bool encrypting) const {

@@ -37,27 +37,13 @@ struct BundleSet {
   std::size_t windows() const { return per_sensor.empty() ? 0 : per_sensor.front().size(); }
 };
 
-struct ArrayCaptureOptions {
-  /// Measurement chain per micro-coil. The defaults model an on-die
-  /// differential readout: higher gain than the spiral front-end (the
-  /// micro-coil emf is smaller) and a small ambient pickup (shielded,
-  /// millimetre-scale loop).
-  sensor::ChainSpec chain{200.0, 500e6, 1.0, 12};
-  sensor::NoiseSpec noise{};
-
-  ArrayCaptureOptions() {
-    noise.thermal_rms_v = 2.0e-6;
-    noise.environment_rms_v = 115.0e-6;
-    noise.environment_pickup = 0.05;
-  }
-};
-
 class ArrayCapture {
  public:
-  ArrayCapture(const SensorGrid& grid, const ArrayCaptureOptions& options = {});
+  explicit ArrayCapture(const SensorGrid& grid);
 
   const SensorGrid& grid() const { return grid_; }
-  const ArrayCaptureOptions& options() const { return options_; }
+  /// The measurement chain every coil records through.
+  const sensor::MeasurementChain& chain() const { return chain_; }
 
   /// Records one window on every sensor. Pure function of (chip config/seed,
   /// armed Trojan, encrypting, trace_index, sensor index): repeated calls —
@@ -75,7 +61,6 @@ class ArrayCapture {
 
  private:
   const SensorGrid& grid_;
-  ArrayCaptureOptions options_;
   sensor::MeasurementChain chain_;
 };
 

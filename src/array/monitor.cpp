@@ -8,21 +8,15 @@
 namespace emts::array {
 
 ArrayMonitor::ArrayMonitor(const SensorGrid& grid, const ArrayCalibration& calibration)
-    : ArrayMonitor{grid, calibration, Options{}} {}
-
-ArrayMonitor::ArrayMonitor(const SensorGrid& grid, const ArrayCalibration& calibration,
-                           const Options& options)
-    : grid_{grid}, options_{options} {
+    : grid_{grid} {
   EMTS_REQUIRE(calibration.sensor_count() == grid.sensor_count(),
                "ArrayMonitor: calibration sensor count does not match the grid");
   EMTS_REQUIRE(calibration.sample_rate > 0.0, "ArrayMonitor: calibration has no sample rate");
-  EMTS_REQUIRE(options.spectral_debounce >= 1,
-               "ArrayMonitor: spectral debounce must be >= 1");
   sessions_.reserve(calibration.sensor_count());
   golden_means_.reserve(calibration.sensor_count());
   baselines_.reserve(calibration.sensor_count());
   for (const SensorCalibration& sensor : calibration.sensors) {
-    sessions_.emplace_back(calibration.sample_rate, sensor.evaluator, options.session);
+    sessions_.emplace_back(calibration.sample_rate, sensor.evaluator);
     golden_means_.push_back(sensor.golden_mean);
     baselines_.push_back(sensor.baseline_residual);
   }
@@ -50,9 +44,9 @@ core::MonitorState ArrayMonitor::push_bundles(const BundleSet& bundles) {
         const auto& spectral = sessions_[s].last_spectral();
         // anomalies are sorted strongest first, so front() carries the gate.
         const bool anomalous = spectral.has_value() && spectral->anomalous() &&
-                               spectral->anomalies.front().ratio >= options_.spectral_ratio_gate;
+                               spectral->anomalies.front().ratio >= kSpectralRatioGate;
         spectral_runs_[s] = anomalous ? spectral_runs_[s] + 1 : 0;
-        if (spectral_runs_[s] >= options_.spectral_debounce) spectral_latched_[s] = true;
+        if (spectral_runs_[s] >= kSpectralDebounce) spectral_latched_[s] = true;
       }
     }
     ++bundles_seen_;

@@ -8,6 +8,16 @@
 
 namespace emts::attack {
 
+namespace {
+
+// Sample range (within an encryption segment) covering the final round. It
+// matches the 12-cycle / 8-samples-per-cycle schedule: round 10 occupies
+// cycle 10.
+constexpr std::size_t kWindowBegin = 80;
+constexpr std::size_t kWindowEnd = 88;
+
+}  // namespace
+
 std::size_t inv_shift_position(std::size_t j) {
   EMTS_REQUIRE(j < 16, "byte position out of range");
   // state10[r + 4c] came (pre-AddRoundKey) from after_sub[r + 4((c + r) % 4)].
@@ -58,15 +68,12 @@ std::size_t CpaResult::correct_bytes(const aes::Block& truth) const {
   return correct;
 }
 
-CpaResult last_round_cpa(const std::vector<EncryptionTrace>& traces,
-                         const CpaOptions& options) {
+CpaResult last_round_cpa(const std::vector<EncryptionTrace>& traces) {
   EMTS_REQUIRE(traces.size() >= 8, "CPA needs at least 8 encryption traces");
-  EMTS_REQUIRE(options.window_end > options.window_begin, "empty CPA sample window");
   const std::size_t n = traces.size();
-  const std::size_t window = options.window_end - options.window_begin;
+  const std::size_t window = kWindowEnd - kWindowBegin;
   for (const EncryptionTrace& t : traces) {
-    EMTS_REQUIRE(t.samples.size() >= options.window_end,
-                 "encryption trace shorter than the CPA window");
+    EMTS_REQUIRE(t.samples.size() >= kWindowEnd, "encryption trace shorter than the CPA window");
   }
 
   // Precompute per-sample means and standard deviations of the measurements.
@@ -74,7 +81,7 @@ CpaResult last_round_cpa(const std::vector<EncryptionTrace>& traces,
   std::vector<double> sq(window, 0.0);
   for (const EncryptionTrace& t : traces) {
     for (std::size_t s = 0; s < window; ++s) {
-      const double v = t.samples[options.window_begin + s];
+      const double v = t.samples[kWindowBegin + s];
       mean[s] += v;
       sq[s] += v * v;
     }
@@ -118,7 +125,7 @@ CpaResult last_round_cpa(const std::vector<EncryptionTrace>& traces,
         if (sd[s] == 0.0) continue;
         double cov = 0.0;
         for (std::size_t t = 0; t < n; ++t) {
-          cov += prediction[t] * (traces[t].samples[options.window_begin + s] - mean[s]);
+          cov += prediction[t] * (traces[t].samples[kWindowBegin + s] - mean[s]);
         }
         const double rho = cov / (dn * p_sd * sd[s]);
         best_abs = std::max(best_abs, std::abs(rho));

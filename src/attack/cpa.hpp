@@ -43,14 +43,6 @@ std::vector<EncryptionTrace> slice_encryptions(
 /// flip the model predicts).
 std::size_t inv_shift_position(std::size_t j);
 
-struct CpaOptions {
-  // Sample range (within an encryption segment) covering the final round.
-  // Defaults match the 12-cycle / 8-samples-per-cycle schedule: round 10
-  // occupies cycle 10.
-  std::size_t window_begin = 80;
-  std::size_t window_end = 88;
-};
-
 struct CpaByteResult {
   std::uint8_t best_guess = 0;
   double best_correlation = 0.0;
@@ -70,9 +62,8 @@ struct CpaResult {
   std::size_t correct_bytes(const aes::Block& truth) const;
 };
 
-/// Runs the attack. Requires >= 8 encryption traces of equal length covering
-/// the sample window.
-CpaResult last_round_cpa(const std::vector<EncryptionTrace>& traces,
-                         const CpaOptions& options = {});
+/// Runs the attack over the final round's samples of each encryption
+/// segment. Requires >= 8 encryption traces covering that window.
+CpaResult last_round_cpa(const std::vector<EncryptionTrace>& traces);
 
 }  // namespace emts::attack

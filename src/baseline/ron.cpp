@@ -8,15 +8,24 @@
 
 namespace emts::baseline {
 
-RonNetwork::RonNetwork(const RonSpec& spec, const layout::DieSpec& die) : spec_{spec} {
-  EMTS_REQUIRE(spec.rows >= 1 && spec.cols >= 1, "RON needs at least one oscillator");
-  EMTS_REQUIRE(spec.nominal_hz > 0.0 && spec.window_s > 0.0, "RON rates must be positive");
-  EMTS_REQUIRE(spec.kernel_radius > 0.0, "kernel radius must be positive");
-  for (std::size_t r = 0; r < spec.rows; ++r) {
-    for (std::size_t c = 0; c < spec.cols; ++c) {
+namespace {
+
+constexpr std::size_t kRows = 4;          // RO grid over the core
+constexpr std::size_t kCols = 4;
+constexpr double kNominalHz = 420e6;      // free-running RO frequency
+constexpr double kDroopHzPerAmp = 6e9;    // frequency pushdown per ampere of local load
+constexpr double kKernelRadius = 0.5e-3;  // IR-drop spatial falloff scale, m
+constexpr double kWindowS = 50e-6;        // count window (RON papers use ~us-ms)
+constexpr double kJitterCycles = 3.0;     // counter noise (period jitter accumulation)
+
+}  // namespace
+
+RonNetwork::RonNetwork(const layout::DieSpec& die) {
+  for (std::size_t r = 0; r < kRows; ++r) {
+    for (std::size_t c = 0; c < kCols; ++c) {
       positions_.push_back(layout::Vec3{
-          die.core_width * (static_cast<double>(c) + 0.5) / static_cast<double>(spec.cols),
-          die.core_height * (static_cast<double>(r) + 0.5) / static_cast<double>(spec.rows),
+          die.core_width * (static_cast<double>(c) + 0.5) / static_cast<double>(kCols),
+          die.core_height * (static_cast<double>(r) + 0.5) / static_cast<double>(kRows),
           die.cell_z});
     }
   }
@@ -47,11 +56,10 @@ RonReading RonNetwork::measure(sim::Chip& chip, bool encrypting, std::uint64_t t
       const double dx = modules[m].region.cx() - pos.x;
       const double dy = modules[m].region.cy() - pos.y;
       const double d2 = dx * dx + dy * dy;
-      const double r0 = spec_.kernel_radius;
-      local_load += mean_current[m] / (1.0 + d2 / (r0 * r0));
+      local_load += mean_current[m] / (1.0 + d2 / (kKernelRadius * kKernelRadius));
     }
-    const double freq = spec_.nominal_hz - spec_.droop_hz_per_amp * local_load;
-    const double cycles = freq * spec_.window_s + rng.gaussian(0.0, spec_.jitter_cycles);
+    const double freq = kNominalHz - kDroopHzPerAmp * local_load;
+    const double cycles = freq * kWindowS + rng.gaussian(0.0, kJitterCycles);
     reading.push_back(std::floor(cycles));  // counter quantization
   }
   return reading;

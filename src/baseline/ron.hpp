@@ -25,22 +25,13 @@
 
 namespace emts::baseline {
 
-struct RonSpec {
-  std::size_t rows = 4;            // RO grid over the core
-  std::size_t cols = 4;
-  double nominal_hz = 420e6;       // free-running RO frequency
-  double droop_hz_per_amp = 6e9;   // frequency pushdown per ampere of local load
-  double kernel_radius = 0.5e-3;   // IR-drop spatial falloff scale, m
-  double window_s = 50e-6;         // count window (RON papers use ~us-ms)
-  double jitter_cycles = 3.0;      // counter noise (period jitter accumulation)
-};
-
 /// One measurement: cycle counts of every RO over the window.
 using RonReading = std::vector<double>;
 
 class RonNetwork {
  public:
-  RonNetwork(const RonSpec& spec, const layout::DieSpec& die);
+  /// A 4x4 grid of oscillators spread evenly over the die's core.
+  explicit RonNetwork(const layout::DieSpec& die);
 
   std::size_t oscillator_count() const { return positions_.size(); }
   const std::vector<layout::Vec3>& positions() const { return positions_; }
@@ -50,10 +41,7 @@ class RonNetwork {
   RonReading measure(sim::Chip& chip, bool encrypting, std::uint64_t trace_index,
                      Rng& rng) const;
 
-  const RonSpec& spec() const { return spec_; }
-
  private:
-  RonSpec spec_;
   std::vector<layout::Vec3> positions_;
 };
 

@@ -25,8 +25,10 @@ DetectorReport Detector::evaluate_set(const TraceSet& suspect, double alarm_frac
 
   double sum = 0.0;
   std::size_t beyond = 0;
-  for (const Trace& trace : suspect.traces) {
-    const double s = score(trace);
+  ScoreScratch scratch;
+  for (std::size_t i = 0; i < suspect.size(); ++i) {
+    const Trace& trace = suspect.traces[i];
+    const double s = score_buffered(trace, finite_mean(trace, i), scratch);
     sum += s;
     report.max_score = std::max(report.max_score, s);
     if (s > report.threshold) ++beyond;

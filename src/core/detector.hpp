@@ -85,8 +85,9 @@ class Detector {
   virtual bool windowed() const { return false; }
 
   /// Set-level verdict of a per-trace stage: scores every trace and alarms
-  /// when the over-threshold fraction exceeds `alarm_fraction`. (The
-  /// evaluator runs the windowed spectral stage through its mean spectrum.)
+  /// when the over-threshold fraction exceeds `alarm_fraction`. Refuses a
+  /// set holding a NaN or ±inf sample (see finite_mean). (The evaluator
+  /// runs the windowed spectral stage through its mean spectrum.)
   DetectorReport evaluate_set(const TraceSet& suspect, double alarm_fraction) const;
 
   /// Serializes the fitted state (payload only — the EMCA container frames

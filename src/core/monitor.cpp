@@ -125,16 +125,13 @@ std::optional<double> RuntimeMonitor::admit_trace(const Trace& trace) {
 
   // Finiteness gate: one NaN poisons every running statistic downstream
   // (PCA projection, spectral mean, latched scores), so it must never reach
-  // the preprocessor. The same loop sums the capture front to back, as
-  // stats::mean does.
+  // the preprocessor. The same loop sums the capture.
   double sum = 0.0;
-  for (std::size_t i = 0; i < trace.size(); ++i) {
-    if (!std::isfinite(trace[i])) {
-      ++stats_.traces_rejected;
-      record_event(MonitorEventKind::kTraceRejectedNonFinite, static_cast<double>(i));
-      return std::nullopt;
-    }
-    sum += trace[i];
+  const std::size_t bad = sum_finite(trace, sum);
+  if (bad != trace.size()) {
+    ++stats_.traces_rejected;
+    record_event(MonitorEventKind::kTraceRejectedNonFinite, static_cast<double>(bad));
+    return std::nullopt;
   }
 
   if (expected_length_ == 0) expected_length_ = trace.size();

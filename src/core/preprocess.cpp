@@ -89,12 +89,15 @@ void Preprocessor::features_into(const Trace& trace, double mean, std::vector<do
 
 linalg::Matrix Preprocessor::feature_matrix(const TraceSet& set) const {
   EMTS_REQUIRE(!set.empty(), "cannot preprocess an empty trace set");
-  const auto first = features(set.traces.front());
-  linalg::Matrix out{set.size(), first.size()};
-  for (std::size_t c = 0; c < first.size(); ++c) out(0, c) = first[c];
-  for (std::size_t r = 1; r < set.size(); ++r) {
-    const auto f = features(set.traces[r]);
-    EMTS_ASSERT(f.size() == first.size());
+  std::vector<double> work;
+  std::vector<double> aux;
+  std::vector<double> aux2;
+  std::vector<double> f;
+  linalg::Matrix out;
+  for (std::size_t r = 0; r < set.size(); ++r) {
+    features_into(set.traces[r], finite_mean(set.traces[r], r), work, aux, aux2, f);
+    if (r == 0) out = linalg::Matrix{set.size(), f.size()};
+    EMTS_ASSERT(f.size() == out.cols());
     for (std::size_t c = 0; c < f.size(); ++c) out(r, c) = f[c];
   }
   return out;

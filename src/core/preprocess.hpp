@@ -47,7 +47,8 @@ class Preprocessor {
   void features_into(const Trace& trace, std::vector<double>& work, std::vector<double>& aux,
                      std::vector<double>& aux2, std::vector<double>& features) const;
 
-  /// Feature matrix of a whole set (rows = traces).
+  /// Feature matrix of a whole set (rows = traces). Refuses a set holding a
+  /// NaN or ±inf sample (see finite_mean).
   linalg::Matrix feature_matrix(const TraceSet& set) const;
 
   /// Feature dimension for traces of `trace_length` samples.

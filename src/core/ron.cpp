@@ -16,13 +16,18 @@ RonTraceDetector::RonTraceDetector(const Options& options, std::vector<double> m
                                    std::vector<double> stddev)
     : options_{options}, mean_{std::move(mean)}, stddev_{std::move(stddev)} {}
 
-std::vector<double> RonTraceDetector::feature(const Trace& trace) const {
+std::vector<double> RonTraceDetector::feature(const Trace& trace, double mean) const {
   Preprocessor::Options pre;
   pre.remove_mean = false;  // mean level IS the RON observable
   pre.smooth_window = 1;
   pre.normalize_rms = false;
   pre.decimation = options_.decimation;
-  return Preprocessor{pre}.features(trace);
+  std::vector<double> work;
+  std::vector<double> aux;
+  std::vector<double> aux2;
+  std::vector<double> out;
+  Preprocessor{pre}.features_into(trace, mean, work, aux, aux2, out);
+  return out;
 }
 
 RonTraceDetector RonTraceDetector::calibrate(const TraceSet& golden) {
@@ -38,8 +43,8 @@ RonTraceDetector RonTraceDetector::calibrate(const TraceSet& golden,
   RonTraceDetector fitted{options, {}, {}};
   std::vector<std::vector<double>> features;
   features.reserve(golden.size());
-  for (const Trace& trace : golden.traces) {
-    features.push_back(fitted.feature(trace));
+  for (std::size_t i = 0; i < golden.size(); ++i) {
+    features.push_back(fitted.feature(golden.traces[i], finite_mean(golden.traces[i], i)));
     EMTS_REQUIRE(features.back().size() == features.front().size(), "ragged golden traces");
   }
 
@@ -58,7 +63,7 @@ RonTraceDetector RonTraceDetector::calibrate(const TraceSet& golden,
 }
 
 double RonTraceDetector::score(const Trace& trace) const {
-  const std::vector<double> f = feature(trace);
+  const std::vector<double> f = feature(trace, stats::mean(trace));
   EMTS_REQUIRE(f.size() == mean_.size(), "trace length differs from RON calibration");
   double best = 0.0;
   for (std::size_t o = 0; o < f.size(); ++o) {

@@ -26,7 +26,8 @@ class RonTraceDetector : public Detector {
     double sigma_threshold = 4.0;   // classic RON z-test gate
   };
 
-  /// Fits per-feature moments on golden traces. Requires >= 3 traces.
+  /// Fits per-feature moments on golden traces. Requires >= 3 traces and
+  /// refuses a set holding a NaN or ±inf sample (see finite_mean).
   static RonTraceDetector calibrate(const TraceSet& golden);
   static RonTraceDetector calibrate(const TraceSet& golden, const Options& options);
 
@@ -44,7 +45,9 @@ class RonTraceDetector : public Detector {
   RonTraceDetector(const Options& options, std::vector<double> mean,
                    std::vector<double> stddev);
 
-  std::vector<double> feature(const Trace& trace) const;
+  /// Pooled features of one trace; `mean` is its mean as stats::mean
+  /// computes it.
+  std::vector<double> feature(const Trace& trace, double mean) const;
 
   Options options_;
   std::vector<double> mean_;

@@ -10,6 +10,22 @@
 
 namespace emts::core {
 
+namespace {
+
+// Pushes every trace through `analyzer`. Each trace's mean comes from the
+// finiteness check, so a NaN or ±inf sample is refused, by trace and
+// sample, before it reaches the mean spectrum.
+void push_traces(dsp::SpectrumAnalyzer& analyzer, std::span<const Trace> traces,
+                 double sample_rate) {
+  analyzer.ensure_stream(traces.front().size(), sample_rate);
+  std::vector<double> amp;
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    analyzer.stream_push(traces[i], finite_mean(traces[i], i), amp);
+  }
+}
+
+}  // namespace
+
 SpectralDetector::SpectralDetector(const Options& options, dsp::Spectrum golden,
                                    double sample_rate)
     : options_{options}, golden_{std::move(golden)}, sample_rate_{sample_rate} {
@@ -30,9 +46,9 @@ SpectralDetector SpectralDetector::calibrate(const TraceSet& golden, const Optio
   EMTS_REQUIRE(std::isfinite(golden.sample_rate) && golden.sample_rate > 0.0,
                "spectral calibration: sample rate must be finite and positive");
   golden.validate();
-  dsp::Spectrum spectrum =
-      dsp::mean_spectrum(golden.traces, golden.sample_rate, options.spectrum);
-  return SpectralDetector{options, std::move(spectrum), golden.sample_rate};
+  dsp::SpectrumAnalyzer analyzer{options.spectrum};
+  push_traces(analyzer, golden.traces, golden.sample_rate);
+  return SpectralDetector{options, analyzer.stream_mean(), golden.sample_rate};
 }
 
 SpectralReport SpectralDetector::analyze(const TraceSet& suspect) const {
@@ -50,9 +66,7 @@ SpectralReport SpectralDetector::analyze_traces(std::span<const Trace> traces,
   EMTS_REQUIRE(std::abs(sample_rate - sample_rate_) < 1e-6 * sample_rate_,
                "suspect sample rate differs from calibration");
   SpectralScratch scratch = make_scratch();
-  scratch.analyzer.ensure_stream(traces.front().size(), sample_rate);
-  std::vector<double> amp;
-  for (const Trace& trace : traces) scratch.analyzer.stream_push(trace, amp);
+  push_traces(scratch.analyzer, traces, sample_rate);
   classify(scratch);
   return std::move(scratch.report);
 }

@@ -64,7 +64,8 @@ class SpectralDetector : public Detector {
     std::size_t match_bins = 2;
   };
 
-  /// Fits the golden reference spectrum. Requires >= 1 trace.
+  /// Fits the golden reference spectrum. Requires >= 1 trace and refuses
+  /// a set holding a NaN or ±inf sample (see finite_mean).
   static SpectralDetector calibrate(const TraceSet& golden, const Options& options);
   static SpectralDetector calibrate(const TraceSet& golden);  // default options
 
@@ -77,7 +78,8 @@ class SpectralDetector : public Detector {
   double score(const Trace& trace) const override;
   double threshold() const override { return 0.0; }
 
-  /// Analyzes a set of suspect traces (averaged spectrum).
+  /// Analyzes a set of suspect traces (averaged spectrum). Refuses a set
+  /// holding a NaN or ±inf sample.
   SpectralReport analyze(const TraceSet& suspect) const;
 
   /// Analyzes one trace.

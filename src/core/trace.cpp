@@ -1,8 +1,20 @@
 #include "core/trace.hpp"
 
+#include <string>
+
 #include "util/assert.hpp"
 
 namespace emts::core {
+
+double finite_mean(const Trace& trace, std::size_t index) {
+  EMTS_REQUIRE(!trace.empty(), "trace " + std::to_string(index) + " is empty");
+  double sum = 0.0;
+  const std::size_t bad = sum_finite(trace, sum);
+  EMTS_REQUIRE(bad == trace.size(), "trace " + std::to_string(index) + " sample " +
+                                        std::to_string(bad) + " is not finite (" +
+                                        std::to_string(trace[bad]) + ")");
+  return sum / static_cast<double>(trace.size());
+}
 
 void TraceSet::add(Trace trace) {
   EMTS_REQUIRE(!trace.empty(), "cannot add an empty trace");

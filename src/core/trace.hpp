@@ -4,6 +4,7 @@
 // — on a real deployment they would be filled from the oscilloscope instead.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <vector>
 
@@ -11,6 +12,25 @@ namespace emts::core {
 
 /// One recorded sensor capture (volts per sample).
 using Trace = std::vector<double>;
+
+/// Sums `trace` front to back, as stats::mean sums, and checks each sample
+/// in the same loop: one NaN or ±inf sample would poison every statistic
+/// fitted or scored from the trace. Returns the index of the first
+/// non-finite sample (the sum stops there), or trace.size() when every
+/// sample is finite.
+inline std::size_t sum_finite(const Trace& trace, double& sum) {
+  sum = 0.0;
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    if (!std::isfinite(trace[i])) return i;
+    sum += trace[i];
+  }
+  return trace.size();
+}
+
+/// The mean of trace `index` of a calibration or suspect set, equal to
+/// stats::mean(trace) bit for bit. Throws precondition_error naming the
+/// trace and its first NaN or ±inf sample. Requires a non-empty trace.
+double finite_mean(const Trace& trace, std::size_t index);
 
 /// A set of equal-length traces plus acquisition metadata.
 struct TraceSet {

@@ -1,8 +1,8 @@
 // Iterative radix-4 Cooley–Tukey FFT, implemented from scratch. FftPlan is
 // the library's only FFT, and dsp::SpectrumAnalyzer (dsp/spectrum.hpp) is
-// the only library code that builds one: amplitude and mean spectra,
-// spectrogram frames and the runtime monitor's running mean all run its
-// half-size real-split transform. That is how the spectral Trojan detector
+// the only library code that builds one: amplitude and mean spectra and
+// the runtime monitor's running mean all run its half-size real-split
+// transform. That is how the spectral Trojan detector
 // (paper Sec. III-E / Fig. 4 / Fig. 6 i–l) sees EM traces in the frequency
 // domain.
 #pragma once

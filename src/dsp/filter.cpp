@@ -60,17 +60,4 @@ std::vector<double> differentiate(const std::vector<double>& signal, double samp
   return out;
 }
 
-std::vector<double> integrate(const std::vector<double>& signal, double sample_rate) {
-  EMTS_REQUIRE(sample_rate > 0.0, "sample_rate must be positive");
-  if (signal.empty()) return {};
-  const double dt = 1.0 / sample_rate;
-  std::vector<double> out(signal.size(), 0.0);
-  double acc = 0.0;
-  for (std::size_t i = 1; i < signal.size(); ++i) {
-    acc += 0.5 * (signal[i] + signal[i - 1]) * dt;
-    out[i] = acc;
-  }
-  return out;
-}
-
 }  // namespace emts::dsp

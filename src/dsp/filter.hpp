@@ -43,7 +43,4 @@ class OnePoleLowPass {
 /// Faraday's law turns coil flux into emf via exactly this operation.
 std::vector<double> differentiate(const std::vector<double>& signal, double sample_rate);
 
-/// Cumulative trapezoidal integral scaled by the sample interval.
-std::vector<double> integrate(const std::vector<double>& signal, double sample_rate);
-
 }  // namespace emts::dsp

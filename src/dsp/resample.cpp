@@ -1,7 +1,5 @@
 #include "dsp/resample.hpp"
 
-#include <cmath>
-
 #include "util/assert.hpp"
 
 namespace emts::dsp {
@@ -22,55 +20,6 @@ void decimate_mean_into(const std::vector<double>& signal, std::size_t factor,
     for (std::size_t i = 0; i < factor; ++i) acc += signal[b * factor + i];
     out[b] = acc / static_cast<double>(factor);
   }
-}
-
-std::vector<double> decimate_peak(const std::vector<double>& signal, std::size_t factor) {
-  EMTS_REQUIRE(factor > 0, "decimation factor must be positive");
-  const std::size_t blocks = signal.size() / factor;
-  std::vector<double> out(blocks, 0.0);
-  for (std::size_t b = 0; b < blocks; ++b) {
-    double best = 0.0;
-    for (std::size_t i = 0; i < factor; ++i) {
-      const double v = signal[b * factor + i];
-      if (std::abs(v) > std::abs(best)) best = v;
-    }
-    out[b] = best;
-  }
-  return out;
-}
-
-int best_alignment_lag(const std::vector<double>& a, const std::vector<double>& b,
-                       std::size_t max_lag) {
-  EMTS_REQUIRE(a.size() == b.size(), "alignment requires equal-length signals");
-  EMTS_REQUIRE(!a.empty(), "alignment requires non-empty signals");
-  const auto n = static_cast<long>(a.size());
-  const auto span = static_cast<long>(max_lag);
-
-  double best_score = -1e300;
-  int best_lag = 0;
-  for (long lag = -span; lag <= span; ++lag) {
-    double acc = 0.0;
-    for (long i = 0; i < n; ++i) {
-      const long j = i + lag;
-      if (j < 0 || j >= n) continue;
-      acc += a[static_cast<std::size_t>(i)] * b[static_cast<std::size_t>(j)];
-    }
-    if (acc > best_score) {
-      best_score = acc;
-      best_lag = static_cast<int>(lag);
-    }
-  }
-  return best_lag;
-}
-
-std::vector<double> shift(const std::vector<double>& signal, int lag) {
-  const auto n = static_cast<long>(signal.size());
-  std::vector<double> out(signal.size(), 0.0);
-  for (long i = 0; i < n; ++i) {
-    const long j = i + lag;
-    if (j >= 0 && j < n) out[static_cast<std::size_t>(i)] = signal[static_cast<std::size_t>(j)];
-  }
-  return out;
 }
 
 }  // namespace emts::dsp

@@ -1,6 +1,5 @@
-// Rate reduction and trace alignment. The preprocessing stage decimates long
-// oscilloscope traces into PCA-sized feature vectors, and aligns traces by
-// cross-correlation so trigger jitter does not masquerade as a Trojan.
+// Rate reduction. The preprocessing stage decimates long oscilloscope traces
+// into PCA-sized feature vectors by block means.
 #pragma once
 
 #include <cstddef>
@@ -16,18 +15,5 @@ std::vector<double> decimate_mean(const std::vector<double>& signal, std::size_t
 /// zero allocations once the vector's capacity is warm.
 void decimate_mean_into(const std::vector<double>& signal, std::size_t factor,
                         std::vector<double>& out);
-
-/// Peak-magnitude decimator: each output sample is the extreme (by absolute
-/// value) of its block, preserving narrow pulses that a mean would dilute.
-std::vector<double> decimate_peak(const std::vector<double>& signal, std::size_t factor);
-
-/// Integer lag in [-max_lag, +max_lag] maximizing cross-correlation of b
-/// against a (positive lag means b is delayed relative to a).
-int best_alignment_lag(const std::vector<double>& a, const std::vector<double>& b,
-                       std::size_t max_lag);
-
-/// Shifts a signal by `lag` samples (positive = earlier content moves left),
-/// zero-filling the vacated region. Output length equals input length.
-std::vector<double> shift(const std::vector<double>& signal, int lag);
 
 }  // namespace emts::dsp

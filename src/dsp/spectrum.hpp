@@ -68,10 +68,10 @@ void find_peaks_into(const Spectrum& spectrum, double min_amplitude,
                      std::vector<SpectralPeak>& peaks, std::size_t max_peaks = 32);
 
 /// The library's only amplitude-spectrum routine: the runtime monitor's
-/// incremental mean, calibration, offline analysis and the spectrogram all
-/// run through it. Caches the window coefficients, one half-size FFT plan
-/// and every working buffer for one trace length, so a push performs zero
-/// heap allocations after the first (warm-up) pass.
+/// incremental mean, calibration and offline analysis all run through it.
+/// Caches the window coefficients, one half-size FFT plan and every working
+/// buffer for one trace length, so a push performs zero heap allocations
+/// after the first (warm-up) pass.
 ///
 /// Each push is one real-split FFT (even samples in the real lane, odd in the
 /// imaginary lane of an N/2 complex transform) whose amplitudes land in a

@@ -10,6 +10,9 @@ namespace emts::linalg {
 
 namespace {
 
+constexpr int kMaxSweeps = 64;        // hard iteration cap
+constexpr double kTolerance = 1e-12;  // stop when max |off-diagonal| <= tol * ||A||_F
+
 // One Jacobi rotation zeroing element (p, q) of `a`, accumulating into `v`.
 // Both are square and row-major, so (r, c) sits at [r * n + c]; the loops
 // index the storage directly instead of calling the bounds-checked accessor
@@ -51,7 +54,7 @@ void rotate(Matrix& a, Matrix& v, std::size_t p, std::size_t q) {
 
 }  // namespace
 
-EigenDecomposition symmetric_eigen(const Matrix& a, const JacobiOptions& options) {
+EigenDecomposition symmetric_eigen(const Matrix& a) {
   EMTS_REQUIRE(a.rows() == a.cols(), "symmetric_eigen requires a square matrix");
   const double fro = a.frobenius_norm();
   EMTS_REQUIRE(a.is_symmetric(std::max(1e-9 * fro, 1e-12)),
@@ -69,8 +72,8 @@ EigenDecomposition symmetric_eigen(const Matrix& a, const JacobiOptions& options
       work(c, r) = avg;
     }
 
-  const double stop = options.tolerance * std::max(fro, 1e-300);
-  for (int sweep = 0; sweep < options.max_sweeps; ++sweep) {
+  const double stop = kTolerance * std::max(fro, 1e-300);
+  for (int sweep = 0; sweep < kMaxSweeps; ++sweep) {
     if (work.max_off_diagonal() <= stop) break;
     for (std::size_t p = 0; p + 1 < n; ++p)
       for (std::size_t q = p + 1; q < n; ++q)

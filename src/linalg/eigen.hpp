@@ -16,13 +16,8 @@ struct EigenDecomposition {
   Matrix eigenvectors;              // column j pairs with eigenvalues[j]
 };
 
-struct JacobiOptions {
-  int max_sweeps = 64;       // hard iteration cap
-  double tolerance = 1e-12;  // stop when max |off-diagonal| <= tol * ||A||_F
-};
-
 /// Eigendecomposition of a symmetric matrix. Requires a.is_symmetric() within
 /// a loose tolerance (1e-9 relative); throws precondition_error otherwise.
-EigenDecomposition symmetric_eigen(const Matrix& a, const JacobiOptions& options = {});
+EigenDecomposition symmetric_eigen(const Matrix& a);
 
 }  // namespace emts::linalg

@@ -18,12 +18,7 @@
 namespace emts::sim {
 
 struct SiliconOptions {
-  std::uint64_t chip_serial = 1;       // which die from the lot
-  double process_sigma = 0.03;         // relative geometry/drive variation
-  double lab_ambient_factor = 1.6;     // lab vs simulation broadband noise
-  double external_drift_rms_v = 40e-6; // probe positioning / cable wander
-  double gain_jitter_rel = 0.08;       // probe positioning repeatability
-  bool add_lab_interferers = true;     // FM / VHF pickup on the probe loop
+  std::uint64_t chip_serial = 1;  // which die from the lot
 };
 
 /// Builds a chip configuration with silicon-mode non-idealities applied on

@@ -39,14 +39,6 @@ double overlap_coefficient(const std::vector<double>& a, const std::vector<doubl
   return acc;
 }
 
-double welch_t_statistic(const std::vector<double>& a, const std::vector<double>& b) {
-  EMTS_REQUIRE(a.size() >= 2 && b.size() >= 2, "welch_t requires >= 2 samples each");
-  const double va = variance(a) / static_cast<double>(a.size());
-  const double vb = variance(b) / static_cast<double>(b.size());
-  EMTS_REQUIRE(va + vb > 0.0, "welch_t undefined for two constant samples");
-  return (mean(a) - mean(b)) / std::sqrt(va + vb);
-}
-
 double mode_separation(const std::vector<double>& a, const std::vector<double>& b,
                        std::size_t bins) {
   EMTS_REQUIRE(a.size() >= 2 && b.size() >= 2, "mode_separation requires >= 2 samples each");
@@ -58,13 +50,6 @@ double mode_separation(const std::vector<double>& a, const std::vector<double>& 
   const double pooled = std::sqrt(0.5 * (variance(a) + variance(b)));
   if (pooled <= 0.0) return 0.0;
   return std::abs(ha.mode() - hb.mode()) / pooled;
-}
-
-double cohens_d(const std::vector<double>& a, const std::vector<double>& b) {
-  EMTS_REQUIRE(a.size() >= 2 && b.size() >= 2, "cohens_d requires >= 2 samples each");
-  const double pooled = std::sqrt(0.5 * (variance(a) + variance(b)));
-  EMTS_REQUIRE(pooled > 0.0, "cohens_d undefined for constant samples");
-  return (mean(a) - mean(b)) / pooled;
 }
 
 }  // namespace emts::stats

@@ -14,16 +14,10 @@ namespace emts::stats {
 double overlap_coefficient(const std::vector<double>& a, const std::vector<double>& b,
                            std::size_t bins = 64);
 
-/// Welch's t statistic for a difference in means under unequal variances.
-double welch_t_statistic(const std::vector<double>& a, const std::vector<double>& b);
-
 /// Peak (mode) separation: |mode_a - mode_b| estimated on a shared binning,
 /// normalized by the pooled standard deviation. The paper's on-chip-sensor
 /// claim translates to this being clearly nonzero while the probe's is ~0.
 double mode_separation(const std::vector<double>& a, const std::vector<double>& b,
                        std::size_t bins = 64);
-
-/// Cohen's d effect size (difference of means over pooled stddev).
-double cohens_d(const std::vector<double>& a, const std::vector<double>& b);
 
 }  // namespace emts::stats

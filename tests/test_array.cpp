@@ -298,13 +298,12 @@ TEST(ArrayMonitor, EachCoilSessionEqualsAStandaloneMonitor) {
   // energy must follow from those pushes, across two push_bundles calls.
   const ArrayWorld& w = world();
   const sim::Chip infected = armed_chip(trojan::TrojanKind::kT4PowerHog);
-  const ArrayMonitor::Options options{};
   for (const sim::Chip* chip : {&w.chip, &infected}) {
     SCOPED_TRACE(chip == &w.chip ? "golden" : "T4");
     const BundleSet first = w.capture.capture_batch(sim::CaptureEngine::shared(), *chip, 24, 30000);
     const BundleSet second =
         w.capture.capture_batch(sim::CaptureEngine::shared(), *chip, 24, 30024);
-    ArrayMonitor monitor{w.grid, w.calibration, options};
+    ArrayMonitor monitor{w.grid, w.calibration};
     monitor.push_bundles(first);
     const core::MonitorState state = monitor.push_bundles(second);
 
@@ -312,8 +311,7 @@ TEST(ArrayMonitor, EachCoilSessionEqualsAStandaloneMonitor) {
     bool any_alarm = false;
     for (std::size_t s = 0; s < monitor.sensor_count(); ++s) {
       const SensorCalibration& sensor = w.calibration.sensors[s];
-      core::RuntimeMonitor standalone{w.calibration.sample_rate, sensor.evaluator,
-                                      options.session};
+      core::RuntimeMonitor standalone{w.calibration.sample_rate, sensor.evaluator};
       double residual = 0.0;
       std::size_t run = 0;
       bool latched = false;
@@ -324,10 +322,11 @@ TEST(ArrayMonitor, EachCoilSessionEqualsAStandaloneMonitor) {
           residual += residual_energy(trace, sensor.golden_mean);
           if (standalone.stats().spectral_passes == passes) continue;
           const auto& spectral = standalone.last_spectral();
-          const bool anomalous = spectral && spectral->anomalous() &&
-                                 spectral->anomalies.front().ratio >= options.spectral_ratio_gate;
+          const bool anomalous =
+              spectral && spectral->anomalous() &&
+              spectral->anomalies.front().ratio >= ArrayMonitor::kSpectralRatioGate;
           run = anomalous ? run + 1 : 0;
-          if (run >= options.spectral_debounce) latched = true;
+          if (run >= ArrayMonitor::kSpectralDebounce) latched = true;
         }
       }
       SCOPED_TRACE("coil " + std::to_string(s));

@@ -69,7 +69,7 @@ TEST_P(CaptureOracle, EveryCaptureEqualsTheReference) {
   const array::SensorGrid grid4{chip.floorplan(), array::GridSpec{}};
   const array::ArrayCapture capture3{grid3};
   const array::ArrayCapture capture4{grid4};
-  const sensor::MeasurementChain coil{capture4.options().chain, capture4.options().noise};
+  const sensor::MeasurementChain& coil = capture4.chain();
 
   std::vector<std::optional<trojan::TrojanKind>> conditions{std::nullopt};
   for (const trojan::TrojanKind kind : trojan::kAllTrojanKinds) conditions.emplace_back(kind);

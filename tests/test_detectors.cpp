@@ -500,5 +500,51 @@ TEST(DetectorInterface, EvaluateSetReportsFractionAndAlarm) {
   EXPECT_NE(report.detail.find("threshold"), std::string::npos);
 }
 
+// ---------- Non-finite samples ----------
+
+// One NaN or ±inf sample would poison a fit or a verdict (a NaN EDth, a NaN
+// noise floor, a NaN mean distance), so every stage refuses the set and the
+// message names the trace and the sample.
+template <typename Call>
+void expect_non_finite_refusal(Call call, const std::string& where) {
+  try {
+    call();
+    ADD_FAILURE() << "no refusal for a non-finite " << where;
+  } catch (const precondition_error& e) {
+    EXPECT_NE(std::string(e.what()).find(where + " is not finite"), std::string::npos)
+        << e.what();
+  }
+}
+
+std::vector<TrustEvaluator::Options> every_stack() {
+  std::vector<TrustEvaluator::Options> stacks(3);
+  stacks[1].detectors = {"spectral"};
+  stacks[2].detectors = {"ron"};
+  return stacks;
+}
+
+TEST(TrustEvaluator, CalibrateRefusesAGoldenSetWithOneNan) {
+  TraceSet golden = golden_set(8);
+  golden.traces[3][17] = std::numeric_limits<double>::quiet_NaN();
+  for (const TrustEvaluator::Options& options : every_stack()) {
+    SCOPED_TRACE(options.detectors.front());
+    expect_non_finite_refusal([&] { (void)TrustEvaluator::calibrate(golden, options); },
+                              "trace 3 sample 17");
+  }
+}
+
+TEST(TrustEvaluator, EvaluateRefusesASuspectSetWithOneInf) {
+  TraceSet suspect = golden_set(4, 2);
+  for (const double bad : {std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+    suspect.traces[2][0] = bad;
+    for (const TrustEvaluator::Options& options : every_stack()) {
+      SCOPED_TRACE(options.detectors.front());
+      const TrustEvaluator evaluator = TrustEvaluator::calibrate(golden_set(8), options);
+      expect_non_finite_refusal([&] { (void)evaluator.evaluate(suspect); }, "trace 2 sample 0");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace emts::core

@@ -116,24 +116,5 @@ TEST(Differentiate, EmptyInputGivesEmptyOutput) {
   EXPECT_TRUE(differentiate({}, 1.0).empty());
 }
 
-TEST(IntegrateDifferentiate, RoundTripRecoversSmoothSignal) {
-  const double fs = 10e3;
-  std::vector<double> sig(2048);
-  for (std::size_t i = 0; i < sig.size(); ++i) {
-    sig[i] = std::sin(2.0 * units::pi * 50.0 * static_cast<double>(i) / fs);
-  }
-  const auto back = differentiate(integrate(sig, fs), fs);
-  for (std::size_t i = 2; i < sig.size(); ++i) {
-    EXPECT_NEAR(back[i], 0.5 * (sig[i] + sig[i - 1]), 0.01);
-  }
-}
-
-TEST(Integrate, ConstantGivesRamp) {
-  const double fs = 10.0;
-  const std::vector<double> sig(11, 2.0);
-  const auto out = integrate(sig, fs);
-  EXPECT_NEAR(out.back(), 2.0, 1e-9);  // 2.0 * 1 second
-}
-
 }  // namespace
 }  // namespace emts::dsp

@@ -112,18 +112,6 @@ TEST(Pca, GramPathMatchesCovariancePathOnProjections) {
   EXPECT_NEAR(proj, orig, 1e-6 * std::max(1.0, orig));
 }
 
-TEST(Pca, ProjectAllMatchesRowwiseProject) {
-  const auto data = line_data(20, 0.3, 17);
-  const auto model = PcaModel::fit(data, 2);
-  const auto all = model.project_all(data);
-  for (std::size_t i = 0; i < data.rows(); ++i) {
-    const auto one = model.project({data(i, 0), data(i, 1)});
-    for (std::size_t c = 0; c < model.components(); ++c) {
-      EXPECT_NEAR(all(i, c), one[c], 1e-12);
-    }
-  }
-}
-
 // project_into and reconstruct_into walk the basis a row at a time; every
 // output still sums its terms in the order of the column-wise dot product,
 // so both equal that loop bit for bit, on the Gram and covariance paths.

@@ -2,10 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
-
 #include "util/assert.hpp"
-#include "util/rng.hpp"
 
 namespace emts::dsp {
 namespace {
@@ -33,71 +30,6 @@ TEST(DecimateMean, FactorOneIsIdentity) {
 
 TEST(DecimateMean, RejectsZeroFactor) {
   EXPECT_THROW(decimate_mean({1.0}, 0), emts::precondition_error);
-}
-
-TEST(DecimatePeak, KeepsLargestMagnitudeWithSign) {
-  const std::vector<double> sig{0.1, -5.0, 0.2, 3.0, 0.0, 1.0};
-  const auto out = decimate_peak(sig, 3);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[0], -5.0);
-  EXPECT_DOUBLE_EQ(out[1], 3.0);
-}
-
-TEST(DecimatePeak, PreservesNarrowPulseThatMeanWouldDilute) {
-  std::vector<double> sig(64, 0.0);
-  sig[17] = 8.0;
-  const auto peak = decimate_peak(sig, 16);
-  const auto mean = decimate_mean(sig, 16);
-  EXPECT_DOUBLE_EQ(peak[1], 8.0);
-  EXPECT_DOUBLE_EQ(mean[1], 0.5);
-}
-
-TEST(Alignment, FindsKnownShift) {
-  emts::Rng rng{12};
-  std::vector<double> a(512);
-  for (double& v : a) v = rng.gaussian();
-  for (int true_lag : {-7, -1, 0, 3, 10}) {
-    const auto b = shift(a, -true_lag);  // delay a by true_lag
-    EXPECT_EQ(best_alignment_lag(a, b, 16), true_lag) << "lag " << true_lag;
-  }
-}
-
-TEST(Alignment, ZeroLagForIdenticalSignals) {
-  emts::Rng rng{13};
-  std::vector<double> a(256);
-  for (double& v : a) v = rng.gaussian();
-  EXPECT_EQ(best_alignment_lag(a, a, 8), 0);
-}
-
-TEST(Alignment, RejectsMismatchedLengths) {
-  EXPECT_THROW(best_alignment_lag(std::vector<double>(4, 0.0), std::vector<double>(5, 0.0), 2),
-               emts::precondition_error);
-}
-
-TEST(Shift, PositiveLagPullsContentLeft) {
-  const std::vector<double> sig{1, 2, 3, 4};
-  const auto out = shift(sig, 1);
-  EXPECT_DOUBLE_EQ(out[0], 2.0);
-  EXPECT_DOUBLE_EQ(out[2], 4.0);
-  EXPECT_DOUBLE_EQ(out[3], 0.0);
-}
-
-TEST(Shift, NegativeLagPushesContentRight) {
-  const std::vector<double> sig{1, 2, 3, 4};
-  const auto out = shift(sig, -2);
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);
-  EXPECT_DOUBLE_EQ(out[2], 1.0);
-  EXPECT_DOUBLE_EQ(out[3], 2.0);
-}
-
-TEST(Shift, RoundTripLosesOnlyEdges) {
-  const std::vector<double> sig{1, 2, 3, 4, 5, 6};
-  const auto out = shift(shift(sig, 2), -2);
-  EXPECT_DOUBLE_EQ(out[2], 3.0);
-  EXPECT_DOUBLE_EQ(out[5], 6.0);
-  EXPECT_DOUBLE_EQ(out[0], 0.0);
-  EXPECT_DOUBLE_EQ(out[1], 0.0);
 }
 
 }  // namespace

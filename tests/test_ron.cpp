@@ -13,7 +13,7 @@ sim::Chip& chip() {
   return instance;
 }
 
-RonNetwork network() { return RonNetwork{RonSpec{}, chip().config().die}; }
+RonNetwork network() { return RonNetwork{chip().config().die}; }
 
 TEST(RonNetwork, PlacesAGridOfOscillators) {
   const auto ron = network();
@@ -25,15 +25,6 @@ TEST(RonNetwork, PlacesAGridOfOscillators) {
     EXPECT_GT(p.y, 0.0);
     EXPECT_LT(p.y, die.core_height);
   }
-}
-
-TEST(RonNetwork, RejectsDegenerateSpecs) {
-  RonSpec bad{};
-  bad.rows = 0;
-  EXPECT_THROW(RonNetwork(bad, chip().config().die), emts::precondition_error);
-  bad = RonSpec{};
-  bad.window_s = 0.0;
-  EXPECT_THROW(RonNetwork(bad, chip().config().die), emts::precondition_error);
 }
 
 TEST(RonNetwork, LoadSlowsTheOscillators) {

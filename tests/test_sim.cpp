@@ -190,15 +190,6 @@ TEST(Silicon, SameSerialIsReproducible) {
   EXPECT_DOUBLE_EQ(a.die.grid_z, b.die.grid_z);
 }
 
-TEST(Silicon, RejectsImplausibleOptions) {
-  SiliconOptions bad{};
-  bad.process_sigma = 0.5;
-  EXPECT_THROW(make_silicon_config(bad), emts::precondition_error);
-  SiliconOptions quiet{};
-  quiet.lab_ambient_factor = 0.5;
-  EXPECT_THROW(make_silicon_config(quiet), emts::precondition_error);
-}
-
 TEST(Silicon, StackOrderSurvivesProcessVariation) {
   for (std::uint64_t serial = 1; serial <= 20; ++serial) {
     SiliconOptions opt{};
